@@ -1502,19 +1502,27 @@ let serve () =
 
 (* --- streaming: continuous queries, chunked vs batch ----------------------------- *)
 
-(* Run every continuous-query workload both ways on one instance — batch
-   (the whole input pre-loaded on the stream) and streaming (chunked
-   source, bounded channels, consume-scope workers) — and record
-   sustained element throughput plus per-run latency percentiles in
-   BENCH_stream.json.  Two invariants are checked and recorded, not
-   assumed: the streamed output is bit-identical to the batch run, and
-   no channel's depth high-water mark ever exceeds its capacity. *)
+(* Seconds on the monotonic clock (bechamel's), immune to wall-clock
+   steps. *)
+let mono_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* Run every continuous-query workload both ways on one compiled
+   instance — batch (the whole input pre-loaded on the stream, consume
+   scopes compiled like any other scope) and streaming (chunked source,
+   bounded channels, consume-scope workers) — after one warm-up run of
+   each, and record per-run latency percentiles of both, sustained
+   streaming throughput, and the streaming-over-batch ratio of medians
+   in BENCH_stream.json.  Inputs are allocated outside the timed region.
+   Two invariants are checked and recorded, not assumed: the streamed
+   output is bit-identical to the batch run, and no channel's depth
+   high-water mark ever exceeds its capacity. *)
 let streaming () =
-  header "Streaming: chunked continuous queries vs batch";
+  header "Streaming: chunked continuous queries vs compiled batch";
   let n_elems = 2048 and chunk = 64 and runs = 30 in
+  let engine = Interp.Plan.compiled in
   let config =
     Interp.Exec.Config.(
-      default |> with_engine Interp.Plan.compiled |> with_domains 2
+      default |> with_engine engine |> with_domains 2
       |> with_stream_chunk chunk)
   in
   let percentile sorted q =
@@ -1527,48 +1535,56 @@ let streaming () =
     let g = mk () in
     let inst = I.create ~config ~symbols g in
     let values = Workloads.Streaming.sample_values n_elems 42 in
-    let fresh_args () = Interp.Profile.make_args ~symbols g in
-    (* Batch baseline: input pre-loaded, one shot.  Fresh deterministic
-       args every run — several workloads accumulate into their outputs,
-       and run k's results must not leak into run k+1's inputs. *)
-    let batch_args = ref [] in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to runs do
-      batch_args := fresh_args ();
-      ignore (I.run ~args:!batch_args ~stream_args:[ (input, values) ] inst)
-    done;
-    let batch_s = (Unix.gettimeofday () -. t0) /. float_of_int runs in
+    (* Fresh deterministic args for every run (warm-up included) —
+       several workloads accumulate into their outputs, and run k's
+       results must not leak into run k+1's inputs. *)
+    let fresh_args () =
+      Array.init (runs + 1) (fun _ -> Interp.Profile.make_args ~symbols g)
+    in
+    let args = fresh_args () in
+    let timed f =
+      let t0 = mono_s () in
+      f ();
+      mono_s () -. t0
+    in
+    (* batch baseline: input pre-loaded, one shot *)
+    let batch_runs =
+      Array.init (runs + 1) (fun i ->
+          timed (fun () ->
+              ignore
+                (I.run ~args:args.(i) ~stream_args:[ (input, values) ] inst)))
+    in
     let batch_out =
       match output with Some o -> I.stream_contents inst o | None -> [||]
     in
-    (* Streaming: chunked source, sink collecting the output stream. *)
-    let stream_args = ref [] in
+    let batch_args = args.(runs) in
+    (* streaming: chunked source, sink collecting the output stream *)
+    let args = fresh_args () in
     let collected = ref [] in
     let hwm_ok = ref true in
-    let latencies =
-      Array.init runs (fun i ->
+    let stream_runs =
+      Array.init (runs + 1) (fun i ->
           let source = Workloads.Streaming.chunked_source values chunk in
-          if i = 0 then collected := [];
+          collected := [];
           let sink =
-            match output with
-            | None -> None
-            | Some _ ->
-              Some (fun vs -> if i = 0 then collected := vs :: !collected)
+            Option.map (fun _ vs -> collected := vs :: !collected) output
           in
-          stream_args := fresh_args ();
-          let t0 = Unix.gettimeofday () in
-          let report =
-            I.run_streaming ~args:!stream_args ~input ?output ?sink ~source
-              inst
+          let report = ref None in
+          let dt =
+            timed (fun () ->
+                report :=
+                  Some
+                    (I.run_streaming ~args:args.(i) ~input ?output ?sink
+                       ~source inst))
           in
-          (match report.Obs.Report.r_parallel with
-          | Some par ->
+          (match !report with
+          | Some { Obs.Report.r_parallel = Some par; _ } ->
             List.iter
               (fun (c : Obs.Report.channel_stat) ->
                 if c.pc_depth_hwm > c.pc_capacity then hwm_ok := false)
               par.Obs.Report.par_channels
-          | None -> ());
-          Unix.gettimeofday () -. t0)
+          | _ -> ());
+          dt)
     in
     let streamed_out = Array.concat (List.rev !collected) in
     (* Every run saw identical inputs, so the last of each path compares. *)
@@ -1577,39 +1593,55 @@ let streaming () =
       && List.for_all2
            (fun (_, a) (_, b) ->
              Interp.Tensor.to_float_list a = Interp.Tensor.to_float_list b)
-           !batch_args !stream_args
+           batch_args args.(runs)
     in
-    let sorted = Array.copy latencies in
-    Array.sort compare sorted;
-    let total = Array.fold_left ( +. ) 0. latencies in
+    (* drop the warm-up run (index 0: planning, first touches) *)
+    let sorted a =
+      let s = Array.sub a 1 runs in
+      Array.sort compare s;
+      s
+    in
+    let batch = sorted batch_runs and stream = sorted stream_runs in
+    let total = Array.fold_left ( +. ) 0. stream in
     let eps = float_of_int (n_elems * runs) /. total in
-    let p50 = 1e3 *. percentile sorted 50.
-    and p95 = 1e3 *. percentile sorted 95.
-    and p99 = 1e3 *. percentile sorted 99. in
-    row "%-8s%14.0f%12.2f%12.2f%12.2f%10.2f%8s%6s@." name eps p50 p95 p99
-      (1e3 *. batch_s)
+    let ms a q = 1e3 *. percentile a q in
+    let p50 = ms stream 50. and batch_p50 = ms batch 50. in
+    let ratio = batch_p50 /. p50 in
+    row "%-8s%14.0f%10.3f%10.3f%10.3f%10.3f%9.2fx%6s%6s@." name eps p50
+      (ms stream 95.) (ms stream 99.) batch_p50 ratio
       (if identical then "ok" else "DIFF")
       (if !hwm_ok then "ok" else "OVER");
     ( name,
       Obs.Json.Obj
         [ ("elements_per_s", Obs.Json.Float eps);
           ("p50_ms", Obs.Json.Float p50);
-          ("p95_ms", Obs.Json.Float p95);
-          ("p99_ms", Obs.Json.Float p99);
-          ("batch_ms", Obs.Json.Float (1e3 *. batch_s));
+          ("p95_ms", Obs.Json.Float (ms stream 95.));
+          ("p99_ms", Obs.Json.Float (ms stream 99.));
+          ("batch_engine", Obs.Json.Str (Interp.Exec.engine_name engine));
+          ("batch_ms", Obs.Json.Float batch_p50);
+          ("batch_p95_ms", Obs.Json.Float (ms batch 95.));
+          ("streaming_over_batch", Obs.Json.Float ratio);
           ("bit_identical_to_batch", Obs.Json.Bool identical);
           ("channel_hwm_within_capacity", Obs.Json.Bool !hwm_ok) ] )
   in
-  row "%-8s%14s%12s%12s%12s%10s%8s%6s@." "query" "elems/s" "p50 ms"
-    "p95 ms" "p99 ms" "batch ms" "bits" "hwm";
+  row "%-8s%14s%10s%10s%10s%10s%10s%6s%6s@." "query" "elems/s" "p50 ms"
+    "p95 ms" "p99 ms" "batch ms" "str/bat" "bits" "hwm";
   let results = List.map bench_workload Workloads.Streaming.all in
   Obs.Json.save
     (Obs.Json.Obj
        [ ("generated_by", Obs.Json.Str "dune exec bench/main.exe streaming");
+         ("clock", Obs.Json.Str "monotonic (bechamel Monotonic_clock)");
+         ("host_cores", Obs.Json.Int (Domain.recommended_domain_count ()));
          ("elements", Obs.Json.Int n_elems);
          ("chunk", Obs.Json.Int chunk);
          ("runs", Obs.Json.Int runs);
+         ("warmup_runs", Obs.Json.Int 1);
          ("domains", Obs.Json.Int 2);
+         ("ratio_base",
+          Obs.Json.Str
+            "streaming_over_batch = batch_ms / p50_ms: median batch run \
+             (stream pre-loaded, consume scopes compiled) over median \
+             streaming run, same compiled instance, same inputs");
          ("workloads", Obs.Json.Obj results) ])
     "BENCH_stream.json";
   row "wrote BENCH_stream.json@."

@@ -448,7 +448,10 @@ let kernel_crossval_oracle g =
    tensors bit-for-bit (approximately under float WCR, where the
    contract allows reordering), through both engines, at 1, 2 and 4
    domains — and no channel may ever have held more elements than its
-   capacity (the backpressure invariant). *)
+   capacity (the backpressure invariant).  The compiled engine's batch
+   runs (consume scopes compiled, not drained through the reference) must
+   reproduce the anchor's output stream, tensors and counters at 1, 2 and
+   4 domains too. *)
 let stream_crossval_oracle g =
   let h = Hashtbl.hash (Serialize.to_string g) in
   let menu = Workloads.Streaming.all in
@@ -468,15 +471,52 @@ let stream_crossval_oracle g =
   let module I = Interp.Exec.Instance in
   let base_args = Interp.Profile.make_args ~symbols:syms sg in
   let base = I.create ~config:(config `Reference 1) ~symbols:syms sg in
-  ignore (I.run ~args:base_args ~stream_args:[ (input, values) ] base);
+  let base_rep = I.run ~args:base_args ~stream_args:[ (input, values) ] base in
   let base_out =
     match output with None -> [||] | Some o -> I.stream_contents base o
   in
-  let rec at = function
+  let rec batch = function
     | [] ->
       Pass
-        (Fmt.str "chunked (%d x %d) = batch on %s at 1, 2 and 4 domains"
+        (Fmt.str
+           "chunked (%d x %d) = batch on %s at 1, 2 and 4 domains; compiled \
+            batch = reference batch"
            chunk n wname)
+    | d :: rest -> (
+      let args = Interp.Profile.make_args ~symbols:syms sg in
+      let inst = I.create ~config:(config `Compiled d) ~symbols:syms sg in
+      match I.run ~args ~stream_args:[ (input, values) ] inst with
+      | exception Interp.Exec.Runtime_error m ->
+        Fail (Fmt.str "compiled batch run crashed at %d domains: %s" d m)
+      | rep -> (
+        let out =
+          match output with None -> [||] | Some o -> I.stream_contents inst o
+        in
+        let counters = rep.Obs.Report.r_counters
+        and want = base_rep.Obs.Report.r_counters in
+        if out <> base_out then
+          Fail
+            (Fmt.str
+               "compiled batch output stream diverges on %s at %d domains \
+                (%d vs %d elements)"
+               wname d (Array.length out) (Array.length base_out))
+        else if counters <> want then
+          Fail
+            (Fmt.str
+               "compiled batch counters diverge on %s at %d domains: %a vs \
+                %a (reference)"
+               wname d Obs.Report.pp_counters counters
+               Obs.Report.pp_counters want)
+        else
+          match diff ~approx base_args args with
+          | Some m ->
+            Fail
+              (Fmt.str "compiled batch tensor divergence on %s at %d \
+                        domains: %s" wname d m)
+          | None -> batch rest))
+  in
+  let rec at = function
+    | [] -> batch [ 1; 2; 4 ]
     | (engine, d) :: rest -> (
       let args = Interp.Profile.make_args ~symbols:syms sg in
       let inst = I.create ~config:(config engine d) ~symbols:syms sg in

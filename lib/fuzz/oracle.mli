@@ -27,7 +27,10 @@
       continuous-query workload picked deterministically from
       {!Workloads.Streaming.all} (the generator does not emit stream
       containers), through both engines at 1, 2 and 4 domains, with no
-      channel ever exceeding its capacity.
+      channel ever exceeding its capacity; and the compiled engine's
+      batch run (consume scopes compiled) reproduces the reference
+      batch anchor's output stream, tensors and counters at 1, 2 and 4
+      domains.
 
     Comparison policy: bit equality by default; when the graph contains
     a floating-point WCR memlet or Reduce node, transformation,

@@ -752,6 +752,18 @@ let exec_reduce env params st nid (r_wcr : wcr) (r_axes : int list option)
 
 (* --- scope and state execution -------------------------------------------- *)
 
+(* The direct children of a scope, in the state's topological order: the
+   schedule every executor (reference, compiled, pipeline stage) runs a
+   scope body in. *)
+let scope_body st entry =
+  let parents = State.scope_parents st in
+  let direct =
+    List.filter
+      (fun nid -> Hashtbl.find parents nid = Some entry)
+      (State.scope_nodes st entry)
+  in
+  List.filter (fun nid -> List.mem nid direct) (State.topological_order st)
+
 (* Execute the given nodes (already restricted to one scope level) in the
    supplied order. *)
 let rec exec_nodes env st ~params ~popped nids =
@@ -791,15 +803,7 @@ let rec exec_nodes env st ~params ~popped nids =
     nids
 
 and exec_map env st ~params ~popped entry (info : map_info) =
-  let body =
-    let members = State.scope_nodes st entry in
-    let parents = State.scope_parents st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    let order = State.topological_order st in
-    List.filter (fun nid -> List.mem nid direct) order
-  in
+  let body = scope_body st entry in
   let ranges =
     List.map2
       (fun p (r : Subset.range) ->
@@ -827,15 +831,7 @@ and exec_map env st ~params ~popped entry (info : map_info) =
   iterate [] (List.combine info.mp_params ranges)
 
 and exec_consume env st ~params ~popped entry (info : consume_info) =
-  let body =
-    let members = State.scope_nodes st entry in
-    let parents = State.scope_parents st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    let order = State.topological_order st in
-    List.filter (fun nid -> List.mem nid direct) order
-  in
+  let body = scope_body st entry in
   let s = get_stream env info.cs_stream in
   (* Quiescence: stop when the stream is empty (paper Fig. 8's
      "len(S) = 0").  Processing is sequential but equivalent to any
@@ -848,7 +844,11 @@ and exec_consume env st ~params ~popped entry (info : consume_info) =
     if !guard > 100_000_000 then
       runtime_error "consume scope on %S exceeded iteration budget"
         info.cs_stream;
-    let q = stream_queue s [] in
+    (* pop from the first non-empty queue in flattened order, so the
+       loop drains exactly what its len(S) test counts *)
+    let q =
+      Option.get (Array.find_opt (fun q -> not (Queue.is_empty q)) s.qs)
+    in
     let v = Queue.pop q in
     env.stats.stream_pops <- env.stats.stream_pops + 1;
     env.stats.map_iterations <- env.stats.map_iterations + 1;
@@ -1470,19 +1470,8 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
             | Consume_entry i -> i
             | _ -> assert false
           in
-          (* Direct body children in topological order — exactly the
-             batch executor's [exec_consume] schedule. *)
-          let body =
-            let members = State.scope_nodes st entry in
-            let parents = State.scope_parents st in
-            let direct =
-              List.filter
-                (fun nid -> Hashtbl.find parents nid = Some entry)
-                members
-            in
-            let order = State.topological_order st in
-            List.filter (fun nid -> List.mem nid direct) order
-          in
+          (* exactly the batch executor's [exec_consume] schedule *)
+          let body = scope_body st entry in
           let wstats = fresh_stats () in
           let wenv =
             (* domains = 1: the pool is not reentrant, so inner maps run

@@ -324,9 +324,10 @@ end
     The pieces below are the shared substrate of both engines: the
     compiled engine ({!Plan}) builds its plans over the same runtime
     environment and falls back to the reference executors for constructs
-    it does not compile (consume scopes, streams, nested SDFGs, external
-    tasklets, data-dependent symbols), so instrumentation counters stay
-    identical.  Not intended for general use. *)
+    it does not compile (multi-queue streams, nested or uncompilable
+    consume scopes, nested SDFGs, external tasklets, data-dependent
+    symbols), so instrumentation counters stay identical.  Not intended
+    for general use. *)
 
 type cached_plan = { pl_version : int; pl_run : unit -> unit }
 (** A state lowered by the compiled engine, tagged with the structural
@@ -364,6 +365,11 @@ val sym_lookup : env -> (string * int) list -> string -> int option
     rank-0 containers / stream lengths (data-dependent control flow). *)
 
 val eval_expr : env -> (string * int) list -> Symbolic.Expr.t -> int
+
+val scope_body : Sdfg_ir.Defs.state -> int -> int list
+(** The direct children of the scope opened by the given entry node, in
+    the state's topological order — the body schedule shared by the
+    reference executors, compiled plans and pipeline stages. *)
 
 val exec_nodes :
   env ->

@@ -12,12 +12,18 @@
      slot-indexed closures;
    - tasklet bodies are closure-compiled by {!Tasklang.Compile}, with
      connectors resolved at plan time to strided offset arithmetic over
-     the underlying buffers (mirroring [Tensor.view_subset]/[squeeze]);
-   - everything the plan does not compile — consume scopes, streams,
-     nested SDFGs, external tasklets, reductions, access-node copies and
-     any expression over data-dependent symbols (rank-0 containers,
-     stream lengths) — falls back to the reference executors node by
-     node, so semantics and instrumentation counters stay identical.
+     the underlying buffers (mirroring [Tensor.view_subset]/[squeeze])
+     and pushes to scalar streams resolved to their queue;
+   - top-level consume scopes over single-queue streams become the
+     reference's pop-until-empty loop around a body compiled once — the
+     same body compiler streaming pipeline workers use;
+   - everything the plan does not compile — multi-queue streams, consume
+     scopes nested in other scopes or whose bodies do not compile in
+     full, nested SDFGs, external tasklets, reductions, access-node
+     copies and any expression over data-dependent symbols (rank-0
+     containers, stream lengths) — falls back to the reference executors
+     node by node, so semantics and instrumentation counters stay
+     identical.
 
    Plans are cached per state in the run's environment, keyed by the
    state's structural version, so repeated state executions (time loops)
@@ -43,8 +49,11 @@ type ctx = {
   mutable n_slots : int;
   sym_slots : (string, int) Hashtbl.t;  (* interstate symbol -> slot *)
   popped : (string * value ref) option;
-      (* streaming stage compilation: the consumed stream and the cell
+      (* consume-body compilation: the consumed stream and the cell
          holding the element popped for the current body invocation *)
+  cov : Obs.Collect.t;
+      (* where plan-coverage notes go: the run's collector, or a scratch
+         one while a consume body compiles, merged only if it compiles *)
 }
 
 (* One worker domain's compiled copy of a parallel map body.  Each
@@ -53,10 +62,9 @@ type ctx = {
    domains share nothing mutable except the output tensors the race
    analysis proved disjoint. *)
 type replica = {
-  rp_ctx : ctx;                  (* for the frame (symbol refresh) *)
   rp_stats : Exec.stats;         (* merged into the main stats after join *)
   rp_collector : Obs.Collect.t;  (* absorbed under the map's span *)
-  rp_sym : (string * int) array; (* interstate symbol -> replica slot *)
+  rp_refresh : unit -> unit;     (* reload interstate symbol slots *)
   rp_acc : Tensor.t array;       (* private accumulators, in verdict order *)
   rp_kind : string option;       (* recognized bulk-kernel kind, if any *)
   rp_run : int -> int -> int -> unit;  (* lo hi step over the outer param *)
@@ -91,6 +99,22 @@ let slot_fn ctx scope_env name =
 
 let comp_expr ctx scope_env e : int array -> int =
   Expr.compile ~slot:(slot_fn ctx scope_env) e
+
+(* Interstate symbol slots reload from the symbol table at every
+   execution; membership was checked at plan time and symbols are never
+   removed.  Call once every slot is allocated and the frame exists. *)
+let symbol_refresh ctx =
+  let slots =
+    Array.of_list
+      (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) ctx.sym_slots
+         [])
+  in
+  let symbols = ctx.env.Exec.symbols in
+  fun () ->
+    let fr = ctx.frame in
+    Array.iter
+      (fun (name, slot) -> fr.(slot) <- Hashtbl.find symbols name)
+      slots
 
 (* --- compiled memlet subsets ------------------------------------------- *)
 
@@ -278,7 +302,7 @@ let spanned ctx kind name ~flag (f : unit -> unit) : unit -> unit =
 let try_kernel ctx scope_env entry (info : map_info) : Kernels.t option =
   if not ctx.env.Exec.kernels then None
   else begin
-    let collector = ctx.env.Exec.collector in
+    let collector = ctx.cov in
     let result =
       (* a parameter shadowed by an enclosing scope does not iterate in
          subscripts (outer bindings win in the reference's assoc order),
@@ -308,7 +332,7 @@ let try_kernel ctx scope_env entry (info : map_info) : Kernels.t option =
    shared mutable engine state: symbol tables, scope caches, the symbolic
    evaluator's memo tables). *)
 let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
-  let collector = ctx.env.Exec.collector in
+  let collector = ctx.cov in
   let fallback () =
     if strict then raise Fallback;
     Obs.Collect.note_fallback_node collector;
@@ -373,6 +397,13 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
            (State.out_edges ctx.st nid)
     in
     if passthrough then fun () -> () else fallback ()
+  | Consume_entry info
+    when Hashtbl.find (State.scope_parents ctx.st) nid = None -> (
+    try
+      let f = comp_consume ctx nid info in
+      Obs.Collect.note_compiled_node collector;
+      spanned ctx Obs.Collect.Consume info.cs_stream ~flag:info.cs_instrument f
+    with Fallback -> fallback ())
   | Access _ | Consume_entry _ | Reduce _ | Nested_sdfg _ -> fallback ()
 
 (* A map scope compiles to a loop nest: ranges are evaluated once per
@@ -395,18 +426,11 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
   let dims = Array.of_list dims in
   let pslots = Array.map (fun (p, _, _, _) -> (p, alloc_slot ctx)) dims in
   let scope_env' = scope_env @ Array.to_list pslots in
-  let body_ids =
-    let members = State.scope_nodes ctx.st entry in
-    let parents = State.scope_parents ctx.st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    List.filter
-      (fun nid -> List.mem nid direct)
-      (State.topological_order ctx.st)
-  in
   let steps =
-    Array.of_list (List.map (comp_node ~strict ctx scope_env') body_ids)
+    Array.of_list
+      (List.map
+         (comp_node ~strict ctx scope_env')
+         (Exec.scope_body ctx.st entry))
   in
   let nd = Array.length dims in
   let bounds = Array.make (max 1 (nd * 3)) 0 in
@@ -561,16 +585,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let nd = Array.length dims in
   if nd = 0 then raise Fallback;
   let bounds = Array.make (nd * 3) 0 in
-  let body_ids =
-    let members = State.scope_nodes ctx.st entry in
-    let parents = State.scope_parents ctx.st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    List.filter
-      (fun nid -> List.mem nid direct)
-      (State.topological_order ctx.st)
-  in
+  let body_ids = Exec.scope_body ctx.st entry in
   let acc_shared =
     Array.of_list
       (List.map
@@ -624,7 +639,8 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     in
     let rctx =
       { env = renv; st = ctx.st; frame = [||]; n_slots = 0;
-        sym_slots = Hashtbl.create 8; popped = None }
+        sym_slots = Hashtbl.create 8; popped = None;
+        cov = renv.Exec.collector }
     in
     let pslots = Array.map (fun (p, _, _, _) -> (p, alloc_slot rctx)) dims in
     let scope_env = Array.to_list pslots in
@@ -637,11 +653,6 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
        any symbol slots it allocates must precede the frame allocation *)
     let kernel = try_kernel rctx [] entry info in
     rctx.frame <- Array.make (max 1 rctx.n_slots) 0;
-    let sym_refresh =
-      Array.of_list
-        (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc)
-           rctx.sym_slots [])
-    in
     let stats = renv.Exec.stats in
     let run_body () =
       stats.Exec.map_iterations <- stats.Exec.map_iterations + 1;
@@ -694,8 +705,8 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
             | _ -> assert false)
           acc_names
     in
-    { rp_ctx = rctx; rp_stats = stats; rp_collector = renv.Exec.collector;
-      rp_sym = sym_refresh; rp_acc;
+    { rp_stats = stats; rp_collector = renv.Exec.collector;
+      rp_refresh = symbol_refresh rctx; rp_acc;
       rp_kind = Option.map (fun k -> k.Kernels.k_name) kernel;
       rp_run = run_range }
   in
@@ -722,7 +733,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     if d > 1 then replicas.(0)
     else match solo with Some s -> s | None -> assert false
   in
-  Obs.Collect.merge_coverage env.Exec.collector coverage_replica.rp_collector;
+  Obs.Collect.merge_coverage ctx.cov coverage_replica.rp_collector;
   let kind = coverage_replica.rp_kind in
   let md =
     Exec.register_decision env.Exec.par ~state:ctx.st.st_label ~node:entry
@@ -773,12 +784,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   in
   (* interstate symbols may have changed since the last invocation:
      refresh a participating replica's slots before dispatch *)
-  let refresh r =
-    let rfr = r.rp_ctx.frame in
-    Array.iter
-      (fun (name, slot) -> rfr.(slot) <- Hashtbl.find env.Exec.symbols name)
-      r.rp_sym
-  in
+  let refresh r = r.rp_refresh () in
   fun () ->
     let fr = ctx.frame in
     Array.iteri
@@ -941,8 +947,79 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         done
     end
 
+(* A top-level consume scope over a single-queue batch stream compiles to
+   the reference's quiescence loop ([Exec.exec_consume]) around a body
+   compiled once: pop while the queue is non-empty, count one pop and one
+   iteration per element, bind the PE parameter to [pe mod num_pes], and
+   stop with the reference's error past 100M iterations.  The PE count
+   is evaluated in the enclosing scope once per invocation, like the
+   reference.  Multi-queue streams and live channels stay on the
+   reference path. *)
+and comp_consume ctx entry (info : consume_info) : unit -> unit =
+  let q =
+    match Hashtbl.find_opt ctx.env.Exec.containers info.cs_stream with
+    | Some (Exec.Strm { Exec.qs = [| q |]; _ }) -> q
+    | _ -> raise Fallback
+  in
+  let num_pes = comp_expr ctx [] info.cs_num_pes in
+  let refresh, step =
+    comp_consume_body ~cov:ctx.cov ctx.env ctx.st entry info
+  in
+  let stats = ctx.env.Exec.stats in
+  fun () ->
+    let num_pes = max 1 (num_pes ctx.frame) in
+    refresh ();
+    let pe = ref 0 in
+    while not (Queue.is_empty q) do
+      if !pe >= 100_000_000 then
+        Exec.runtime_error "consume scope on %S exceeded iteration budget"
+          info.cs_stream;
+      let v = Queue.pop q in
+      stats.Exec.stream_pops <- stats.Exec.stream_pops + 1;
+      stats.Exec.map_iterations <- stats.Exec.map_iterations + 1;
+      step (!pe mod num_pes) v;
+      incr pe
+    done
+
+(* Compile one consume scope's body for per-element execution, shared by
+   the batch loop above and the streaming pipeline workers
+   ({!compile_stage}).  The body gets its own frame: the PE parameter
+   takes a slot, the popped element binds as a scalar through a cell,
+   pushes resolve to the stream's queue or live channel, and inner maps
+   compile as usual (bulk kernels included).  Strict: a body the plan
+   cannot fully lower raises {!Fallback} and the whole scope stays on
+   the reference path; its coverage notes are dropped with it.  Returns
+   [(refresh, step)]: [refresh ()] reloads the interstate symbol slots,
+   [step pe v] runs the body for one element [v] on PE [pe]. *)
+and comp_consume_body ~cov env st entry (info : consume_info) :
+    (unit -> unit) * (int -> value -> unit) =
+  let cell = ref (I 0) in
+  let ctx =
+    { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
+      popped = Some (info.cs_stream, cell);
+      cov = Obs.Collect.create Obs.Collect.Off }
+  in
+  let pe_slot = alloc_slot ctx in
+  let steps =
+    Array.of_list
+      (List.map
+         (comp_node ~strict:true ctx [ (info.cs_pe_param, pe_slot) ])
+         (Exec.scope_body st entry))
+  in
+  Obs.Collect.merge_coverage cov ctx.cov;
+  ctx.frame <- Array.make (max 1 ctx.n_slots) 0;
+  let fr = ctx.frame in
+  ( symbol_refresh ctx,
+    fun pe v ->
+      fr.(pe_slot) <- pe;
+      cell := v;
+      for i = 0 to Array.length steps - 1 do
+        (Array.unsafe_get steps i) ()
+      done )
+
 (* A tasklet compiles when its code is Tasklang, every connected memlet
-   targets an array container, and all subset expressions compile.
+   targets an array container or a scalar stream, and all subset
+   expressions compile.
    Binding order, counter updates and error behavior mirror
    [Exec.exec_tasklet] / [bind_input] / [bind_output]. *)
 and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
@@ -1017,10 +1094,9 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         | Some c -> c
         | None -> raise Fallback
       in
-      match Hashtbl.find_opt env.Exec.containers m.m_data with
-      | Some (Exec.Chan c) ->
-        (* streaming stage: pushes go to the live channel, blocking on
-           backpressure — mirrors [Exec.bind_output]'s [Chan] case *)
+      (* stream pushes mirror [Exec.bind_output]: one counted push per
+         write, reads rejected *)
+      let push_to push =
         resolutions :=
           (conn,
            Tasklang.Compile.Buffer_src
@@ -1028,8 +1104,17 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
                 Exec.runtime_error "reading output stream connector %S" conn),
               fun _ v ->
                 stats.Exec.stream_pushes <- stats.Exec.stream_pushes + 1;
-                Stream.push c v))
+                push v))
           :: !resolutions
+      in
+      match Hashtbl.find_opt env.Exec.containers m.m_data with
+      | Some (Exec.Chan c) ->
+        (* streaming stage: the live channel, blocking on backpressure *)
+        push_to (fun v -> Stream.push c v)
+      | Some (Exec.Strm { Exec.q_shape = [||]; qs; _ }) ->
+        (* batch scalar stream: its single queue *)
+        let q = qs.(0) in
+        push_to (fun v -> Queue.push v q)
       | _ ->
         let tens = tens_of m.m_data in
         let v = make_cview ctx scope_env tens kconn.k_rank m.m_subset in
@@ -1075,7 +1160,7 @@ let prepare (env : Exec.env) (st : state) : Exec.cached_plan =
   Obs.Collect.note_planned_state env.Exec.collector;
   let ctx =
     { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
-      popped = None }
+      popped = None; cov = env.Exec.collector }
   in
   let top =
     let parents = State.scope_parents st in
@@ -1085,18 +1170,9 @@ let prepare (env : Exec.env) (st : state) : Exec.cached_plan =
   in
   let steps = Array.of_list (List.map (comp_node ctx []) top) in
   ctx.frame <- Array.make (max 1 ctx.n_slots) 0;
-  (* symbol slots refresh from the interstate table at every execution;
-     membership was checked at plan time and symbols are never removed *)
-  let sym_refresh =
-    Array.of_list
-      (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) ctx.sym_slots
-         [])
-  in
+  let refresh = symbol_refresh ctx in
   let run () =
-    let fr = ctx.frame in
-    Array.iter
-      (fun (name, slot) -> fr.(slot) <- Hashtbl.find env.Exec.symbols name)
-      sym_refresh;
+    refresh ();
     for i = 0 to Array.length steps - 1 do
       (Array.unsafe_get steps i) ()
     done
@@ -1120,54 +1196,20 @@ let () = Exec.set_compiled_state_exec exec_state
 
 (* --- streaming stage bodies ---------------------------------------------- *)
 
-(* Compile one consume scope's body for a streaming pipeline worker:
-   the popped element binds as a scalar through a shared cell, pushes
-   resolve to live channels, and inner maps compile as usual (bulk
-   kernels included).  Strict mode: a body the plan cannot fully lower
-   returns [None] and the worker stays on the reference loop — workers
-   run concurrently, so partially-compiled bodies that re-enter the
-   reference executors are acceptable (each worker owns a private
-   environment) but a half-lowered plan is not worth the risk of
-   diverging counters.  Called on the worker's environment from the
-   main domain, before the pipeline starts. *)
+(* A pipeline worker's stage body: the batch consume loop's compiled body
+   ({!comp_consume_body}) run on the worker's private environment, where
+   the streams are live channels.  [None] keeps the worker on the
+   reference body loop.  Called from the main domain before the pipeline
+   starts. *)
 let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :
     (int -> value -> unit) option =
-  let cell = ref (I 0) in
-  let ctx =
-    { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
-      popped = Some (info.cs_stream, cell) }
-  in
-  let pe_slot = alloc_slot ctx in
-  let scope_env = [ (info.cs_pe_param, pe_slot) ] in
-  let body_ids =
-    let members = State.scope_nodes st entry in
-    let parents = State.scope_parents st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    List.filter (fun nid -> List.mem nid direct) (State.topological_order st)
-  in
-  match List.map (comp_node ~strict:true ctx scope_env) body_ids with
+  match comp_consume_body ~cov:env.Exec.collector env st entry info with
   | exception Fallback -> None
-  | steps ->
-    let steps = Array.of_list steps in
-    ctx.frame <- Array.make (max 1 ctx.n_slots) 0;
-    let sym_refresh =
-      Array.of_list
-        (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) ctx.sym_slots
-           [])
-    in
+  | refresh, step ->
     Some
       (fun pe v ->
-        let fr = ctx.frame in
-        Array.iter
-          (fun (name, slot) -> fr.(slot) <- Hashtbl.find env.Exec.symbols name)
-          sym_refresh;
-        fr.(pe_slot) <- pe;
-        cell := v;
-        for i = 0 to Array.length steps - 1 do
-          (Array.unsafe_get steps i) ()
-        done)
+        refresh ();
+        step pe v)
 
 let () = Exec.set_stage_compiler compile_stage
 

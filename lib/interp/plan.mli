@@ -4,11 +4,14 @@
     native loop nests for map scopes over a flat [int array] symbol
     frame, closure-compiled tasklet bodies ({!Tasklang.Compile}) with
     connectors resolved to strided offset arithmetic, and range/subset
-    endpoints compiled by {!Symbolic.Expr.compile}.  Constructs the plan
-    does not compile (consume scopes, streams, nested SDFGs, external
-    tasklets, reductions, copies, data-dependent symbols) fall back to
-    the reference executors of {!Exec} node by node, so results and
-    instrumentation counters are bit-identical to the reference engine.
+    endpoints compiled by {!Symbolic.Expr.compile}.  Top-level consume
+    scopes over single-queue streams run the reference's pop-until-empty
+    loop around a body compiled once.  Constructs the plan does not
+    compile (multi-queue streams, nested or partly uncompilable consume
+    scopes, nested SDFGs, external tasklets, reductions, copies,
+    data-dependent symbols) fall back to the reference executors of
+    {!Exec} node by node, so results and instrumentation counters are
+    bit-identical to the reference engine.
 
     Selected via [Exec.run ~engine:`Compiled]; this module registers
     itself with {!Exec} at load time. *)

@@ -286,7 +286,14 @@ let rec exec_loop srv =
       jobs;
     exec_loop srv
   | `Batch (leader, followers) ->
-    (match resolve srv leader with
+    (* Same key, same program: resolve from the first job that carries
+       its text, so a key-only leader whose entry was evicted does not
+       fail followers that resent it. *)
+    let source =
+      Option.value ~default:leader
+        (List.find_opt (fun j -> j.jb_text <> None) (leader :: followers))
+    in
+    (match resolve srv source with
     | Error e ->
       finish srv leader ~batched:false (Error e);
       List.iter (fun j -> finish srv j ~batched:true (Error e)) followers

@@ -804,6 +804,114 @@ let test_server_stream () =
           Alcotest.(check bool) "alive after sessions" true
             (Serve.Client.ping c)))
 
+(* A same-key batch whose leader is a key-only request for an evicted
+   entry resolves from the follower that resent the program text: both
+   requests succeed with bit-identical outputs.  A held streaming
+   session keeps the executor busy while the two requests queue up
+   behind it in order. *)
+let test_server_batch_key_only_leader () =
+  let g = Workloads.Kernels.copy () in
+  let text = Serialize.to_string g in
+  let symbols = [ ("N", 16) ] in
+  let run_text c syms =
+    match
+      Serve.Client.run ~symbols:syms ~config:compiled_1
+        ~args:(Interp.Profile.make_args ~symbols:syms g)
+        c (Protocol.Prog_sdfg text)
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let srv =
+    Serve.Server.start ~capacity:1 ~socket:(tmp_name "sdfg-serve" ^ ".sock")
+      ()
+  in
+  let socket = Serve.Server.socket_path srv in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop srv;
+      Serve.Server.wait srv)
+    (fun () ->
+      let c = Serve.Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          (* 1. cache the program, then evict it with another valuation *)
+          let key = (run_text c symbols).rs_key in
+          ignore (run_text c [ ("N", 8) ]);
+          let cs = Serve.Cache.stats (Serve.Server.cache srv) in
+          Alcotest.(check bool) "first key evicted" true (cs.c_evictions >= 1);
+          (* 2. hold the executor with an open streaming session *)
+          let w_name, w_mk, w_input, _, w_syms =
+            List.hd Workloads.Streaming.all
+          in
+          Alcotest.(check string) "session query" "window" w_name;
+          (match
+             Serve.Client.request c
+               (Protocol.Stream_open
+                  { sq_program =
+                      Protocol.Prog_sdfg (Serialize.to_string (w_mk ()));
+                    sq_symbols = w_syms; sq_config = compiled_1;
+                    sq_args = []; sq_input = w_input; sq_output = None })
+           with
+          | Protocol.Resp_stream_opened _ -> ()
+          | _ -> Alcotest.fail "stream_open not acknowledged");
+          let depth () =
+            (Serve.Metrics.snapshot (Serve.Server.metrics srv)).s_queue_depth
+          in
+          let await n =
+            let t0 = Unix.gettimeofday () in
+            while depth () <> n do
+              if Unix.gettimeofday () -. t0 > 10. then
+                Alcotest.failf "queue depth never reached %d" n;
+              Thread.delay 0.002
+            done
+          in
+          await 0;
+          (* 3. a key-only request, then a text request, for that key *)
+          let submit program =
+            let result = ref (Error "not run") in
+            let th =
+              Thread.create
+                (fun () ->
+                  let c' = Serve.Client.connect socket in
+                  Fun.protect
+                    ~finally:(fun () -> Serve.Client.close c')
+                    (fun () ->
+                      result :=
+                        Serve.Client.run ~symbols ~config:compiled_1
+                          ~args:(Interp.Profile.make_args ~symbols g)
+                          c' program))
+                ()
+            in
+            (th, result)
+          in
+          let th_key, by_key = submit (Protocol.Prog_key key) in
+          await 1;
+          let th_text, by_text = submit (Protocol.Prog_sdfg text) in
+          await 2;
+          (* 4. release the executor: the batch runs *)
+          (match Serve.Client.request c Protocol.Stream_close with
+          | Protocol.Resp_stream_done _ -> ()
+          | _ -> Alcotest.fail "session did not finish");
+          Thread.join th_key;
+          Thread.join th_text;
+          let outputs tag = function
+            | Ok (r : Protocol.run_result) ->
+              Alcotest.(check string) (tag ^ ": same key") key r.rs_key;
+              r.rs_outputs
+            | Error e -> Alcotest.failf "%s failed: %s" tag e
+          in
+          let ok = outputs "key-only leader" !by_key in
+          let ot = outputs "text follower" !by_text in
+          List.iter2
+            (fun (n1, t1) (n2, t2) ->
+              Alcotest.(check string) "output order" n1 n2;
+              Alcotest.(check (list int64))
+                (Fmt.str "%S bit-identical" n1)
+                (tensor_bits t1) (tensor_bits t2))
+            ok ot))
+
 let test_server_shutdown_request () =
   let socket = tmp_name "sdfg-serve" ^ ".sock" in
   let srv = Serve.Server.start ~socket () in
@@ -852,5 +960,7 @@ let suite =
       `Quick test_server_workload_ndlang;
     Alcotest.test_case "server: streaming session over the wire" `Quick
       test_server_stream;
+    Alcotest.test_case "server: key-only leader of an evicted key" `Quick
+      test_server_batch_key_only_leader;
     Alcotest.test_case "server: shutdown request" `Quick
       test_server_shutdown_request ]

@@ -15,6 +15,7 @@ module R = Obs.Report
 module Races = Analysis.Races
 module Stream = Interp.Stream
 module I = Interp.Exec.Instance
+module Tensor = Interp.Tensor
 open Sdfg_ir
 open Interp
 
@@ -277,6 +278,304 @@ let test_counter_parity () =
         (Test_crossval.counter_list rb.R.r_counters)
         (Test_crossval.counter_list rs.R.r_counters))
 
+(* --- batch consume scopes on the compiled engine -------------------------- *)
+
+(* The compiled engine runs a top-level consume scope over a single-queue
+   stream as the reference's pop-until-empty loop around a compiled body.
+   The reference stays the oracle: identical bits, counters and timer-tree
+   shapes, and every node left on the reference path is a top-level
+   access node (copies and no-op wiring), never a consume scope. *)
+
+let kernels_query =
+  ("query", Workloads.Kernels.query, [ ("N", 64) ])
+
+(* The query kernel's column, with values on both sides of its 0.5
+   threshold. *)
+let query_args syms g =
+  List.map
+    (fun (n, t) ->
+      if n = "column" then
+        let vs = feed (Tensor.num_elements t) in
+        (n, Tensor.init T.F64 (Tensor.shape t) (fun idx -> vs.(List.hd idx)))
+      else (n, t))
+    (Interp.Profile.make_args ~symbols:syms g)
+
+let batch_config engine =
+  Exec.Config.(default |> with_engine engine |> with_domains domains)
+
+(* Batch run of a continuous query: stream preloaded, one Instance.run. *)
+let run_batch engine (_, mk, input, output, syms) values =
+  let g = mk () in
+  let args = Interp.Profile.make_args ~symbols:syms g in
+  let inst = I.create ~config:(batch_config engine) ~symbols:syms g in
+  let rep = I.run ~args ~stream_args:[ (input, values) ] inst in
+  let out =
+    match output with None -> [||] | Some o -> I.stream_contents inst o
+  in
+  (rep, args, out)
+
+let check_counters tag (want : R.t) (got : R.t) =
+  Alcotest.(check (list int))
+    (tag ^ ": counters identical across engines")
+    (Test_crossval.counter_list want.R.r_counters)
+    (Test_crossval.counter_list got.R.r_counters)
+
+(* Top-level access nodes over every state: the only nodes a compiled
+   plan of these programs may leave on the reference path. *)
+let top_level_accesses g =
+  List.fold_left
+    (fun n st ->
+      let parents = State.scope_parents st in
+      n
+      + List.length
+          (List.filter
+             (fun (nid, nd) ->
+               match nd with
+               | Defs.Access _ -> Hashtbl.find parents nid = None
+               | _ -> false)
+             (State.nodes st)))
+    0 (Sdfg.states g)
+
+let coverage tag (r : R.t) =
+  match r.R.r_coverage with
+  | Some c -> c
+  | None -> Alcotest.failf "%s: compiled run without plan coverage" tag
+
+let test_batch_engines_agree () =
+  let values = feed 97 in
+  each_workload (fun ((name, _, _, _, _) as w) ->
+      let rr, ra, ro = run_batch Plan.reference w values in
+      let cr, ca, co = run_batch Plan.compiled w values in
+      check_values (name ^ ": output stream") ro co;
+      check_tensors (name ^ ": tensors") ra ca;
+      check_counters name rr cr);
+  let name, mk, syms = kernels_query in
+  let run engine =
+    let g = mk () in
+    let args = query_args syms g in
+    (Exec.run ~config:(batch_config engine) ~symbols:syms ~args g, args)
+  in
+  let rr, ra = run Plan.reference and cr, ca = run Plan.compiled in
+  check_tensors (name ^ ": tensors") ra ca;
+  check_counters name rr cr;
+  Alcotest.(check bool)
+    (name ^ ": some samples filtered out") true
+    (rr.R.r_counters.R.stream_pushes < 64)
+
+let test_batch_consume_compiled () =
+  let values = feed 33 in
+  each_workload (fun ((name, mk, _, _, _) as w) ->
+      let rep, _, _ = run_batch Plan.compiled w values in
+      let c = coverage name rep in
+      Alcotest.(check int)
+        (name ^ ": only top-level access nodes on the reference path")
+        (top_level_accesses (mk ())) c.R.cov_fallback);
+  let rep, _, _ =
+    run_batch Plan.compiled (List.hd Workloads.Streaming.all) values
+  in
+  Alcotest.(check int) "window: inner [w] map lowered to a kernel" 1
+    (List.fold_left (fun n (_, k) -> n + k) 0
+       (coverage "window" rep).R.cov_kernels);
+  let name, mk, syms = kernels_query in
+  let g = mk () in
+  let r =
+    Exec.run ~config:(batch_config Plan.compiled) ~symbols:syms
+      ~args:(query_args syms g) g
+  in
+  Alcotest.(check int)
+    (name ^ ": the stream-pushing tasklet compiles")
+    (top_level_accesses g)
+    (coverage name r).R.cov_fallback
+
+(* [g] with an array [feed] copied into its input stream at the start of
+   the state, so Exec.run (which takes no stream arguments) can drive the
+   batch path — and with it the instrumented engines. *)
+let fed (_, mk, input, _, _) n () =
+  let g = mk () in
+  Sdfg.add_array g "feed" ~shape:[ Symbolic.Expr.int n ] ~dtype:T.F64;
+  let st = Sdfg.start_state g in
+  let in_acc =
+    List.find_map
+      (fun (nid, nd) ->
+        match nd with
+        | Defs.Access d when d = input -> Some nid
+        | _ -> None)
+      (State.nodes st)
+    |> Option.get
+  in
+  let feed_acc = Builder.Build.access st "feed" in
+  Builder.Build.edge st
+    ~memlet:
+      (Memlet.simple "feed"
+         [ Symbolic.Subset.range Symbolic.Expr.zero
+             (Symbolic.Expr.int (n - 1)) ])
+    ~src:feed_acc ~dst:in_acc ();
+  g
+
+let fed_args ((_, _, _, _, syms) as w) n () =
+  let vs = feed n in
+  List.map
+    (fun (name, t) ->
+      if name = "feed" then
+        (name, Tensor.init T.F64 [| n |] (fun idx -> vs.(List.hd idx)))
+      else (name, t))
+    (Interp.Profile.make_args ~symbols:syms (fed w n ()))
+
+(* Off and All instrumentation on both engines: bits, counters, and
+   identical timer-tree shapes ({!Test_crossval.compare_engines}). *)
+let test_batch_instrumented_shape () =
+  each_workload (fun ((name, _, _, _, syms) as w) ->
+      Test_crossval.compare_engines ~name ~build:(fed w 45)
+        ~args:(fed_args w 45) ~symbols:syms ());
+  let name, mk, syms = kernels_query in
+  Test_crossval.compare_engines ~name ~build:mk
+    ~args:(fun () -> query_args syms (mk ()))
+    ~symbols:syms ()
+
+(* A consume scope whose body holds a Reduce: [spread] writes v*(k+1)
+   into a 4-element buffer and a Reduce node sums it into [total] — the
+   strict body compiler rejects the Reduce, so the whole scope stays on
+   the reference path. *)
+let consume_reduce () =
+  let module E = Symbolic.Expr in
+  let module S = Symbolic.Subset in
+  let module B = Builder.Build in
+  let g = Sdfg.create ~symbols:[ "P" ] "consume_reduce" in
+  Sdfg.add_stream g "in_q" ~dtype:T.F64;
+  Sdfg.add_array g "buf" ~transient:true ~shape:[ E.int 4 ] ~dtype:T.F64;
+  Sdfg.add_scalar g "total" ~dtype:T.F64;
+  let st = Sdfg.add_state g ~label:"main" () in
+  let entry, exit_ =
+    B.consume_scope st ~pe:"p" ~num_pes:(E.sym "P") ~stream:"in_q" ()
+  in
+  let spread =
+    B.tasklet st ~name:"spread"
+      ~inputs:[ { Defs.k_name = "v"; k_dtype = T.F64; k_rank = 0 } ]
+      ~outputs:[ { Defs.k_name = "o"; k_dtype = T.F64; k_rank = 1 } ]
+      ~code:(`Src "for k in 0:4 { o[k] = v * (k + 1) }") ()
+  in
+  let whole = [ S.range E.zero (E.int 3) ] in
+  let in_acc = B.access st "in_q" in
+  B.edge st ~dst_conn:"IN_in_q" ~memlet:(Memlet.dyn "in_q" [ S.index E.zero ])
+    ~src:in_acc ~dst:entry ();
+  B.edge st ~src_conn:"OUT_in_q" ~dst_conn:"v"
+    ~memlet:(Memlet.element "in_q" [ E.zero ])
+    ~src:entry ~dst:spread ();
+  let buf = B.access st "buf" in
+  B.edge st ~src_conn:"o" ~memlet:(Memlet.simple "buf" whole) ~src:spread
+    ~dst:buf ();
+  let red =
+    State.add_node st
+      (Defs.Reduce
+         { r_wcr = Defs.Wcr_sum; r_axes = None; r_identity = None })
+  in
+  B.edge st ~memlet:(Memlet.simple "buf" whole) ~src:buf ~dst:red ();
+  let tot = B.access st "total" in
+  B.edge st ~memlet:(Memlet.element "total" [ E.zero ]) ~src:red ~dst:tot ();
+  B.edge st ~memlet:(Memlet.element "total" [ E.zero ]) ~src:tot ~dst:exit_ ();
+  let tot_out = B.access st "total" in
+  B.edge st ~src_conn:"OUT_total" ~memlet:(Memlet.element "total" [ E.zero ])
+    ~src:exit_ ~dst:tot_out ();
+  B.finalize g
+
+let test_batch_rejected_body () =
+  let w = ("consume_reduce", consume_reduce, "in_q", None, [ ("P", 2) ]) in
+  let values = feed 21 in
+  let rr, ra, _ = run_batch Plan.reference w values in
+  let cr, ca, _ = run_batch Plan.compiled w values in
+  check_tensors "consume_reduce: tensors" ra ca;
+  check_counters "consume_reduce" rr cr;
+  let c = coverage "consume_reduce" cr in
+  Alcotest.(check int) "the consume scope stays on the reference path"
+    (top_level_accesses (consume_reduce ()) + 1)
+    c.R.cov_fallback;
+  Alcotest.(check int) "the rejected body leaves no compiled nodes" 0
+    c.R.cov_compiled;
+  Test_crossval.compare_engines ~name:"consume_reduce"
+    ~build:(fed w 21) ~args:(fed_args w 21) ~symbols:[ ("P", 2) ] ()
+
+(* A compiled consume body writing X[v] for popped indices v: an index
+   past X's end must raise the reference's exact error, after the same
+   partial writes. *)
+let consume_scatter () =
+  let module E = Symbolic.Expr in
+  let module S = Symbolic.Subset in
+  let module B = Builder.Build in
+  let g = Sdfg.create "consume_scatter" in
+  Sdfg.add_stream g "idx" ~dtype:T.I64;
+  Sdfg.add_array g "X" ~shape:[ E.int 4 ] ~dtype:T.F64;
+  let st = Sdfg.add_state g ~label:"main" () in
+  let entry, exit_ =
+    B.consume_scope st ~pe:"p" ~num_pes:(E.int 1) ~stream:"idx" ()
+  in
+  let put =
+    B.tasklet st ~name:"put"
+      ~inputs:[ { Defs.k_name = "v"; k_dtype = T.I64; k_rank = 0 } ]
+      ~outputs:[ { Defs.k_name = "o"; k_dtype = T.F64; k_rank = 1 } ]
+      ~code:(`Src "o[v] = 1.0") ()
+  in
+  let whole = [ S.range E.zero (E.int 3) ] in
+  let i_acc = B.access st "idx" in
+  B.edge st ~dst_conn:"IN_idx" ~memlet:(Memlet.dyn "idx" [ S.index E.zero ])
+    ~src:i_acc ~dst:entry ();
+  B.edge st ~src_conn:"OUT_idx" ~dst_conn:"v"
+    ~memlet:(Memlet.element "idx" [ E.zero ])
+    ~src:entry ~dst:put ();
+  B.edge st ~src_conn:"o" ~dst_conn:"IN_X" ~memlet:(Memlet.dyn "X" whole)
+    ~src:put ~dst:exit_ ();
+  let x_acc = B.access st "X" in
+  B.edge st ~src_conn:"OUT_X" ~memlet:(Memlet.dyn "X" whole) ~src:exit_
+    ~dst:x_acc ();
+  B.finalize g
+
+let test_batch_oob_error () =
+  let run engine idx =
+    let g = consume_scatter () in
+    let x = Tensor.init T.F64 [| 4 |] (fun _ -> T.F (-1.)) in
+    let inst = I.create ~config:(batch_config engine) g in
+    let stream_args = [ ("idx", Array.map (fun i -> T.I i) idx) ] in
+    match I.run ~args:[ ("X", x) ] ~stream_args inst with
+    | exception e -> (Error (Printexc.to_string e), Tensor.to_float_list x)
+    | r -> (Ok r, Tensor.to_float_list x)
+  in
+  (match run Plan.compiled [| 0; 2 |] with
+  | Ok r, x ->
+    Alcotest.(check (list (float 0.)))
+      "in-bounds writes" [ 1.; -1.; 1.; -1. ] x;
+    Alcotest.(check int) "the scatter consume compiles"
+      (top_level_accesses (consume_scatter ()))
+      (coverage "consume_scatter" r).R.cov_fallback
+  | Error m, _ -> Alcotest.failf "in-bounds run raised %s" m);
+  let oob = [| 0; 2; 7; 1 |] in
+  match run Plan.reference oob, run Plan.compiled oob with
+  | (Error want, wx), (Error got, gx) ->
+    Alcotest.(check string) "the reference's bounds error"
+      {|Interp.Tensor.Bounds("index 7 out of bounds for dimension 0 (size 4)")|}
+      want;
+    Alcotest.(check string) "same error" want got;
+    Alcotest.(check (list (float 0.))) "same partial effects" wx gx
+  | _ -> Alcotest.fail "an out-of-bounds write must raise on both engines"
+
+(* The multi-queue repro: a map feeds queue 1 of a shape-(2) stream and a
+   consume scope drains it.  Both engines must pop every element — the
+   loop pops the first non-empty queue, as its len(S) test counts them
+   all — and the compiled engine leaves the multi-queue scope and the
+   tasklet pushing to queue 1 on the reference path. *)
+let test_multi_queue_consume () =
+  let g () = Serialize.load "corpus/consume_multi_queue_stream.sdfg" in
+  let run engine =
+    let args = Interp.Profile.make_args (g ()) in
+    (Exec.run ~config:(batch_config engine) ~args (g ()), args)
+  in
+  let rr, ra = run Plan.reference and cr, ca = run Plan.compiled in
+  check_tensors "multi-queue" ra ca;
+  check_counters "multi-queue" rr cr;
+  Alcotest.(check int) "three elements popped" 3
+    rr.R.r_counters.R.stream_pops;
+  Alcotest.(check int) "the multi-queue consume stays on the reference path"
+    (top_level_accesses (g ()) + 2)
+    (coverage "multi-queue" cr).R.cov_fallback
+
 let suite =
   [ Alcotest.test_case "channel fifo" `Quick test_channel_fifo;
     Alcotest.test_case "channel zero trip" `Quick test_channel_zero_trip;
@@ -300,4 +599,15 @@ let suite =
     Alcotest.test_case "metrics and backpressure" `Quick
       test_metrics_and_backpressure;
     Alcotest.test_case "degrade path" `Quick test_degrade_path;
-    Alcotest.test_case "counter parity" `Quick test_counter_parity ]
+    Alcotest.test_case "counter parity" `Quick test_counter_parity;
+    Alcotest.test_case "batch: engines agree" `Quick test_batch_engines_agree;
+    Alcotest.test_case "batch: consume scopes compile" `Quick
+      test_batch_consume_compiled;
+    Alcotest.test_case "batch: instrumented shapes match" `Quick
+      test_batch_instrumented_shape;
+    Alcotest.test_case "batch: rejected body stays on reference" `Quick
+      test_batch_rejected_body;
+    Alcotest.test_case "batch: out-of-bounds error parity" `Quick
+      test_batch_oob_error;
+    Alcotest.test_case "batch: multi-queue consume" `Quick
+      test_multi_queue_consume ]
