@@ -929,14 +929,21 @@ let calibration_of_json json =
     let kernel_ns =
       match List.assoc_opt "kernel_iter_ns" fields with
       | Some (Obj kv) ->
-        List.map
-          (fun (k, v) ->
-            ( k,
-              match v with
-              | Float f -> f
-              | Int i -> float_of_int i
-              | _ -> 1.0 ))
-          kv
+        let saved =
+          List.map
+            (fun (k, v) ->
+              ( k,
+                match v with
+                | Float f -> f
+                | Int i -> float_of_int i
+                | _ -> 1.0 ))
+            kv
+        in
+        (* kinds the record predates keep their built-in rates *)
+        saved
+        @ List.filter
+            (fun (k, _) -> not (List.mem_assoc k saved))
+            d.P.cal_kernel_iter_ns
       | _ -> d.P.cal_kernel_iter_ns
     in
     let host =

@@ -223,9 +223,10 @@ let domains_arg =
            ~doc:"OCaml domains for the compiled engine's parallel maps. \
                  An explicit $(docv) takes precedence over the \
                  SDFG_DOMAINS environment variable; when neither is set \
-                 the default is 1.  Only Cpu_multicore maps the race \
-                 analysis proves safe are parallelized; see 'sdfg \
-                 analyze-races'.")
+                 the predictive per-map policy picks each map's domain \
+                 count, up to the host's cores.  Only Cpu_multicore maps \
+                 the race analysis proves safe are parallelized; see \
+                 'sdfg analyze-races'.")
 
 let no_kernels_arg =
   Arg.(value & flag

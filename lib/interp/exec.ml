@@ -1052,19 +1052,9 @@ let parallel_section ~policy ~par_domains ~channels ~workers
   | Fixed _ -> if workers <> [] then Some (section ()) else None
   | Predictive _ -> if relevant then Some (section ()) else None
 
-(* Default domain count: the SDFG_DOMAINS environment variable, clamped
-   to [1, Pool.max_domains].  Unset, unparsable or < 1 means sequential. *)
-let default_domains () =
-  match Sys.getenv_opt "SDFG_DOMAINS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> min n 64
-    | _ -> 1)
-
 (* The environment's pin, if any: [Some d] when SDFG_DOMAINS is set to a
-   number (unparsable garbage pins 1, matching {!default_domains});
-   [None] when unset or empty — the predictive policy's opening. *)
+   number, clamped to [1, 64] (unparsable garbage pins 1); [None] when
+   unset or empty — the predictive policy's opening. *)
 let env_domains () =
   match Sys.getenv_opt "SDFG_DOMAINS" with
   | None -> None

@@ -96,10 +96,6 @@ val register_decision :
     duplicate, and one state may hold two maps over the same span) the
     decision record for one map; called by {!Plan} at plan time. *)
 
-val default_domains : unit -> int
-(** The [SDFG_DOMAINS] environment variable clamped to [[1, 64]]; 1 when
-    unset or unparsable.  The default of {!run}'s [?domains]. *)
-
 val env_domains : unit -> int option
 (** The environment's pin, if any: [Some d] when [SDFG_DOMAINS] is set
     (unparsable garbage pins 1); [None] when unset or empty — in which

@@ -1,34 +1,49 @@
-(* Bulk strided kernels for affine map bodies (Engine v2).
+(* Bulk kernels for map bodies (Engine v2).
 
    The closure nest built by {!Plan.comp_map} executes one tasklet at a
    time: per iteration it refreshes every memlet's compiled subset view
    (bounds checks included), snapshots scalar inputs, runs the compiled
-   body and writes through [view_set].  When the body is a single pure
-   scalar tasklet whose subscripts are affine in the map parameters, all
-   of that collapses: each operand's offset is [base + dot(es, counters)]
-   for a base and per-dimension element strides computable once per
-   launch, and the bounds checks over the whole iteration box reduce to
-   corner checks (affine functions attain extrema at box corners).  So
-   the scope runs as a flat strided loop over the raw buffers.
+   body and writes through [View.set].  When the body is a single
+   assignment whose scalar subscripts are affine in the map parameters,
+   all of that collapses: each operand's offset is [base + dot(es,
+   counters)] for a base and per-dimension element strides computable
+   once per launch, and the bounds checks over the whole iteration box
+   reduce to corner checks (affine functions attain extrema at box
+   corners).  So the scope runs as flat loops over the raw buffers.
 
-   Correctness strategy: the kernel executes the same reads and writes in
-   the same iteration order as the closure nest, so results are
-   bit-identical by construction — including in-place updates, where an
-   output container is also read as an input.  The only deviations from
-   that order (the copy blit, the contraction's register accumulator) are
-   gated on buffer-aliasing checks.  Error behavior is preserved by
-   deferring to the closure nest ([slow]) whenever the launch-time bounds
-   pre-check fails: the nest then raises the reference engine's exact
-   error at the exact iteration with the exact partial counters, because
-   the kernel has not touched memory or counters yet.  Runtime-type-
-   dependent operations the static compiler cannot mirror (integer [Div]
-   / [Mod] without a nonzero literal divisor, [Pow] without a literal
-   exponent, mixed-type conditionals) reject recognition instead.
+   Shape-specialized bodies (fill, copy, scale, axpy, elementwise binop,
+   contraction, scaled sum) get a dedicated strided loop.  Every other
+   body runs on the row evaluator: compiled once into unboxed rows, it
+   evaluates a block of up to [block] innermost iterations — every read
+   of the block first — then applies the block's writes in iteration
+   order.  Gather bodies ([o = f(c[e...])]) and scatter bodies ([o[e...]
+   = f(...)]) run there too: a subscripted connector binds a window
+   whose ranges do not move with the map's parameters, evaluated once
+   per launch, and its subscripts come from index rows.
+
+   Correctness strategy: results are bit-identical to the closure nest
+   by construction.  The specialized loops execute the same reads and
+   writes in the same order; the rows reorder only reads before writes
+   within a block, which is the closure nest's order unless an input
+   shares the output's buffer — then [expr] runs with blocks of one
+   iteration and gather/scatter bodies stay on the closure path.  The
+   other reorderings (the copy blit, the register accumulators) are
+   gated the same way.  Error behavior is preserved by deferring to the
+   closure nest ([slow]) whenever a launch-time check fails — corners,
+   windows, or the pre-pass evaluating every index row over the whole
+   box: the nest then raises the reference engine's exact error at the
+   exact iteration with the exact partial counters, because the kernel
+   has not touched memory or counters yet.  Runtime-type-dependent
+   operations the static compiler cannot mirror (integer [Div] / [Mod]
+   without a nonzero literal divisor, [Pow] without a literal exponent,
+   mixed-type conditionals) reject recognition instead.
 
    Instrumentation counters are bumped in bulk: a launch of [T] trips
-   counts [T] map iterations, [T] tasklet executions,
-   [T * (inputs + 1)] elements moved and — under WCR — [T] conflict
-   resolutions, exactly what the per-iteration path totals. *)
+   counts [T] map iterations, [T] tasklet executions, [T] times the
+   elements one iteration moves (one per scalar input and for the
+   output; per windowed input one if its memlet is dynamic, the window's
+   volume otherwise) and — under WCR — [T] conflict resolutions, exactly
+   what the per-iteration path totals. *)
 
 module Expr = Symbolic.Expr
 module Subset = Symbolic.Subset
@@ -108,7 +123,7 @@ let decompose ~params ~comp e : (int array -> int) * (int array -> int) option a
 
 (* Operand plan for a memlet: every subset dimension must be a unit-tile
    single-element affine index.  Rank-0 tensors ignore their subset, as
-   [Plan.refresh_view] does. *)
+   [View.refresh] does. *)
 let affine_plan ~params ~comp (tens : Tensor.t) (sub : Subset.t) : arg_plan =
   let r = Tensor.rank tens in
   if r = 0 then { ap_tens = tens; ap_dims = [||] }
@@ -127,192 +142,335 @@ let affine_plan ~params ~comp (tens : Tensor.t) (sub : Subset.t) : arg_plan =
     { ap_tens = tens; ap_dims = Array.of_list dims }
   end
 
-(* --- typed scalar expressions ------------------------------------------- *)
+(* --- row evaluator ---------------------------------------------------------- *)
 
-(* The body compiles to representation-typed closures mirroring
-   {!Tasklang.Eval} exactly; leaves read the shared launch state (operand
-   offsets, parameter values, launch constants) the loop drivers keep
-   current. *)
-type texpr =
-  | TF of (unit -> float)
-  | TI of (unit -> int)
-  | TB of (unit -> bool)
+(* The body compiles once into a tree of row fillers mirroring
+   {!Tasklang.Eval} exactly.  Each node owns a fixed-size unboxed row (a
+   float, int or bool array); its filler fills its children's rows, then
+   computes the node's value for the first [n] iterations of the current
+   block — up to [block] consecutive innermost iterations.  Leaves
+   (operands, parameters, launch constants) are filled by the kernel's
+   block prologue, literal rows once here.  Every loop applies its
+   operator in place: an operator passed as a closure would box each
+   float it touches. *)
 
-let to_f = function
-  | TF f -> f
-  | TI f -> fun () -> float_of_int (f ())
-  | TB f -> fun () -> if f () then 1. else 0.
+let block = 32
 
-let to_i = function
-  | TI f -> f
-  | TF f -> fun () -> int_of_float (f ())
-  | TB f -> fun () -> if f () then 1 else 0
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-let to_b = function
-  | TB f -> f
-  | TI f -> fun () -> f () <> 0
-  | TF f -> fun () -> f () <> 0.
+type row =
+  | Rf of float array * (int -> unit)
+  | Ri of int array * (int -> unit)
+  | Rb of bool array * (int -> unit)
 
-let arith fop iop a b =
-  match a, b with
-  | TI x, TI y -> TI (fun () -> iop (x ()) (y ()))
-  | _ ->
-    let x = to_f a and y = to_f b in
-    TF (fun () -> fop (x ()) (y ()))
+let nofill (_ : int) = ()
 
-let cmp op a b =
-  let x = to_f a and y = to_f b in
-  TB (fun () -> op (x ()) (y ()))
+(* Representation changes, as [Types.to_float] / [to_int] / [to_bool]. *)
+let frow size = function
+  | Rf (x, fx) -> (x, fx)
+  | Ri (x, fx) ->
+    let r = Array.make size 0. in
+    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- float_of_int x.!(k) done)
+  | Rb (x, fx) ->
+    let r = Array.make size 0. in
+    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1. else 0. done)
 
-let veq a b =
-  match a, b with
-  | TF x, TF y -> TB (fun () -> Float.equal (x ()) (y ()))
-  | TI x, TI y -> TB (fun () -> Int.equal (x ()) (y ()))
-  | TB x, TB y -> TB (fun () -> Bool.equal (x ()) (y ()))
-  | _ ->
-    let x = to_f a and y = to_f b in
-    TB (fun () -> Float.equal (x ()) (y ()))
+let irow size = function
+  | Ri (x, fx) -> (x, fx)
+  | Rf (x, fx) ->
+    let r = Array.make size 0 in
+    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- int_of_float x.!(k) done)
+  | Rb (x, fx) ->
+    let r = Array.make size 0 in
+    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1 else 0 done)
 
-(* [leaf_of] resolves a body name in the closure engine's order: input
-   connectors, then scope parameters, then compiled symbols. *)
-let rec tcomp ~leaf_of (e : Ast.expr) : texpr =
-  let go = tcomp ~leaf_of in
-  match e with
-  | Ast.Float_lit x -> TF (fun () -> x)
-  | Ast.Int_lit n -> TI (fun () -> n)
-  | Ast.Bool_lit b -> TB (fun () -> b)
-  | Ast.Var x -> leaf_of x
-  | Ast.Index _ -> reject "body-expr" (* Bodyclass already refused these *)
-  | Ast.Unop (op, a) -> (
-    let ta = go a in
-    match op with
-    | Ast.Neg -> (
-      match ta with
-      | TI x -> TI (fun () -> -x ())
+let brow size = function
+  | Rb (x, fx) -> (x, fx)
+  | Ri (x, fx) ->
+    let r = Array.make size false in
+    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- x.!(k) <> 0 done)
+  | Rf (x, fx) ->
+    let r = Array.make size false in
+    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- x.!(k) <> 0. done)
+
+(* [rows ~size ~leaf ~site ~top e]: [leaf x] is the row of a name read
+   whole, [site ~top c subs] the row of a subscripted read [c[subs]]
+   ([top]: not itself inside a subscript).  Coercions follow
+   {!Tasklang.Eval}; runtime-type-dependent operations the static
+   compiler cannot mirror reject: integer [Div] / [Mod] without a
+   nonzero literal divisor, [Pow] without a literal exponent, and
+   conditionals whose branches differ in representation. *)
+let rows ~size ~(leaf : string -> row)
+    ~(site : top:bool -> string -> row list -> row) ~top (e : Ast.expr) : row =
+  let fr = frow size and br = brow size in
+  let mk_f deps loop =
+    let r = Array.make size 0. in
+    Rf (r, fun n -> deps n; loop r n)
+  in
+  let mk_i deps loop =
+    let r = Array.make size 0 in
+    Ri (r, fun n -> deps n; loop r n)
+  in
+  let mk_b deps loop =
+    let r = Array.make size false in
+    Rb (r, fun n -> deps n; loop r n)
+  in
+  let both fx fy n = fx n; fy n in
+  let rec go ~top (e : Ast.expr) : row =
+    match e with
+    | Ast.Float_lit c -> Rf (Array.make size c, nofill)
+    | Ast.Int_lit c -> Ri (Array.make size c, nofill)
+    | Ast.Bool_lit c -> Rb (Array.make size c, nofill)
+    | Ast.Var x -> leaf x
+    | Ast.Index (x, subs) -> site ~top x (List.map (go ~top:false) subs)
+    | Ast.Unop (op, a) -> unop op (go ~top a)
+    | Ast.Binop (op, a, b) -> binop op b (go ~top a) (go ~top b)
+    | Ast.Cond (c, t, f) -> (
+      let c, fc = br (go ~top c) in
+      let sel fx fy n = fc n; both fx fy n in
+      match go ~top t, go ~top f with
+      | Rf (x, fx), Rf (y, fy) ->
+        mk_f (sel fx fy) (fun r n ->
+            for k = 0 to n - 1 do r.!(k) <- if c.!(k) then x.!(k) else y.!(k) done)
+      | Ri (x, fx), Ri (y, fy) ->
+        mk_i (sel fx fy) (fun r n ->
+            for k = 0 to n - 1 do r.!(k) <- if c.!(k) then x.!(k) else y.!(k) done)
+      | Rb (x, fx), Rb (y, fy) ->
+        mk_b (sel fx fy) (fun r n ->
+            for k = 0 to n - 1 do r.!(k) <- if c.!(k) then x.!(k) else y.!(k) done)
+      | _ -> reject "body-expr")
+  and unop op a =
+    match op, a with
+    | Ast.Neg, Ri (x, fx) ->
+      mk_i fx (fun r n -> for k = 0 to n - 1 do r.!(k) <- - x.!(k) done)
+    | Ast.Abs, Ri (x, fx) ->
+      mk_i fx (fun r n -> for k = 0 to n - 1 do r.!(k) <- abs x.!(k) done)
+    | Ast.Not, _ ->
+      let x, fx = br a in
+      mk_b fx (fun r n -> for k = 0 to n - 1 do r.!(k) <- not x.!(k) done)
+    | Ast.Floor, _ ->
+      let x, fx = fr a in
+      mk_i fx (fun r n ->
+          for k = 0 to n - 1 do r.!(k) <- int_of_float (floor x.!(k)) done)
+    | (Ast.Neg | Ast.Abs | Ast.Sqrt | Ast.Exp | Ast.Log | Ast.Sin | Ast.Cos), _
+      -> (
+      let x, fx = fr a in
+      let f = mk_f fx in
+      match op with
+      | Ast.Neg -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- -.x.!(k) done)
+      | Ast.Abs -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.abs x.!(k) done)
+      | Ast.Sqrt -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- sqrt x.!(k) done)
+      | Ast.Exp -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- exp x.!(k) done)
+      | Ast.Log -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- log x.!(k) done)
+      | Ast.Sin -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- sin x.!(k) done)
+      | _ -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- cos x.!(k) done))
+  (* [b] is the right operand's syntax: integer division, modulo and
+     power kernelize only over a literal right operand *)
+  and binop op b ta tb =
+    match op, ta, tb with
+    | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Min | Ast.Max), Ri (x, fx), Ri (y, fy)
+      -> (
+      let f = mk_i (both fx fy) in
+      match op with
+      | Ast.Add -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) + y.!(k) done)
+      | Ast.Sub -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) - y.!(k) done)
+      | Ast.Mul -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) * y.!(k) done)
+      | Ast.Min ->
+        f (fun r n ->
+            for k = 0 to n - 1 do
+              r.!(k) <- (if x.!(k) <= y.!(k) then x.!(k) else y.!(k))
+            done)
       | _ ->
-        let x = to_f ta in
-        TF (fun () -> -.x ()))
-    | Ast.Not ->
-      let x = to_b ta in
-      TB (fun () -> not (x ()))
-    | Ast.Sqrt ->
-      let x = to_f ta in
-      TF (fun () -> sqrt (x ()))
-    | Ast.Exp ->
-      let x = to_f ta in
-      TF (fun () -> exp (x ()))
-    | Ast.Log ->
-      let x = to_f ta in
-      TF (fun () -> log (x ()))
-    | Ast.Abs -> (
-      match ta with
-      | TI x -> TI (fun () -> abs (x ()))
-      | _ ->
-        let x = to_f ta in
-        TF (fun () -> Float.abs (x ())))
-    | Ast.Sin ->
-      let x = to_f ta in
-      TF (fun () -> sin (x ()))
-    | Ast.Cos ->
-      let x = to_f ta in
-      TF (fun () -> cos (x ()))
-    | Ast.Floor ->
-      let x = to_f ta in
-      TI (fun () -> int_of_float (floor (x ()))))
-  | Ast.Binop (op, a, b) -> (
-    let ta = go a and tb = go b in
-    match op with
-    | Ast.Add -> arith ( +. ) ( + ) ta tb
-    | Ast.Sub -> arith ( -. ) ( - ) ta tb
-    | Ast.Mul -> arith ( *. ) ( * ) ta tb
-    | Ast.Div -> (
-      match ta, tb with
-      | TI x, TI _ -> (
+        f (fun r n ->
+            for k = 0 to n - 1 do
+              r.!(k) <- (if x.!(k) >= y.!(k) then x.!(k) else y.!(k))
+            done))
+    | (Ast.Div | Ast.Mod | Ast.Pow), Ri (x, fx), Ri _ -> (
+      match op, b with
+      | Ast.Div, Ast.Int_lit d when d <> 0 ->
         (* integer floor division; the divisor's sign and zero test are
            runtime properties, so only literal divisors kernelize *)
-        match b with
-        | Ast.Int_lit n when n <> 0 ->
-          TI
-            (fun () ->
-              let v = x () in
-              let q = v / n and r = v mod n in
-              if r <> 0 && r < 0 <> (n < 0) then q - 1 else q)
-        | _ -> reject "body-expr")
+        mk_i fx (fun r n ->
+            for k = 0 to n - 1 do
+              let q = x.!(k) / d and m = x.!(k) mod d in
+              r.!(k) <- (if m <> 0 && m < 0 <> (d < 0) then q - 1 else q)
+            done)
+      | Ast.Mod, Ast.Int_lit d when d <> 0 ->
+        mk_i fx (fun r n ->
+            for k = 0 to n - 1 do
+              let m = x.!(k) mod d in
+              r.!(k) <- (if m <> 0 && m < 0 <> (d < 0) then m + d else m)
+            done)
+      | Ast.Pow, Ast.Int_lit e when e >= 0 ->
+        mk_i fx (fun r n ->
+            for k = 0 to n - 1 do
+              let acc = ref 1 in
+              for _ = 1 to e do acc := !acc * x.!(k) done;
+              r.!(k) <- !acc
+            done)
+      | Ast.Pow, Ast.Int_lit e ->
+        (* int^int is integral only for non-negative exponents *)
+        let fe = float_of_int e in
+        mk_f fx (fun r n ->
+            for k = 0 to n - 1 do r.!(k) <- float_of_int x.!(k) ** fe done)
+      | _ -> reject "body-expr")
+    | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Pow | Ast.Min
+      | Ast.Max), _, _ -> (
+      let x, fx = fr ta and y, fy = fr tb in
+      let f = mk_f (both fx fy) in
+      match op with
+      | Ast.Add -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) +. y.!(k) done)
+      | Ast.Sub -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) -. y.!(k) done)
+      | Ast.Mul -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) *. y.!(k) done)
+      | Ast.Div -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) /. y.!(k) done)
+      | Ast.Mod ->
+        f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.rem x.!(k) y.!(k) done)
+      | Ast.Pow -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) ** y.!(k) done)
+      | Ast.Min ->
+        f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.min x.!(k) y.!(k) done)
       | _ ->
-        let x = to_f ta and y = to_f tb in
-        TF (fun () -> x () /. y ()))
-    | Ast.Mod -> (
-      match ta, tb with
-      | TI x, TI _ -> (
-        match b with
-        | Ast.Int_lit n when n <> 0 ->
-          TI
-            (fun () ->
-              let r = x () mod n in
-              if r <> 0 && r < 0 <> (n < 0) then r + n else r)
-        | _ -> reject "body-expr")
-      | _ ->
-        let x = to_f ta and y = to_f tb in
-        TF (fun () -> Float.rem (x ()) (y ())))
-    | Ast.Pow -> (
-      match ta, tb with
-      | TI x, TI _ -> (
-        (* int^int is integral only for non-negative exponents — a
-           runtime property unless the exponent is a literal *)
-        match b with
-        | Ast.Int_lit n when n >= 0 ->
-          TI
-            (fun () ->
-              let rec goe acc b e = if e = 0 then acc else goe (acc * b) b (e - 1) in
-              goe 1 (x ()) n)
-        | Ast.Int_lit n ->
-          TF (fun () -> float_of_int (x ()) ** float_of_int n)
-        | _ -> reject "body-expr")
-      | _ ->
-        let x = to_f ta and y = to_f tb in
-        TF (fun () -> x () ** y ()))
-    | Ast.Min -> arith Float.min min ta tb
-    | Ast.Max -> arith Float.max max ta tb
-    | Ast.Lt -> cmp ( < ) ta tb
-    | Ast.Le -> cmp ( <= ) ta tb
-    | Ast.Gt -> cmp ( > ) ta tb
-    | Ast.Ge -> cmp ( >= ) ta tb
-    | Ast.Eq -> veq ta tb
-    | Ast.Ne -> (
-      match veq ta tb with
-      | TB f -> TB (fun () -> not (f ()))
-      | _ -> assert false)
-    | Ast.And ->
+        f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.max x.!(k) y.!(k) done))
+    | (Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _ -> (
+      let x, fx = fr ta and y, fy = fr tb in
+      let f = mk_b (both fx fy) in
+      match op with
+      | Ast.Lt -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) < y.!(k) done)
+      | Ast.Le -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) <= y.!(k) done)
+      | Ast.Gt -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) > y.!(k) done)
+      | _ -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) >= y.!(k) done))
+    | Ast.Ne, _, _ -> unop Ast.Not (binop Ast.Eq b ta tb)
+    | Ast.Eq, Ri (x, fx), Ri (y, fy) ->
+      mk_b (both fx fy) (fun r n ->
+          for k = 0 to n - 1 do r.!(k) <- Int.equal x.!(k) y.!(k) done)
+    | Ast.Eq, Rb (x, fx), Rb (y, fy) ->
+      mk_b (both fx fy) (fun r n ->
+          for k = 0 to n - 1 do r.!(k) <- Bool.equal x.!(k) y.!(k) done)
+    | Ast.Eq, _, _ ->
+      let x, fx = fr ta and y, fy = fr tb in
+      mk_b (both fx fy) (fun r n ->
+          for k = 0 to n - 1 do r.!(k) <- Float.equal x.!(k) y.!(k) done)
+    | (Ast.And | Ast.Or), _, _ ->
       (* both operands evaluate before combining, as in [apply_binop] *)
-      let x = to_b ta and y = to_b tb in
-      TB
-        (fun () ->
-          let a = x () in
-          let b = y () in
-          a && b)
-    | Ast.Or ->
-      let x = to_b ta and y = to_b tb in
-      TB
-        (fun () ->
-          let a = x () in
-          let b = y () in
-          a || b))
-  | Ast.Cond (c, th, el) -> (
-    let cb = to_b (go c) in
-    match go th, go el with
-    | TF x, TF y -> TF (fun () -> if cb () then x () else y ())
-    | TI x, TI y -> TI (fun () -> if cb () then x () else y ())
-    | TB x, TB y -> TB (fun () -> if cb () then x () else y ())
-    (* branches of different representations produce a runtime-dependent
-       value type; leave those to the closure path *)
-    | _ -> reject "body-expr")
+      let x, fx = br ta and y, fy = br tb in
+      if op = Ast.And then
+        mk_b (both fx fy) (fun r n ->
+            for k = 0 to n - 1 do r.!(k) <- x.!(k) && y.!(k) done)
+      else
+        mk_b (both fx fy) (fun r n ->
+            for k = 0 to n - 1 do r.!(k) <- x.!(k) || y.!(k) done)
+  in
+  go ~top e
+
+(* The output write of one block, applied in iteration order as
+   [View.set] + [Wcr.apply] would: element [k] of the value row goes to
+   buffer offset [off.(k)].  [uniform] promises every offset of the block
+   is [off.(0)]; a float WCR-sum then accumulates in a register, which
+   changes no addition order.  Mixed representations under WCR resolve
+   through floats and narrow on store. *)
+let store ~size (out : Tensor.t) wcr (v : row) : int array -> bool -> int -> unit
+    =
+  match out.Tensor.buf, wcr, v with
+  | _, Some (Wcr_custom _), _ -> assert false
+  | Tensor.Fbuf ob, _, _ -> (
+    let x, fx = frow size v in
+    match wcr with
+    | None -> fun off _ n -> fx n; for k = 0 to n - 1 do ob.!(off.!(k)) <- x.!(k) done
+    | Some Wcr_sum ->
+      fun off uniform n ->
+        fx n;
+        if uniform then begin
+          let o = off.!(0) in
+          let acc = ref ob.!(o) in
+          for k = 0 to n - 1 do acc := !acc +. x.!(k) done;
+          ob.!(o) <- !acc
+        end
+        else
+          for k = 0 to n - 1 do
+            let o = off.!(k) in ob.!(o) <- ob.!(o) +. x.!(k)
+          done
+    | Some Wcr_prod ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) *. x.!(k) done
+    | Some Wcr_min ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in ob.!(o) <- Float.min ob.!(o) x.!(k)
+        done
+    | Some _ ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in ob.!(o) <- Float.max ob.!(o) x.!(k)
+        done)
+  | Tensor.Ibuf ob, None, _ ->
+    let x, fx = irow size v in
+    fun off _ n -> fx n; for k = 0 to n - 1 do ob.!(off.!(k)) <- x.!(k) done
+  | Tensor.Ibuf ob, Some w, Ri (x, fx) -> (
+    match w with
+    | Wcr_sum ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) + x.!(k) done
+    | Wcr_prod ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) * x.!(k) done
+    | Wcr_min ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in
+          ob.!(o) <- (if ob.!(o) <= x.!(k) then ob.!(o) else x.!(k))
+        done
+    | _ ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in
+          ob.!(o) <- (if ob.!(o) >= x.!(k) then ob.!(o) else x.!(k))
+        done)
+  | Tensor.Ibuf ob, Some w, _ -> (
+    let x, fx = frow size v in
+    match w with
+    | Wcr_sum ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in
+          ob.!(o) <- int_of_float (float_of_int ob.!(o) +. x.!(k))
+        done
+    | Wcr_prod ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in
+          ob.!(o) <- int_of_float (float_of_int ob.!(o) *. x.!(k))
+        done
+    | Wcr_min ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in
+          ob.!(o) <- int_of_float (Float.min (float_of_int ob.!(o)) x.!(k))
+        done
+    | _ ->
+      fun off _ n ->
+        fx n;
+        for k = 0 to n - 1 do
+          let o = off.!(k) in
+          ob.!(o) <- int_of_float (Float.max (float_of_int ob.!(o)) x.!(k))
+        done)
 
 (* --- recognition --------------------------------------------------------- *)
 
 type leaf = Lten of int | Lpar of int | Lcon of int
 
 (* Specialized loop shapes, detected on the classified body.  Everything
-   else with a compilable typed expression runs as [Kexpr]. *)
+   else with a compilable row expression runs as [Kexpr]; subscripted
+   bodies run as [Kgather] / [Kscatter]. *)
 type kind =
   | Kfill                                   (* launch-constant store *)
   | Kcopy of int                            (* same-representation move *)
@@ -323,6 +481,8 @@ type kind =
   | Kcontract of int * int                  (* WCR-sum  c += a*b *)
   | Kssum of float option * bool * int list (* scale, lit-first?, leaves *)
   | Kexpr
+  | Kgather                                 (* o = f(c[e...]) *)
+  | Kscatter                                (* o[e...] = f(...) *)
 
 let kind_name = function
   | Kfill -> "fill"
@@ -333,6 +493,8 @@ let kind_name = function
   | Kcontract _ -> "contract"
   | Kssum _ -> "ssum"
   | Kexpr -> "expr"
+  | Kgather -> "gather"
+  | Kscatter -> "scatter"
 
 (* Distinguish data-dependent subscripts ("indirection") from the other
    body shapes the classifier rejects.  Taint every input connector,
@@ -391,61 +553,11 @@ let indirect_subscripts ~inputs (code : Ast.t) =
   in
   List.exists stmt_has code
 
-let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
-  let params = info.mp_params in
+exception Out_of_window
+
+let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
+    =
   let nd = List.length params in
-  if nd = 0 then reject "no-dims";
-  if List.length (List.sort_uniq String.compare params) <> nd then
-    reject "shadowed";
-  (* the scope body must be exactly one tasklet *)
-  let nid, tk =
-    let members = State.scope_nodes st entry in
-    let parents = State.scope_parents st in
-    let direct =
-      List.filter
-        (fun n ->
-          Hashtbl.find parents n = Some entry
-          && (match State.node st n with Map_exit -> false | _ -> true))
-        members
-    in
-    match direct with
-    | [ n ] -> (
-      match State.node st n with
-      | Tasklet t -> (n, t)
-      | _ -> reject "body-shape")
-    | _ -> reject "body-shape"
-  in
-  let code =
-    match tk.t_code with Code c -> c | External _ -> reject "external"
-  in
-  (* a timed tasklet must keep its per-execution span *)
-  if Obs.Collect.should_time env.Exec.collector ~flag:tk.t_instrument then
-    reject "instrumented";
-  (* connected memlets, in the closure engine's binding order *)
-  let ins =
-    List.filter_map
-      (fun (e : edge) ->
-        match e.e_dst_conn, e.e_memlet with
-        | Some c, Some m -> Some (c, m)
-        | _ -> None)
-      (State.in_edges st nid)
-  in
-  let outs =
-    List.filter_map
-      (fun (e : edge) ->
-        match e.e_src_conn, e.e_memlet with
-        | Some c, Some m -> Some (c, m)
-        | _ -> None)
-      (State.out_edges st nid)
-  in
-  let body =
-    match Tasklang.Bodyclass.classify code with
-    | Ok b -> b
-    | Error r ->
-      if indirect_subscripts ~inputs:(List.map fst ins) code then
-        reject "non-affine-indirect"
-      else reject r
-  in
   let rec dup = function
     | [] -> false
     | (c, _) :: tl -> List.mem_assoc c tl || dup tl
@@ -462,11 +574,17 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
     | Some (k : conn) -> k.k_rank
     | None -> reject "connector-rank"
   in
+  (* connectors read whole are scalars; a connector read through a
+     subscript, and a scatter's output, bind a window *)
+  let windowed c = List.mem c body.Tasklang.Bodyclass.b_windows in
+  let scatter = body.Tasklang.Bodyclass.b_write <> None in
   List.iter
     (fun (c, _) ->
-      if conn_rank tk.t_inputs c <> 0 then reject "connector-rank")
+      if (conn_rank tk.t_inputs c <> 0) <> windowed c then
+        reject "connector-rank")
     ins;
-  if conn_rank tk.t_outputs oconn <> 0 then reject "connector-rank";
+  if (conn_rank tk.t_outputs oconn <> 0) <> scatter then
+    reject "connector-rank";
   let tens_of name =
     match Hashtbl.find_opt env.Exec.containers name with
     | Some (Exec.Tens t) -> t
@@ -479,18 +597,55 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
     | Some (Wcr_custom _) -> reject "wcr"
     | Some w -> Some w
   in
+  (* a window is one launch-constant view: its ranges may not move with
+     the map's own parameters *)
+  let window (m : memlet) k_rank =
+    let own e = List.exists (fun s -> List.mem s params) (Expr.free_syms e) in
+    if
+      List.exists
+        (fun (rg : Subset.range) ->
+          own rg.Subset.start || own rg.Subset.stop || own rg.Subset.stride
+          || own rg.Subset.tile)
+        m.m_subset
+    then reject "non-affine";
+    View.make
+      ~comp:(fun e -> match comp e with Some f -> f | None -> reject "symbols")
+      (tens_of m.m_data) k_rank m.m_subset
+  in
   let in_args =
     Array.of_list
-      (List.map
+      (List.filter_map
          (fun (c, m) ->
-           (c, affine_plan ~params ~comp (tens_of m.m_data) m.m_subset))
+           if windowed c then None
+           else Some (c, affine_plan ~params ~comp (tens_of m.m_data) m.m_subset))
          ins)
   in
+  let wins =
+    List.filter_map
+      (fun (c, m) ->
+        if windowed c then Some (c, (window m (conn_rank tk.t_inputs c), m.m_dynamic))
+        else None)
+      ins
+  in
   let nin = Array.length in_args in
-  let out_arg = affine_plan ~params ~comp (tens_of om.m_data) om.m_subset in
-  (* launch state the loop drivers keep current: operand offsets (output
-     last), map-parameter values, launch-evaluated symbol constants *)
-  let offs = Array.make (nin + 1) 0 in
+  let out_t = tens_of om.m_data in
+  let out_win, out_arg =
+    if scatter then (Some (window om (conn_rank tk.t_outputs oconn)), [])
+    else (None, [ affine_plan ~params ~comp out_t om.m_subset ])
+  in
+  (* within a block every read precedes every write, which is only the
+     closure nest's order when no input shares the output's buffer *)
+  let aliased =
+    Array.exists (fun (_, ap) -> Tensor.shares_buffer out_t ap.ap_tens) in_args
+    || List.exists (fun (_, (w, _)) -> Tensor.shares_buffer out_t w.View.v_tens) wins
+  in
+  if aliased && (scatter || wins <> []) then reject "aliased";
+  (* launch state the loop drivers keep current: operand offsets (an
+     affine output last), map-parameter values, launch-evaluated symbol
+     constants *)
+  let arg_plans = Array.append (Array.map snd in_args) (Array.of_list out_arg) in
+  let na = Array.length arg_plans in
+  let offs = Array.make na 0 in
   let pcell = Array.make nd 0 in
   let consts = ref [] and n_consts = ref 0 in
   let param_ix p =
@@ -504,6 +659,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
   let leaves =
     List.map
       (fun name ->
+        if List.mem_assoc name wins then reject "body-expr";
         let rec arg_ix j =
           if j >= nin then None
           else if fst in_args.(j) = name then Some j
@@ -529,62 +685,6 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
   in
   let cfs = Array.of_list (List.rev !consts) in
   let ccell = Array.make (max 1 !n_consts) 0 in
-  let uses_params =
-    List.exists (fun (_, l) -> match l with Lpar _ -> true | _ -> false) leaves
-  in
-  let leaf_of name =
-    match List.assoc name leaves with
-    | Lten j -> (
-      match (snd in_args.(j)).ap_tens.Tensor.buf with
-      | Tensor.Fbuf fb -> TF (fun () -> fb.(offs.(j)))
-      | Tensor.Ibuf ib -> TI (fun () -> ib.(offs.(j))))
-    | Lpar d -> TI (fun () -> pcell.(d))
-    | Lcon k -> TI (fun () -> ccell.(k))
-  in
-  let res = tcomp ~leaf_of body.Tasklang.Bodyclass.b_expr in
-  (* the single write per iteration, mirroring [Plan.view_set] + [Wcr.apply] *)
-  let write : int -> unit =
-    match out_arg.ap_tens.Tensor.buf, wcr with
-    | Tensor.Fbuf ob, None ->
-      let rf = to_f res in
-      fun o -> ob.(o) <- rf ()
-    | Tensor.Fbuf ob, Some w -> (
-      let rf = to_f res in
-      match w with
-      | Wcr_sum -> fun o -> ob.(o) <- ob.(o) +. rf ()
-      | Wcr_prod -> fun o -> ob.(o) <- ob.(o) *. rf ()
-      | Wcr_min -> fun o -> ob.(o) <- Float.min ob.(o) (rf ())
-      | Wcr_max -> fun o -> ob.(o) <- Float.max ob.(o) (rf ())
-      | Wcr_custom _ -> assert false)
-    | Tensor.Ibuf ob, None ->
-      let ri = to_i res in
-      fun o -> ob.(o) <- ri ()
-    | Tensor.Ibuf ob, Some w -> (
-      match res with
-      | TI ri -> (
-        match w with
-        | Wcr_sum -> fun o -> ob.(o) <- ob.(o) + ri ()
-        | Wcr_prod -> fun o -> ob.(o) <- ob.(o) * ri ()
-        | Wcr_min -> fun o -> ob.(o) <- min ob.(o) (ri ())
-        | Wcr_max -> fun o -> ob.(o) <- max ob.(o) (ri ())
-        | Wcr_custom _ -> assert false)
-      | _ -> (
-        (* mixed representations resolve through floats, then narrow on
-           store — exactly [Wcr.apply] followed by [lin_set] *)
-        let rf = to_f res in
-        match w with
-        | Wcr_sum ->
-          fun o -> ob.(o) <- int_of_float (float_of_int ob.(o) +. rf ())
-        | Wcr_prod ->
-          fun o -> ob.(o) <- int_of_float (float_of_int ob.(o) *. rf ())
-        | Wcr_min ->
-          fun o ->
-            ob.(o) <- int_of_float (Float.min (float_of_int ob.(o)) (rf ()))
-        | Wcr_max ->
-          fun o ->
-            ob.(o) <- int_of_float (Float.max (float_of_int ob.(o)) (rf ()))
-        | Wcr_custom _ -> assert false))
-  in
   (* ---- kind detection over the resolved body --------------------------- *)
   let fleaf = function
     | Ast.Var x -> (
@@ -607,9 +707,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
     | _ -> None
   in
   let out_float =
-    match out_arg.ap_tens.Tensor.buf with
-    | Tensor.Fbuf _ -> true
-    | Tensor.Ibuf _ -> false
+    match out_t.Tensor.buf with Tensor.Fbuf _ -> true | Tensor.Ibuf _ -> false
   in
   let all_const =
     List.for_all (fun (_, l) -> match l with Lcon _ -> true | _ -> false) leaves
@@ -626,7 +724,9 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
   in
   let bexpr = body.Tasklang.Bodyclass.b_expr in
   let kind =
-    if all_const && wcr = None then Kfill
+    if scatter then Kscatter
+    else if wins <> [] then Kgather
+    else if all_const && wcr = None then Kfill
     else
       match wcr with
       | Some Wcr_sum when out_float -> (
@@ -696,10 +796,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
   let trips = Array.make nd 0
   and los = Array.make nd 0
   and steps = Array.make nd 0 in
-  let es = Array.init (nin + 1) (fun _ -> Array.make nd 0) in
-  let arg_plans = Array.init (nin + 1) (fun j ->
-      if j < nin then snd in_args.(j) else out_arg)
-  in
+  let es = Array.init na (fun _ -> Array.make nd 0) in
   let last = nd - 1 in
   let fbuf j =
     match arg_plans.(j).ap_tens.Tensor.buf with
@@ -711,28 +808,175 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
     | Tensor.Ibuf b -> b
     | Tensor.Fbuf _ -> assert false
   in
-  let out_t = out_arg.ap_tens in
   let shares j = Tensor.shares_buffer out_t arg_plans.(j).ap_tens in
+  (* ---- rows, built only for the kinds that evaluate them --------------- *)
+  let size = match kind with Kfill -> 1 | _ -> block in
+  (* block state the leaf rows read: operand offsets and the innermost
+     parameter's value at the block's first iteration *)
+  let boff = Array.make na 0 and bpar = ref 0 in
+  let checking = ref false in
+  let site_ranks = ref [] and top_sites = ref [] in
+  let leaf_rows () =
+    let ramp r v s n = for k = 0 to n - 1 do r.!(k) <- v + (k * s) done in
+    List.map
+      (fun (name, l) ->
+        match l with
+        | Lten j -> (
+          match arg_plans.(j).ap_tens.Tensor.buf with
+          | Tensor.Fbuf b ->
+            let r = Array.make size 0. in
+            ( name, Rf (r, nofill),
+              fun n ->
+                let o = boff.(j) and e = es.(j).(last) in
+                for k = 0 to n - 1 do r.!(k) <- b.!(o + (k * e)) done )
+          | Tensor.Ibuf b ->
+            let r = Array.make size 0 in
+            ( name, Ri (r, nofill),
+              fun n ->
+                let o = boff.(j) and e = es.(j).(last) in
+                for k = 0 to n - 1 do r.!(k) <- b.!(o + (k * e)) done ))
+        | Lpar d ->
+          let r = Array.make size 0 in
+          ( name, Ri (r, nofill),
+            if d = last then fun n -> ramp r !bpar steps.(last) n
+            else fun n -> ramp r pcell.(d) 0 n )
+        | Lcon c ->
+          let r = Array.make size 0 in
+          (name, Ri (r, nofill), fun n -> ramp r ccell.(c) 0 n))
+      leaves
+  in
+  (* Offsets of a subscripted access through window [w] for the current
+     block.  While [checking] (the launch pre-pass) every index is first
+     checked against the window's extents; a nested site's indices are
+     checked before its values feed the enclosing subscript. *)
+  let index ~top (w : View.t) subs =
+    let subs = Array.of_list (List.map (irow size) subs) in
+    let m = Array.length subs in
+    let off = Array.make size 0 in
+    site_ranks := (w, m) :: !site_ranks;
+    let index n =
+      for d = 0 to m - 1 do
+        (snd subs.(d)) n
+      done;
+      if m = 0 then Array.fill off 0 n w.View.v_base;
+      for d = 0 to m - 1 do
+        let s = fst subs.(d) and ext = w.View.v_ext.(d) and str = w.View.v_str.(d) in
+        if !checking then
+          for k = 0 to n - 1 do
+            if s.!(k) < 0 || s.!(k) >= ext then raise Out_of_window
+          done;
+        if d = 0 then begin
+          let b = w.View.v_base in
+          for k = 0 to n - 1 do off.!(k) <- b + (s.!(k) * str) done
+        end
+        else for k = 0 to n - 1 do off.!(k) <- off.!(k) + (s.!(k) * str) done
+      done
+    in
+    if top then top_sites := index :: !top_sites;
+    (off, index)
+  in
+  let site ~top name subs =
+    match List.assoc_opt name wins with
+    | None -> reject "body-expr"
+    | Some (w, _) -> (
+      let off, index = index ~top w subs in
+      match w.View.v_tens.Tensor.buf with
+      | Tensor.Fbuf b ->
+        let r = Array.make size 0. in
+        Rf (r, fun n -> index n; for k = 0 to n - 1 do r.!(k) <- b.!(off.!(k)) done)
+      | Tensor.Ibuf b ->
+        let r = Array.make size 0 in
+        Ri (r, fun n -> index n; for k = 0 to n - 1 do r.!(k) <- b.!(off.!(k)) done))
+  in
+  (* [prologue n] fills the leaf rows; [value ()] compiles the body *)
+  let prologue, leaf =
+    match kind with
+    | Kfill | Kexpr | Kgather | Kscatter ->
+      let lr = leaf_rows () in
+      let fills = Array.of_list (List.map (fun (_, _, f) -> f) lr) in
+      ( (fun n -> for i = 0 to Array.length fills - 1 do fills.!(i) n done),
+        fun x ->
+          match List.find_opt (fun (n, _, _) -> n = x) lr with
+          | Some (_, r, _) -> r
+          | None -> reject "body-expr" )
+    | _ -> (nofill, fun _ -> reject "body-expr")
+  in
+  let value () = rows ~size ~leaf ~site ~top:true bexpr in
+  (* [pass n] evaluates and applies one block of [n] innermost
+     iterations: every read of the block happens before any write *)
+  let pass =
+    match kind, body.Tasklang.Bodyclass.b_write, out_win with
+    | (Kexpr | Kgather), _, _ ->
+      let st = store ~size out_t wcr (value ()) in
+      let ooff = Array.make size 0 in
+      fun n ->
+        prologue n;
+        let o = boff.(nin) and e = es.(nin).(last) in
+        for k = 0 to n - 1 do ooff.!(k) <- o + (k * e) done;
+        st ooff (e = 0) n
+    | Kscatter, Some subs, Some w ->
+      let st = store ~size out_t wcr (value ()) in
+      let woff, windex =
+        index ~top:true w (List.map (rows ~size ~leaf ~site ~top:false) subs)
+      in
+      fun n ->
+        prologue n;
+        windex n;
+        st woff false n
+    | _ -> nofill
+  in
+  let top_sites = Array.of_list !top_sites in
+  let site_ranks = Array.of_list !site_ranks in
+  (* the launch pre-pass: every index row over the whole box *)
+  let prepass n =
+    prologue n;
+    for i = 0 to Array.length top_sites - 1 do
+      top_sites.(i) n
+    done
+  in
+  (* aliasing only reaches [Kexpr]: one iteration per block keeps the
+     closure nest's read-write interleaving *)
+  let bsize = if aliased then 1 else block in
+  let blocks pass () =
+    let total = trips.(last) in
+    let k0 = ref 0 in
+    while !k0 < total do
+      let k = !k0 in
+      let n = if total - k < bsize then total - k else bsize in
+      for j = 0 to na - 1 do
+        boff.(j) <- offs.(j) + (k * es.(j).(last))
+      done;
+      bpar := los.(last) + (k * steps.(last));
+      pass n;
+      k0 := k + n
+    done
+  in
   (* per-kind innermost row; reads the launch state, must leave [offs]
-     untouched.  Buffer accesses are unchecked — the launch pre-check
+     untouched.  Buffer accesses are unchecked — the launch pre-checks
      proved the whole box in range. *)
   let inner : unit -> unit =
     match kind with
     | Kfill -> (
-      match out_arg.ap_tens.Tensor.buf with
+      (* the launch constant, evaluated as a one-element row *)
+      let v = value () in
+      match out_t.Tensor.buf with
       | Tensor.Fbuf ob ->
-        let rf = to_f res in
+        let x, fx = frow size v in
         fun () ->
-          let v = rf () in
+          prologue 1;
+          fx 1;
+          let v = x.!(0) in
           let o = ref offs.(nin) and e = es.(nin).(last) in
           for _ = 1 to trips.(last) do
             Array.unsafe_set ob !o v;
             o := !o + e
           done
       | Tensor.Ibuf ob ->
-        let ri = to_i res in
+        let x, fx = irow size v in
         fun () ->
-          let v = ri () in
+          prologue 1;
+          fx 1;
+          let v = x.!(0) in
           let o = ref offs.(nin) and e = es.(nin).(last) in
           for _ = 1 to trips.(last) do
             Array.unsafe_set ob !o v;
@@ -742,7 +986,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
       let overlap =
         Tensor.overlapping out_t arg_plans.(j).ap_tens
       in
-      match out_arg.ap_tens.Tensor.buf with
+      match out_t.Tensor.buf with
       | Tensor.Fbuf ob ->
         let sb = fbuf j in
         fun () ->
@@ -945,28 +1189,38 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
             lofs.(i) <- lofs.(i) + les.(i)
           done
         done
-    | Kexpr ->
-      (* generic compiled expression: leaves read [offs]/[pcell]/[ccell];
-         checked accesses as defense in depth (still far cheaper than the
-         closure path's per-iteration view refreshes) *)
-      fun () ->
-        let n = trips.(last) in
-        let lo_l = los.(last) and st_l = steps.(last) in
-        for k = 0 to n - 1 do
-          if uses_params then pcell.(last) <- lo_l + (k * st_l);
-          write offs.(nin);
-          for j = 0 to nin do
-            offs.(j) <- offs.(j) + es.(j).(last)
-          done
-        done;
-        for j = 0 to nin do
-          offs.(j) <- offs.(j) - (n * es.(j).(last))
-        done
+    | Kexpr | Kgather | Kscatter -> blocks pass
   in
-  let track_params = match kind with Kexpr -> uses_params | _ -> false in
+  let track_params =
+    List.exists (fun (_, l) -> match l with Lpar d -> d < last | _ -> false) leaves
+  in
+  let in_wins = Array.of_list (List.map snd wins) in
+  let windows =
+    Array.append (Array.map fst in_wins)
+      (match out_win with Some w -> [| w |] | None -> [||])
+  in
   let stats = env.Exec.stats in
-  let n_moved_per = nin + 1 in
   let has_wcr = wcr <> None in
+  (* outer dimensions advance the shared offsets; [row] runs the
+     innermost dimension *)
+  let rec go row d =
+    if d = last then row ()
+    else begin
+      let n = trips.(d) in
+      let lo_d = los.(d) and st_d = steps.(d) in
+      for k = 0 to n - 1 do
+        if track_params then pcell.(d) <- lo_d + (k * st_d);
+        go row (d + 1);
+        for j = 0 to na - 1 do
+          offs.(j) <- offs.(j) + es.(j).(d)
+        done
+      done;
+      for j = 0 to na - 1 do
+        offs.(j) <- offs.(j) - (n * es.(j).(d))
+      done
+    end
+  in
+  let pre_row = blocks prepass in
   let k_run ~frame ~bounds ~lo ~hi ~step ~slow =
     if lo > hi then ()
     else begin
@@ -990,7 +1244,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
         (* operand bases, element strides, and the corner bounds check:
            min/max of [const + sum coef_d * i_d] over the box *)
         let ok = ref true in
-        for j = 0 to nin do
+        for j = 0 to na - 1 do
           let ap = arg_plans.(j) in
           let t = ap.ap_tens in
           let str = t.Tensor.strides in
@@ -1019,42 +1273,113 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
             ap.ap_dims;
           offs.(j) <- !base
         done;
+        (* windows: evaluated and checked once, as [View.refresh] checks
+           them per iteration; then each subscript count against the
+           window's rank *)
+        for i = 0 to Array.length windows - 1 do
+          match View.refresh windows.(i) frame with
+          | () -> ()
+          | exception Tensor.Bounds _ -> ok := false
+        done;
+        if !ok then
+          for i = 0 to Array.length site_ranks - 1 do
+            let w, m = site_ranks.(i) in
+            if w.View.v_rank <> m then ok := false
+          done;
+        for k = 0 to Array.length cfs - 1 do
+          ccell.(k) <- cfs.(k) frame
+        done;
+        if !ok && Array.length top_sites > 0 then begin
+          checking := true;
+          (match go pre_row 0 with
+          | () -> ()
+          | exception Out_of_window -> ok := false);
+          checking := false
+        end;
         if not !ok then slow ()
         else begin
-          for k = 0 to Array.length cfs - 1 do
-            ccell.(k) <- cfs.(k) frame
+          let moved = ref (nin + 1) in
+          for i = 0 to Array.length in_wins - 1 do
+            let w, dyn = in_wins.(i) in
+            moved := !moved + if dyn then 1 else w.View.v_vol
           done;
           stats.Exec.map_iterations <- stats.Exec.map_iterations + !total;
           stats.Exec.tasklet_execs <- stats.Exec.tasklet_execs + !total;
           stats.Exec.elements_moved <-
-            stats.Exec.elements_moved + (!total * n_moved_per);
+            stats.Exec.elements_moved + (!total * !moved);
           if has_wcr then
             stats.Exec.wcr_writes <- stats.Exec.wcr_writes + !total;
-          (* outer dimensions advance the shared offsets; [inner] runs
-             the innermost row *)
-          let rec go d =
-            if d = last then inner ()
-            else begin
-              let n = trips.(d) in
-              let lo_d = los.(d) and st_d = steps.(d) in
-              for k = 0 to n - 1 do
-                if track_params then pcell.(d) <- lo_d + (k * st_d);
-                go (d + 1);
-                for j = 0 to nin do
-                  offs.(j) <- offs.(j) + es.(j).(d)
-                done
-              done;
-              for j = 0 to nin do
-                offs.(j) <- offs.(j) - (n * es.(j).(d))
-              done
-            end
-          in
-          go 0
+          go inner 0
         end
       end
     end
   in
   { k_name = kind_name kind; k_run }
+
+let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
+  let params = info.mp_params in
+  let nd = List.length params in
+  if nd = 0 then reject "no-dims";
+  if List.length (List.sort_uniq String.compare params) <> nd then
+    reject "shadowed";
+  (* the scope body must be exactly one tasklet *)
+  let nid, tk =
+    let members = State.scope_nodes st entry in
+    let parents = State.scope_parents st in
+    let direct =
+      List.filter
+        (fun n ->
+          Hashtbl.find parents n = Some entry
+          && (match State.node st n with Map_exit -> false | _ -> true))
+        members
+    in
+    match direct with
+    | [ n ] -> (
+      match State.node st n with
+      | Tasklet t -> (n, t)
+      | _ -> reject "body-shape")
+    | _ -> reject "body-shape"
+  in
+  let code =
+    match tk.t_code with Code c -> c | External _ -> reject "external"
+  in
+  (* a timed tasklet must keep its per-execution span *)
+  if Obs.Collect.should_time env.Exec.collector ~flag:tk.t_instrument then
+    reject "instrumented";
+  (* connected memlets, in the closure engine's binding order *)
+  let ins =
+    List.filter_map
+      (fun (e : edge) ->
+        match e.e_dst_conn, e.e_memlet with
+        | Some c, Some m -> Some (c, m)
+        | _ -> None)
+      (State.in_edges st nid)
+  in
+  let outs =
+    List.filter_map
+      (fun (e : edge) ->
+        match e.e_src_conn, e.e_memlet with
+        | Some c, Some m -> Some (c, m)
+        | _ -> None)
+      (State.out_edges st nid)
+  in
+  let shape_reason r =
+    if indirect_subscripts ~inputs:(List.map fst ins) code then
+      "non-affine-indirect"
+    else r
+  in
+  let body =
+    match Tasklang.Bodyclass.classify code with
+    | Ok b -> b
+    | Error r -> reject (shape_reason r)
+  in
+  match Tasklang.Bodyclass.subscript_code body with
+  | None -> lower ~env ~tk ~params ~comp ~ins ~outs body
+  | Some r -> (
+    (* a subscripted body the gather/scatter kinds refuse keeps the
+       reason code its shape reports *)
+    try lower ~env ~tk ~params ~comp ~ins ~outs body
+    with Reject _ -> reject (shape_reason r))
 
 let recognize ~env ~st ~entry ~info ~comp =
   match recognize_exn ~env ~st ~entry ~info ~comp with

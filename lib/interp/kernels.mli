@@ -1,13 +1,13 @@
-(** Bulk strided kernels for affine map bodies — Engine v2 of the
-    compiled engine.
+(** Bulk kernels for map bodies — Engine v2 of the compiled engine.
 
     {!Plan.comp_map} lowers a map scope to a closure nest whose innermost
     level re-resolves every memlet through compiled subset views, one
     tasklet execution at a time.  For the (very common) map whose body is
-    a single pure scalar tasklet with affine single-element subscripts
-    over array containers, all of that per-iteration machinery computes
-    an affine function of the loop counters — so the whole scope can run
-    as a flat strided loop over the raw buffers instead.
+    a single assignment with affine single-element subscripts over array
+    containers — optionally reading or writing through launch-constant
+    windows with data-dependent subscripts — that per-iteration machinery
+    computes an affine function of the loop counters, so the whole scope
+    can run as flat loops over the raw buffers instead.
 
     [recognize] performs that classification at plan time and returns a
     kernel whose launch entry:
@@ -15,13 +15,20 @@
     - evaluates each operand's base offset and per-dimension element
       strides from the compiled affine subscripts (once per launch);
     - bounds-checks the {e whole} iteration box against each operand's
-      extents (affine subscripts attain their extrema at corners), which
-      justifies unchecked buffer accesses in the loops;
-    - bumps the instrumentation counters in bulk ([trips] tasklet
-      executions move [n_inputs + 1] elements each);
+      extents (affine subscripts attain their extrema at corners), each
+      window once as {!View.refresh} does, and — for gather and scatter
+      bodies — every subscript over the whole box in a pre-pass, inner
+      subscripts first; this justifies unchecked buffer accesses in the
+      loops;
+    - bumps the instrumentation counters in bulk (per iteration: one
+      element per scalar input, one or — for a non-dynamic memlet — the
+      window's volume per windowed input, one for the output, one WCR
+      write under WCR);
     - dispatches a shape-specialized loop (fill / copy / scale / axpy /
-      elementwise binop / WCR-sum contraction / scaled sum) or a generic
-      compiled-expression loop.
+      elementwise binop / WCR-sum contraction / scaled sum) or the row
+      evaluator: the body compiled once into unboxed rows of up to
+      {!block} innermost iterations, each block read in full before its
+      writes apply in iteration order ([expr], [gather], [scatter]).
 
     Anything the launch cannot prove safe — a bounds violation anywhere
     in the box — defers to the [slow] closure (the ordinary nest), which
@@ -33,7 +40,7 @@ type t = {
   k_name : string;
     (** kernel kind, tallied in plan coverage: ["fill"], ["copy"],
         ["scale"], ["axpy"], ["ebinop"], ["contract"], ["ssum"],
-        ["expr"] *)
+        ["expr"], ["gather"], ["scatter"] *)
   k_run :
     frame:int array ->
     bounds:int array ->
@@ -47,8 +54,13 @@ type t = {
         [lo]/[hi]/[step] override dimension 0, so a parallel chunk runs
         its slice by passing the chunk's endpoints.  [slow] must execute
         the same slice through the closure nest — it is called instead
-        of the kernel when the launch-time bounds check fails. *)
+        of the kernel when a launch-time check fails. *)
 }
+
+val block : int
+(** Innermost iterations per row of the row evaluator (a constant).  A
+    body reading a buffer its output shares runs with blocks of one
+    iteration, keeping the closure nest's read-write interleaving. *)
 
 val recognize :
   env:Exec.env ->
@@ -68,11 +80,16 @@ val recognize :
     ["non-affine"], ["non-affine-indirect"], ["symbols"], ["shadowed"],
     ["wcr"], ["body-expr"].
 
-    ["non-affine-indirect"] refines the classifier's rejections: when a
-    body the classifier would reject for its shape also subscripts data
-    with a value {e derived from an input connector} (taint-tracked
-    through local assignments and For bounds — spmv's [xin[cols[j]]],
-    histogram's computed bin, gather/scatter over a mesh index array),
-    the stable reason is indirection, not the surface shape.  A body
-    whose only non-scalar accesses use map parameters, symbols or
-    literal-bounded For variables keeps its original reason. *)
+    A gather ([out = f(c\[e, ...\])]) or scatter ([out\[e, ...\] = f(...)])
+    body lowers when every subscripted connector binds a window whose
+    ranges do not mention the map's own parameters, every other
+    connector is an affine scalar, and no input shares the output's
+    buffer.  A subscripted body refused for any reason reports the code
+    of its shape instead: ["indexed-read"] / ["indexed-write"], refined
+    to ["non-affine-indirect"] when a subscript depends on a value {e
+    derived from an input connector} (taint-tracked through local
+    assignments and For bounds — spmv's [xin\[cols\[j\]\]], histogram's
+    computed bin, cfd-naive's fused element loop).  So
+    ["non-affine-indirect"] marks data-dependent subscripts the kernels
+    cannot run: bodies with control flow, locals or several statements,
+    windows that move with the map's parameters, and aliased bodies. *)

@@ -116,152 +116,6 @@ let symbol_refresh ctx =
       (fun (name, slot) -> fr.(slot) <- Hashtbl.find symbols name)
       slots
 
-(* --- compiled memlet subsets ------------------------------------------- *)
-
-(* One dimension of a compiled subset; mirrors [Subset.eval_range]
-   (tile expansion, stride clamped to >= 1). *)
-type crange_c = {
-  cr_start : int array -> int;
-  cr_stop : int array -> int;
-  cr_stride : int array -> int;
-}
-
-let comp_range ctx scope_env (r : Subset.range) : crange_c =
-  if Expr.as_int r.tile <> Some 1 then
-    { cr_start = comp_expr ctx scope_env r.start;
-      cr_stop =
-        comp_expr ctx scope_env (Expr.add r.stop (Expr.sub r.tile Expr.one));
-      cr_stride = (fun _ -> 1) }
-  else
-    let stride_f = comp_expr ctx scope_env r.stride in
-    { cr_start = comp_expr ctx scope_env r.start;
-      cr_stop = comp_expr ctx scope_env r.stop;
-      cr_stride =
-        (fun fr ->
-          let s = stride_f fr in
-          if s < 1 then 1 else s) }
-
-let bounds_err fmt = Fmt.kstr (fun s -> raise (Tensor.Bounds s)) fmt
-
-(* A concrete view of a tensor through a compiled memlet subset,
-   refreshed per tasklet execution.  Mirrors [Tensor.view_subset]
-   followed by [Tensor.squeeze] when the connector rank is below the
-   subset rank, including the bounds checks and their messages. *)
-type cview = {
-  v_tens : Tensor.t;           (* the full container; records immutable *)
-  v_dims : crange_c array;
-  v_squeeze : bool;
-  mutable v_base : int;        (* linear offset of the view origin *)
-  mutable v_rank : int;        (* post-squeeze rank *)
-  v_ext : int array;           (* post-squeeze extents *)
-  v_str : int array;           (* post-squeeze element strides *)
-  mutable v_vol : int;         (* pre-squeeze element count *)
-}
-
-let make_cview ctx scope_env tens k_rank subset =
-  let r = Tensor.rank tens in
-  { v_tens = tens;
-    v_dims = Array.of_list (List.map (comp_range ctx scope_env) subset);
-    v_squeeze = k_rank < r;
-    v_base = 0; v_rank = 0; v_vol = 0;
-    v_ext = Array.make (max 1 r) 0;
-    v_str = Array.make (max 1 r) 0 }
-
-let refresh_view v fr =
-  let t = v.v_tens in
-  let n = Array.length v.v_dims in
-  let tr = Tensor.rank t in
-  if tr = 0 then begin
-    (* [view_subset] on a rank-0 tensor ignores the subset *)
-    v.v_base <- t.Tensor.offset;
-    v.v_rank <- 0;
-    v.v_vol <- 1
-  end
-  else begin
-    if n <> tr then
-      bounds_err "view_subset: subset rank %d vs tensor rank %d" n tr;
-    let base = ref t.Tensor.offset and vol = ref 1 and k = ref 0 in
-    for d = 0 to n - 1 do
-      let cr = Array.unsafe_get v.v_dims d in
-      let s = cr.cr_start fr in
-      let e = cr.cr_stop fr in
-      let st = cr.cr_stride fr in
-      let cnt = ((e - s) / st) + 1 in
-      if s < 0 || (cnt > 0 && s + ((cnt - 1) * st) >= t.Tensor.shape.(d))
-      then
-        bounds_err "view: dimension %d out of range (start %d count %d)" d s
-          cnt;
-      base := !base + (s * t.Tensor.strides.(d));
-      vol := !vol * cnt;
-      if not (v.v_squeeze && cnt = 1) then begin
-        v.v_ext.(!k) <- cnt;
-        v.v_str.(!k) <- t.Tensor.strides.(d) * st;
-        incr k
-      end
-    done;
-    v.v_base <- !base;
-    v.v_rank <- !k;
-    v.v_vol <- !vol
-  end
-
-(* Typed element accessors over the raw buffer (bounds are enforced by
-   the view computation plus the index checks below, as in {!Tensor}). *)
-let lin_get (t : Tensor.t) : int -> value =
-  match t.Tensor.buf with
-  | Tensor.Fbuf a -> fun i -> F a.(i)
-  | Tensor.Ibuf a -> fun i -> I a.(i)
-
-let lin_set (t : Tensor.t) : int -> value -> unit =
-  match t.Tensor.buf with
-  | Tensor.Fbuf a -> fun i v -> a.(i) <- to_float v
-  | Tensor.Ibuf a -> fun i v -> a.(i) <- to_int v
-
-(* Offset of an element access through the refreshed view; mirrors
-   [Tensor.get]'s rank and bounds checks. *)
-let view_offset v (idx : int array) =
-  let n = Array.length idx in
-  if n <> v.v_rank then
-    bounds_err "tensor of rank %d indexed with %d indices" v.v_rank n;
-  let off = ref v.v_base in
-  for d = 0 to n - 1 do
-    let i = Array.unsafe_get idx d in
-    if i < 0 || i >= v.v_ext.(d) then
-      bounds_err "index %d out of bounds for dimension %d (size %d)" i d
-        v.v_ext.(d);
-    off := !off + (i * v.v_str.(d))
-  done;
-  !off
-
-let view_get v =
-  let get = lin_get v.v_tens in
-  fun (idx : int array) ->
-    (* an empty index reads the view origin, as [get_scalar] does *)
-    if Array.length idx = 0 then get v.v_base else get (view_offset v idx)
-
-let view_set env v wcr =
-  let get = lin_get v.v_tens and set = lin_set v.v_tens in
-  let stats = env.Exec.stats in
-  let write off value =
-    match wcr with
-    | None -> set off value
-    | Some w ->
-      stats.Exec.wcr_writes <- stats.Exec.wcr_writes + 1;
-      set off (Wcr.apply w ~old_v:(get off) ~new_v:value)
-  in
-  fun (idx : int array) value ->
-    stats.Exec.elements_moved <- stats.Exec.elements_moved + 1;
-    if Array.length idx = 0 then begin
-      (* the reference writes index [0,...,0] of the view: check the
-         extents so empty views fail identically *)
-      for d = 0 to v.v_rank - 1 do
-        if v.v_ext.(d) < 1 then
-          bounds_err "index 0 out of bounds for dimension %d (size %d)" d
-            v.v_ext.(d)
-      done;
-      write v.v_base value
-    end
-    else write (view_offset v idx) value
-
 (* --- node compilation --------------------------------------------------- *)
 
 (* Plan-time instrumentation specialization: with timing off the compiled
@@ -1052,18 +906,20 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         | None -> raise Fallback  (* the reference reports this at exec *)
       in
       let tens = tens_of m.m_data in
-      let v = make_cview ctx scope_env tens kconn.k_rank m.m_subset in
+      let v =
+        View.make ~comp:(comp_expr ctx scope_env) tens kconn.k_rank m.m_subset
+      in
       let dyn = m.m_dynamic in
       if kconn.k_rank = 0 then begin
         (* scalar inputs snapshot their value before the body runs *)
         let snap = ref (I 0) in
-        let get = lin_get tens in
+        let get = View.lin_get tens in
         prologues :=
           (fun fr ->
-            refresh_view v fr;
+            View.refresh v fr;
             stats.Exec.elements_moved <-
-              stats.Exec.elements_moved + (if dyn then 1 else v.v_vol);
-            snap := get v.v_base)
+              stats.Exec.elements_moved + (if dyn then 1 else v.View.v_vol);
+            snap := get v.View.v_base)
           :: !prologues;
         resolutions :=
           (conn, Tasklang.Compile.Scalar_src (fun () -> !snap))
@@ -1072,16 +928,16 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
       else begin
         prologues :=
           (fun fr ->
-            refresh_view v fr;
+            View.refresh v fr;
             stats.Exec.elements_moved <-
-              stats.Exec.elements_moved + (if dyn then 1 else v.v_vol))
+              stats.Exec.elements_moved + (if dyn then 1 else v.View.v_vol))
           :: !prologues;
         let set _ _ =
           Exec.runtime_error "tasklet %S: writing input connector %S"
             t.t_name conn
         in
         resolutions :=
-          (conn, Tasklang.Compile.Buffer_src (view_get v, set))
+          (conn, Tasklang.Compile.Buffer_src (View.get v, set))
           :: !resolutions
       end
     | _ -> ()
@@ -1117,11 +973,14 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         push_to (fun v -> Queue.push v q)
       | _ ->
         let tens = tens_of m.m_data in
-        let v = make_cview ctx scope_env tens kconn.k_rank m.m_subset in
-        prologues := (fun fr -> refresh_view v fr) :: !prologues;
+        let v =
+          View.make ~comp:(comp_expr ctx scope_env) tens kconn.k_rank
+            m.m_subset
+        in
+        prologues := (fun fr -> View.refresh v fr) :: !prologues;
         resolutions :=
           (conn,
-           Tasklang.Compile.Buffer_src (view_get v, view_set env v m.m_wcr))
+           Tasklang.Compile.Buffer_src (View.get v, View.set stats v m.m_wcr))
           :: !resolutions)
     | _ -> ()
   in

@@ -1,39 +1,41 @@
-(* Affine-body classification of tasklet ASTs for the bulk-kernel
-   recognizer (Engine v2).
+(* Body classification of tasklet ASTs for the bulk-kernel recognizer
+   (Engine v2).
 
-   A map body is kernelizable only when its single tasklet is a pure
-   scalar expression: one assignment to one connector, whose right-hand
-   side reads scalar connectors / parameters / symbols and applies
-   operators — no element indexing, no control flow, no locals.  This
-   module performs that *shape* check; the kernel compiler in
+   A map body is kernelizable only when its single tasklet is one
+   assignment to one connector: no control flow, no locals.  Three
+   shapes qualify:
+   - scalar: [out = expr], reading whole connectors, parameters and
+     symbols only;
+   - gather: [out = expr] where [expr] also reads input connectors
+     through subscripts, [c[e, ...]];
+   - scatter: [out[e, ...] = expr], writing through a subscript.
+   This module performs that *shape* check; the kernel compiler in
    [lib/interp] layers type- and binding-dependent checks (dtype mixing,
-   sign-dependent integer [Pow], connector ranks) on top, because those
-   need the memlet bindings the AST alone does not carry.
+   sign-dependent integer [Pow], connector ranks, windows) on top,
+   because those need the memlet bindings the AST alone does not carry.
 
    Rejections return the reason code surfaced in plan coverage, so a
    profile can say *why* a map stayed on the closure path. *)
 
 type t = {
-  b_out : string;         (* the single written connector *)
-  b_expr : Ast.expr;      (* its right-hand side, a pure scalar expr *)
-  b_reads : string list;  (* distinct names read, in first-use order *)
+  b_out : string;
+  b_write : Ast.expr list option;
+  b_expr : Ast.expr;
+  b_reads : string list;
+  b_windows : string list;
 }
 
-(* Distinct [Var] names in first-use order; [Error reason] if the
-   expression reads through an index (connector element access) — such
-   bodies need the closure path's per-access resolution. *)
-let scalar_reads (e : Ast.expr) : (string list, string) result =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let exception Reject of string in
+(* Distinct names read whole ([Var]) and read through a subscript
+   ([Index]), each in first-use order. *)
+let names (es : Ast.expr list) =
+  let reads = ref [] and windows = ref [] in
+  let note acc x = if not (List.mem x !acc) then acc := x :: !acc in
   let rec walk = function
     | Ast.Float_lit _ | Ast.Int_lit _ | Ast.Bool_lit _ -> ()
-    | Ast.Var x ->
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.add seen x ();
-        acc := x :: !acc
-      end
-    | Ast.Index _ -> raise (Reject "indexed-read")
+    | Ast.Var x -> note reads x
+    | Ast.Index (x, subs) ->
+      note windows x;
+      List.iter walk subs
     | Ast.Unop (_, a) -> walk a
     | Ast.Binop (_, a, b) ->
       walk a;
@@ -43,21 +45,34 @@ let scalar_reads (e : Ast.expr) : (string list, string) result =
       walk a;
       walk b
   in
-  match walk e with
-  | () -> Ok (List.rev !acc)
-  | exception Reject r -> Error r
+  List.iter walk es;
+  (List.rev !reads, List.rev !windows)
+
+let subscript_code b =
+  match b.b_write, b.b_windows with
+  | Some _, _ -> Some "indexed-write"
+  | None, _ :: _ -> Some "indexed-read"
+  | None, [] -> None
 
 let classify (code : Ast.t) : (t, string) result =
   match code with
   | [] -> Error "empty-body"
   | _ :: _ :: _ -> Error "multi-stmt"
   | [ Ast.If _ ] | [ Ast.For _ ] -> Error "control-flow"
-  | [ Ast.Assign (Ast.Lindex _, _) ] -> Error "indexed-write"
-  | [ Ast.Assign (Ast.Lvar out, e) ] -> (
-    match scalar_reads e with
-    | Error r -> Error r
-    | Ok reads ->
-      (* a body reading its own output connector observes the previous
-         buffer value through the write view — closure-path territory *)
-      if List.mem out reads then Error "reads-output"
-      else Ok { b_out = out; b_expr = e; b_reads = reads })
+  | [ Ast.Assign (lhs, e) ] -> (
+    let out, write, es =
+      match lhs with
+      | Ast.Lvar out -> (out, None, [ e ])
+      | Ast.Lindex (out, subs) -> (out, Some subs, e :: subs)
+    in
+    let reads, windows = names es in
+    let b =
+      { b_out = out; b_write = write; b_expr = e; b_reads = reads;
+        b_windows = windows }
+    in
+    (* a body reading its own output connector observes the previous
+       buffer value through the write view — closure-path territory *)
+    if List.mem out reads || List.mem out windows then
+      Error
+        (match subscript_code b with Some r -> r | None -> "reads-output")
+    else Ok b)

@@ -15,7 +15,8 @@
      comparison: tiling reorders the WCR-sum accumulation).
    - [conv_im2col]: gather the padded image line into a [P, Q] column
      matrix through a precomputed F64 index array ([Cols = ImF[cidx[p,
-     q]]]), then one dense matmul against the filter bank.
+     q]]]), then one dense matmul against the filter bank; the gather
+     lowers as a bulk "gather" kernel, the matmul as "contract".
    - [conv_direct]: the affine baseline — a raw-builder WCR contraction
      over (p, f, q) with subscript [p + q], no indirection. *)
 

@@ -7,10 +7,12 @@
 
    This is exactly the shape Polybench never stresses: the gather and
    scatter memlets are data-dependent (the mesh connectivity lives in an
-   I64 container, not in affine subscripts), so those maps stay on the
-   closure path with fallback reason "non-affine-indirect", while the
-   two dense contraction maps between them lower as bulk "contract"
-   kernels.  Two variants:
+   I64 container, not in affine subscripts).  In the batched variant
+   those maps lower as bulk "gather" and "scatter" kernels, indexed
+   through the connectivity values, and the two dense contraction maps
+   between them as bulk "contract" kernels; the naive variant's fused
+   element body (For loops and locals) stays on the closure path with
+   fallback reason "non-affine-indirect".  Two variants:
 
    - [naive]: a state-machine loop over elements, each visit one small
      dense D^T D apply with the gather/scatter folded into the body —

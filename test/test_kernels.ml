@@ -7,9 +7,12 @@
    - equivalence: kernel and closure paths produce bit-identical output
      tensors and identical counter totals at 1, 2 and 4 domains, on
      every Polybench kernel, every fixture graph and the fuzz corpus;
-   - error behavior: a launch whose bounds pre-check fails defers to the
-     closure nest, so both paths raise the same error with the same
-     partial effects;
+   - error behavior: a launch whose bounds pre-check (or index pre-pass)
+     fails defers to the closure nest, so both paths raise the reference
+     engine's error with the same partial effects and counters;
+   - row evaluation: [expr] blocks of every length around the block size
+     agree with the closure path, as do gather and scatter bodies
+     (windowed connectors, duplicate WCR targets, aliasing);
    - the Tensor primitives behind the kernels (fill / scale / axpy)
      handle dense and strided views and reject shape mismatches. *)
 
@@ -131,6 +134,15 @@ let test_recognized_kinds () =
         [ ("H", 8); ("W", 16); ("nnz", 16) ],
         (* the CSR row loop bounds and x gather come from connectors *)
         [], [ ("non-affine-indirect", 1) ] );
+      ( "cfd-naive", Workloads.Cfd.naive, Workloads.Cfd.mini,
+        (* For loops and locals keep the fused element body indirect *)
+        [ ("fill", 1) ], [ ("non-affine-indirect", 1) ] );
+      ( "cfd-batched", Workloads.Cfd.batched, Workloads.Cfd.mini,
+        [ ("contract", 2); ("fill", 1); ("gather", 1); ("scatter", 1) ],
+        [ ("multi-stmt", 1) ] );
+      ( "conv-im2col", Workloads.Attention.conv_im2col,
+        Workloads.Attention.conv_mini,
+        [ ("contract", 1); ("fill", 1); ("gather", 1) ], [] );
       ("copy", Workloads.Kernels.copy, [ ("N", 16) ], [ ("copy", 1) ], []);
       ("eadd", Workloads.Kernels.eadd, [ ("N", 16) ], [ ("ebinop", 1) ], []);
       ("axpy", Workloads.Kernels.axpy, [ ("N", 16) ], [ ("axpy", 1) ], []) ]
@@ -275,6 +287,223 @@ let test_zero_trip_kernel () =
     "X untouched" (List.init 8 (fun _ -> 7.)) (floats x);
   Alcotest.(check int) "no tasklets ran" 0 r.R.r_counters.R.tasklet_execs
 
+(* --- row evaluation: expr blocks ------------------------------------------ *)
+
+(* A 2 x T map over [X] whose body is [code]; the output [Y] has dtype
+   [out] and is subscripted [Y[i, j]], or [Y[i]] (stride 0 along the
+   innermost [j]) under [wcr]. *)
+let expr_graph ~code ~out ?wcr () =
+  let g, st = Build.single_state ~symbols:[ "T" ] "rows" in
+  let t = E.sym "T" in
+  Sdfg.add_array g "X" ~shape:[ E.int 2; E.add t E.one ] ~dtype:T.F64;
+  Sdfg.add_array g "Y" ~shape:[ E.int 2; E.add t E.one ] ~dtype:out;
+  let i = E.sym "i" and j = E.sym "j" in
+  ignore
+    (Build.mapped_tasklet g st ~name:"w" ~params:[ "i"; "j" ]
+       ~ranges:[ S.range E.zero E.one; S.range E.zero (E.sub t E.one) ]
+       ~ins:[ Build.in_elem "x" "X" [ i; j ] ]
+       ~outs:
+         [ (match wcr with
+           | None -> Build.out_elem "o" "Y" [ i; j ]
+           | Some w -> Build.out_elem ~wcr:w "o" "Y" [ i; E.zero ]) ]
+       ~code:(`Src code) ());
+  Build.finalize g
+
+let test_expr_rows () =
+  List.iter
+    (fun (tag, code, out, wcr) ->
+      let build = expr_graph ~code ~out ?wcr in
+      List.iter
+        (fun trips ->
+          let symbols = [ ("T", trips) ] in
+          let kmaps, _ = coverage build symbols in
+          Alcotest.(check (list (pair string int)))
+            (Fmt.str "%s: lowers as expr" tag) [ ("expr", 1) ] kmaps;
+          check_paths_agree
+            (Fmt.str "%s at %d trips" tag trips)
+            build symbols
+            (fun g -> Profile.make_args ~symbols g)
+            ~domains:1)
+        [ 0; 1; Kernels.block - 1; Kernels.block; Kernels.block + 1 ])
+    [ ( "parameter leaf, int / and %, conditional",
+        "o = (x * 1.5 if j % 2 == 0 else -x) + j / 3", T.F64, None );
+      ("floor into an int output", "o = floor(x * 4.0) - i * 2", T.I64, None);
+      ("bool result", "o = (x > 1.2) or (j == 3)", T.F64, None);
+      ( "float WCR into an int output", "o = x * 2.5", T.I64,
+        Some Wcr.sum ) ]
+
+(* --- gather and scatter -------------------------------------------------- *)
+
+(* Over [i] in [0, N): a gather [O[i] = a[ix]], a scatter [W[ix] (wcr)= v]
+   or a nested gather [O[i] = a[b[i]]], where [ix] / [b] come from the
+   I64 array [idx] and [a] / [W] are [M]-element windows.  [window] is
+   the data the read window binds ([A], or [O] itself to alias the
+   output). *)
+let indirect_graph ?(dynamic = true) ?(wcr = Wcr.sum) ?(window = "A")
+    ?(schedule = Defs.Sequential) kind () =
+  let g, st = Build.single_state ~symbols:[ "N"; "M" ] kind in
+  let n = E.sym "N" and m = E.sym "M" and i = E.sym "i" in
+  Sdfg.add_array g "A" ~shape:[ m ] ~dtype:T.F64;
+  Sdfg.add_array g "W" ~shape:[ m ] ~dtype:T.F64;
+  Sdfg.add_array g "V" ~shape:[ n ] ~dtype:T.F64;
+  Sdfg.add_array g "O" ~shape:[ n ] ~dtype:T.F64;
+  Sdfg.add_array g "idx" ~shape:[ n ] ~dtype:T.I64;
+  let ix = Build.in_elem "ix" "idx" [ i ] in
+  let a = Build.in_ ~dynamic "a" window [ S.full (if window = "O" then n else m) ] in
+  let ins, outs, code =
+    match kind with
+    | "gather" -> ([ ix; a ], [ Build.out_elem "o" "O" [ i ] ], "o = a[ix]")
+    | "scatter" ->
+      ( [ ix; Build.in_elem "v" "V" [ i ] ],
+        [ Build.out_ ~wcr ~dynamic:true "o" "W" [ S.full m ] ],
+        "o[ix] = v" )
+    | _ ->
+      ( [ Build.in_ ~dynamic:true "b" "idx" [ S.full n ]; a ],
+        [ Build.out_elem "o" "O" [ i ] ],
+        "o = a[b[i]]" )
+  in
+  ignore
+    (Build.mapped_tasklet g st ~name:kind ~params:[ "i" ] ~schedule
+       ~ranges:[ S.range E.zero (E.sub n E.one) ]
+       ~ins ~outs ~code:(`Src code) ());
+  Build.finalize g
+
+(* Integer-valued data, so float sums are exact in any order; [idx]
+   cycles through [targets] values, repeating each target. *)
+let indirect_args ~n ~m ~targets =
+  [ ("A", Tensor.init T.F64 [| m |] (function
+        | [ k ] -> T.F (float_of_int (k + 1)) | _ -> T.F 0.));
+    ("W", Tensor.init T.F64 [| m |] (fun _ -> T.F 100.));
+    ("V", Tensor.init T.F64 [| n |] (function
+        | [ k ] -> T.F (float_of_int ((k * 7 mod 5) - 2)) | _ -> T.F 0.));
+    ("O", Tensor.init T.F64 [| n |] (fun _ -> T.F (-1.)));
+    ("idx", Tensor.init T.I64 [| n |] (function
+        | [ k ] -> T.I (k * 5 mod targets) | _ -> T.I 0)) ]
+
+(* Run one state on a hand-built environment so that counters stay
+   observable when the run raises: the reference executors, or the
+   compiled plan with kernels on or off. *)
+let run_env ~engine ~kernels g symbols args =
+  let containers = Hashtbl.create 8 and syms = Hashtbl.create 8 in
+  List.iter (fun (k, t) -> Hashtbl.replace containers k (Exec.Tens t)) args;
+  List.iter (fun (k, v) -> Hashtbl.replace syms k v) symbols;
+  let env =
+    { Exec.g; containers; symbols = syms; stats = Exec.fresh_stats ();
+      collector = Obs.Collect.create Obs.Collect.Off; max_states = 1000;
+      engine; plans = Hashtbl.create 4; domains = 1; policy = Exec.Fixed 1;
+      par = Exec.fresh_par (); kernels }
+  in
+  let st = List.hd (Sdfg.states g) in
+  let outcome =
+    match
+      if engine = Plan.compiled then Plan.exec_state env st
+      else begin
+        (* the state machine's count, which [Plan.exec_state] keeps too *)
+        env.Exec.stats.Exec.states_executed <- 1;
+        let parents = State.scope_parents st in
+        Exec.exec_nodes env st ~params:[] ~popped:[]
+          (List.filter
+             (fun n -> Hashtbl.find parents n = None)
+             (State.topological_order st))
+      end
+    with
+    | () -> "no error"
+    | exception e -> Printexc.to_string e
+  in
+  (outcome, counter_list (Exec.counters_of_stats env.Exec.stats))
+
+let test_indirect_oob_same_error () =
+  let n = 9 and m = 6 in
+  List.iter
+    (fun kind ->
+      (* Profile.make_args' index values stay below 11 *)
+      let kmaps, _ = coverage (indirect_graph kind) [ ("N", n); ("M", 11) ] in
+      let symbols = [ ("N", n); ("M", m) ] in
+      Alcotest.(check (list (pair string int)))
+        (kind ^ ": lowers") [ ((if kind = "scatter" then "scatter" else "gather"), 1) ]
+        kmaps;
+      let run engine kernels =
+        (* iteration 6 targets M + 1: out of the window *)
+        let args = indirect_args ~n ~m ~targets:m in
+        let idx = List.assoc "idx" args in
+        Tensor.set idx [ 6 ] (T.I (m + 1));
+        let outcome, counters =
+          run_env ~engine ~kernels (indirect_graph kind ()) symbols args
+        in
+        (outcome, counters, List.map (fun (_, t) -> tensor_bits t) args)
+      in
+      let ref_msg, ref_ctr, ref_bits = run Plan.reference false in
+      Alcotest.(check string)
+        (kind ^ ": the reference's bounds error")
+        {|Interp.Tensor.Bounds("index 7 out of bounds for dimension 0 (size 6)")|}
+        ref_msg;
+      List.iter
+        (fun (path, kernels) ->
+          let msg, ctr, bits = run Plan.compiled kernels in
+          Alcotest.(check string) (Fmt.str "%s %s: same error" kind path) ref_msg msg;
+          Alcotest.(check (list int))
+            (Fmt.str "%s %s: same partial counters" kind path) ref_ctr ctr;
+          Alcotest.(check (list (list int64)))
+            (Fmt.str "%s %s: same partial outputs" kind path) ref_bits bits)
+        [ ("closure", false); ("kernel", true) ])
+    [ "gather"; "scatter"; "nested" ]
+
+let test_indirect_alias_closure () =
+  (* the gather reads the very array it writes: closure path, with the
+     reason an indirect body reports *)
+  let build = indirect_graph ~window:"O" "gather" in
+  let symbols = [ ("N", 12); ("M", 12) ] in
+  let kmaps, kfalls = coverage build symbols in
+  Alcotest.(check (list (pair string int))) "nothing lowered" [] kmaps;
+  Alcotest.(check (list (pair string int)))
+    "indirection reason" [ ("non-affine-indirect", 1) ] kfalls;
+  check_paths_agree "aliased gather" build symbols
+    (fun _ -> indirect_args ~n:12 ~m:12 ~targets:12)
+    ~domains:1
+
+let test_scatter_duplicates_domains () =
+  let n = 40 and m = 7 in
+  let symbols = [ ("N", n); ("M", m) ] in
+  List.iter
+    (fun (tag, wcr) ->
+      let build = indirect_graph ~wcr ~schedule:Defs.Cpu_multicore "scatter" in
+      let args () = indirect_args ~n ~m ~targets:3 in
+      Alcotest.(check (list (pair string int)))
+        ("scatter " ^ tag ^ ": lowers") [ ("scatter", 1) ]
+        (fst (coverage build [ ("N", n); ("M", 11) ]));
+      let run domains =
+        let args = args () in
+        let r =
+          Exec.run (build ()) ~config:(compiled_cfg ~domains ()) ~symbols ~args
+        in
+        (List.map (fun (_, t) -> tensor_bits t) args,
+         counter_list r.R.r_counters)
+      in
+      let base = run 1 in
+      List.iter
+        (fun domains ->
+          check_paths_agree ("scatter " ^ tag) build symbols
+            (fun _ -> args ()) ~domains;
+          Alcotest.(check (pair (list (list int64)) (list int)))
+            (Fmt.str "scatter %s: bits and counters at %d domains" tag domains)
+            base (run domains))
+        [ 1; 2; 4 ])
+    [ ("sum", Wcr.sum); ("min", Wcr.min_); ("max", Wcr.max_) ]
+
+let test_windowed_counters () =
+  (* a non-dynamic window moves its whole volume per iteration, as the
+     closure path's prologue counts it *)
+  let n = 10 and m = 6 in
+  let symbols = [ ("N", n); ("M", m) ] in
+  let build = indirect_graph ~dynamic:false "gather" in
+  let args () = indirect_args ~n ~m ~targets:m in
+  check_paths_agree "non-dynamic window" build symbols (fun _ -> args ())
+    ~domains:1;
+  let r = Exec.run (build ()) ~config:(compiled_cfg ~domains:1 ()) ~symbols
+      ~args:(args ()) in
+  Alcotest.(check int) "elements moved"
+    (n * (1 + m + 1)) r.R.r_counters.R.elements_moved
+
 let suite =
   [ ("Tensor.fill: dense and strided", `Quick, test_tensor_fill);
     ("Tensor.scale: dense and strided", `Quick, test_tensor_scale);
@@ -301,3 +530,12 @@ let suite =
         ( Fmt.str "polybench %s: kernel == closure at 1/2/4 domains" name,
           `Quick, test_polybench_paths name ))
       Workloads.Polybench.names
+  @ [ ("expr rows around the block size", `Quick, test_expr_rows);
+      ("gather/scatter out of range: the reference's error", `Quick,
+        test_indirect_oob_same_error);
+      ("aliased indirect body stays on the closure path", `Quick,
+        test_indirect_alias_closure);
+      ("scatter WCR over duplicate targets at 1/2/4 domains", `Quick,
+        test_scatter_duplicates_domains);
+      ("windowed input counters match the closure path", `Quick,
+        test_windowed_counters) ]

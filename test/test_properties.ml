@@ -560,9 +560,28 @@ let t_predict_serial_forced () =
         d.Obs.Report.pm_invocations p.Obs.Report.par_forced_seq
     | ds -> Alcotest.failf "expected one decision, got %d" (List.length ds))
 
+(* The built-in calibration prices the gather and scatter kinds at their
+   own rates, not at the closure path's. *)
+let t_indirect_kinds_priced () =
+  let cal = CP.default_calibration in
+  let time kind =
+    CP.predicted_time_s ~cal ~kind ~trips:1000 ~inner:1 ~merge_elems:0 1
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool)
+        (kind ^ " has a built-in rate") true
+        (List.mem_assoc kind cal.CP.cal_kernel_iter_ns);
+      Alcotest.(check bool)
+        (kind ^ " priced below the closure path") true
+        (time (Some kind) < time None))
+    [ "gather"; "scatter" ]
+
 let policy_tests =
   [ ("Serial verdict forces 1 domain under prediction", `Quick,
-      t_predict_serial_forced) ]
+      t_predict_serial_forced);
+    ("gather and scatter are not priced at the closure rate", `Quick,
+      t_indirect_kinds_priced) ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

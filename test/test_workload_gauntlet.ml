@@ -102,8 +102,8 @@ let test_matrix (c : case) () =
 (* --- reference engine vs compiled engine --------------------------------- *)
 
 (* At one forced domain the compiled engine — kernels on or off — must
-   reproduce the reference engine bitwise, bulk [contract] kernels and
-   closure-path indirection included. *)
+   reproduce the reference engine bitwise, bulk [contract], [gather] and
+   [scatter] kernels included. *)
 let test_engines (c : case) () =
   let run config =
     let g = c.w_build () in
@@ -147,13 +147,14 @@ let tally tag expect got =
     expect
 
 let test_coverage () =
-  (* cfd-batched: both contractions lower as bulk [contract]; the
-     gather and scatter maps are the canonical indirection fallback. *)
+  (* cfd-batched: both contractions lower as bulk [contract], the
+     gather and scatter maps as [gather] / [scatter] kernels. *)
   let kmaps, kfalls =
     Test_kernels.coverage Workloads.Cfd.batched Workloads.Cfd.mini
   in
-  tally "cfd-batched kernels" [ ("contract", 2) ] kmaps;
-  tally "cfd-batched fallbacks" [ ("non-affine-indirect", 2) ] kfalls;
+  tally "cfd-batched kernels"
+    [ ("contract", 2); ("gather", 1); ("scatter", 1) ] kmaps;
+  tally "cfd-batched fallbacks" [ ("non-affine-indirect", 0) ] kfalls;
   (* cfd-naive: the fused per-element body subscripts [uin]/[o] through
      the connectivity connector — indirection, not its surface shape. *)
   let _, kfalls =
@@ -168,13 +169,14 @@ let test_coverage () =
   in
   tally "attention kernels" [ ("contract", 2) ] kmaps;
   tally "attention fallbacks" [ ("non-affine-indirect", 0) ] kfalls;
-  (* conv-im2col: the column gather is indirect, the GEMM contracts. *)
+  (* conv-im2col: the column gather lowers as [gather], the GEMM
+     contracts. *)
   let kmaps, kfalls =
     Test_kernels.coverage Workloads.Attention.conv_im2col
       Workloads.Attention.conv_mini
   in
-  tally "conv-im2col kernels" [ ("contract", 1) ] kmaps;
-  tally "conv-im2col fallbacks" [ ("non-affine-indirect", 1) ] kfalls;
+  tally "conv-im2col kernels" [ ("contract", 1); ("gather", 1) ] kmaps;
+  tally "conv-im2col fallbacks" [ ("non-affine-indirect", 0) ] kfalls;
   (* conv-direct: fully affine — everything lowers, nothing falls back. *)
   let kmaps, kfalls =
     Test_kernels.coverage Workloads.Attention.conv_direct
