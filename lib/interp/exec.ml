@@ -25,39 +25,15 @@ let runtime_error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
 
 (* --- runtime containers ------------------------------------------------ *)
 
+(* A stream container is a flattened array of streams (paper Fig. 3):
+   unbounded in batch runs, one bounded channel per stream in a
+   pipeline worker's container table. *)
 type stream_rt = {
-  qs : value Queue.t array;  (* flattened array of queues *)
+  qs : value Stream.t array;
   q_shape : int array;
-  q_dtype : dtype;
 }
 
-type container =
-  | Tens of Tensor.t
-  | Strm of stream_rt
-  | Chan of value Stream.t
-      (* streaming mode only: the stream is a live bounded channel with
-         blocking push/pop; workers see these in their container table
-         in place of [Strm] queues *)
-
-type stats = {
-  mutable elements_moved : int;
-  mutable tasklet_execs : int;
-  mutable map_iterations : int;
-  mutable stream_pushes : int;
-  mutable stream_pops : int;
-  mutable states_executed : int;
-  mutable wcr_writes : int;
-}
-
-let fresh_stats () =
-  { elements_moved = 0; tasklet_execs = 0; map_iterations = 0;
-    stream_pushes = 0; stream_pops = 0; states_executed = 0; wcr_writes = 0 }
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "moved=%d tasklets=%d map_iters=%d pushes=%d pops=%d states=%d wcr=%d"
-    s.elements_moved s.tasklet_execs s.map_iterations s.stream_pushes
-    s.stream_pops s.states_executed s.wcr_writes
+type container = Tens of Tensor.t | Strm of stream_rt
 
 (* How the compiled engine picks a worker count for each parallel map:
    [Fixed d] dispatches every Parallel-verdict map on [min d trips]
@@ -66,33 +42,17 @@ let pp_stats ppf s =
    runs it on the predicted-profitable count, up to [cap]. *)
 type domain_policy = Fixed of int | Predictive of int
 
-let policy_name = function Fixed _ -> "fixed" | Predictive _ -> "predictive"
-
-(* One Cpu_multicore map's standing policy record: registered at plan
-   time, updated per invocation.  Lives for the whole run so the report
-   can show what the policy decided and why. *)
-type map_decision = {
-  md_state : string;             (* state label *)
-  md_node : int;                 (* map-entry node id within the state *)
-  md_map : string;               (* map span name, "[i,j]" *)
-  md_kind : string;              (* bulk-kernel kind, or "closure" *)
-  md_verdict : string;           (* race verdict: "parallel", "parallel-accumulate",
-                                    or the Serial reason code *)
-  md_forced : bool;              (* counted under [par_forced_seq] *)
-  mutable md_domains : int;      (* worker count of the last invocation *)
-  mutable md_reason : string;    (* policy reason of the last invocation *)
-  mutable md_trips : int;        (* outer trip count of the last invocation *)
-  mutable md_invocations : int;
-}
-
-(* Multicore bookkeeping, shared down through nested SDFGs like [stats].
-   [par_chunks] depends on the domain count; the determinism tests compare
-   [stats], not these. *)
+(* Multicore bookkeeping, shared down through nested SDFGs like the
+   counters.  [par_chunks] depends on the domain count; the determinism
+   tests compare the counters, not these. *)
 type par_stats = {
   mutable par_maps : int;        (* parallel map-scope invocations *)
   mutable par_chunks : int;      (* chunks dispatched to the pool *)
   mutable par_forced_seq : int;  (* Cpu_multicore maps forced sequential *)
-  mutable par_decisions : map_decision list;  (* registration order, reversed *)
+  mutable par_decisions : Obs.Report.map_decision list;
+      (* one Cpu_multicore map's standing policy record each, registered
+         at plan time and updated per invocation; registration order,
+         reversed *)
 }
 
 let fresh_par () =
@@ -106,14 +66,16 @@ let fresh_par () =
 let register_decision (par : par_stats) ~state ~node ~map ~kind ~verdict
     ~forced =
   let md =
-    { md_state = state; md_node = node; md_map = map; md_kind = kind;
-      md_verdict = verdict; md_forced = forced; md_domains = 1;
-      md_reason = "unevaluated"; md_trips = 0; md_invocations = 0 }
+    { Obs.Report.pm_state = state; pm_node = node; pm_map = map;
+      pm_kind = kind; pm_verdict = verdict; pm_forced = forced;
+      pm_domains = 1; pm_reason = "unevaluated"; pm_trips = 0;
+      pm_invocations = 0 }
   in
   par.par_decisions <-
     md
     :: List.filter
-         (fun d -> not (d.md_state = state && d.md_node = node))
+         (fun (d : Obs.Report.map_decision) ->
+           not (d.pm_state = state && d.pm_node = node))
          par.par_decisions;
   md
 
@@ -139,7 +101,7 @@ type env = {
   g : sdfg;
   containers : (string, container) Hashtbl.t;
   symbols : (string, int) Hashtbl.t;
-  stats : stats;
+  stats : Obs.Report.counters;
   collector : Obs.Collect.t;  (* wall-clock spans + plan coverage *)
   max_states : int;
   engine : engine;
@@ -192,6 +154,9 @@ let stage_compiler :
 
 let set_stage_compiler f = stage_compiler := f
 
+let stream_total_len s =
+  Array.fold_left (fun acc q -> acc + Stream.length q) 0 s.qs
+
 (* Symbol environment for symbolic evaluation: interstate symbols first,
    then rank-0 containers read as integers (data-dependent control flow,
    Fig. 10a), then scope parameters supplied by the caller. *)
@@ -208,11 +173,7 @@ let sym_lookup env params name =
         Some (to_int (Tensor.get_scalar t))
       | Some (Strm s) ->
         (* len(S): queue length is visible to quiescence conditions *)
-        Some (Array.fold_left (fun acc q -> acc + Queue.length q) 0 s.qs)
-      | Some (Chan c) ->
-        (* transient under streaming; the pipeline verdict rejects any
-           graph whose memlets depend on it *)
-        Some (Stream.length c)
+        Some (stream_total_len s)
       | _ -> None))
 
 let eval_expr env params e = Expr.eval (sym_lookup env params) e
@@ -228,16 +189,12 @@ let get_container env name =
 let get_tensor env name =
   match get_container env name with
   | Tens t -> t
-  | Strm _ | Chan _ ->
-    runtime_error "container %S is a stream, expected array" name
+  | Strm _ -> runtime_error "container %S is a stream, expected array" name
 
 let get_stream env name =
   match get_container env name with
   | Strm s -> s
   | Tens _ -> runtime_error "container %S is an array, expected stream" name
-  | Chan _ ->
-    runtime_error "container %S is a live channel, expected a batch stream"
-      name
 
 let stream_queue s idx =
   let li =
@@ -252,8 +209,35 @@ let stream_queue s idx =
     runtime_error "stream queue index out of range";
   s.qs.(li)
 
-let stream_total_len s =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 s.qs
+(* Push [src]'s elements, row-major, onto the stream's first queue. *)
+let push_all env s src =
+  Tensor.iter_offsets src (fun off ->
+      Stream.push s.qs.(0) (Tensor.get_linear src off);
+      env.stats.stream_pushes <- env.stats.stream_pushes + 1)
+
+(* Pop every element, queues in flattened order. *)
+let pop_all s =
+  let buf = ref [] in
+  Array.iter (fun q -> Stream.drain q (fun v -> buf := v :: !buf)) s.qs;
+  Array.of_list (List.rev !buf)
+
+(* Pop the stream into [dst]'s elements in row-major order, one counted
+   pop each; returns the count.  A stream holding more elements than
+   [dst] raises before anything is popped. *)
+let drain_into env ~what s dst =
+  let n = stream_total_len s and room = Tensor.num_elements dst in
+  if n > room then
+    runtime_error "%s: stream holds %d elements, destination subset has %d"
+      what n room;
+  let vs = pop_all s in
+  env.stats.stream_pops <- env.stats.stream_pops + n;
+  let i = ref 0 in
+  Tensor.iter_offsets dst (fun off ->
+      if !i < n then begin
+        Tensor.set_linear dst off vs.(!i);
+        incr i
+      end);
+  n
 
 (* --- write-back through a memlet --------------------------------------- *)
 
@@ -306,24 +290,14 @@ let bind_input env params (t : tasklet) (e : edge) :
         (conn,
          Tasklang.Eval.Buffer
            ((fun _ ->
-              let q = stream_queue s [] in
-              if Queue.is_empty q then
-                runtime_error "pop from empty stream %S" m.m_data
-              else begin
+              match Stream.try_pop s.qs.(0) with
+              | None -> runtime_error "pop from empty stream %S" m.m_data
+              | Some v ->
                 env.stats.stream_pops <- env.stats.stream_pops + 1;
-                Queue.pop q
-              end),
+                v),
             fun _ _ ->
               runtime_error "tasklet %S: writing input connector %S" t.t_name
-                conn))
-    | Chan _ ->
-      (* under streaming, the only stream read a worker may perform is
-         the consume scope's popped element, delivered via [popped];
-         the pipeline verdict rejects anything else *)
-      runtime_error
-        "tasklet %S: stream %S read beyond its popped element under \
-         streaming execution"
-        t.t_name m.m_data)
+                conn)))
 
 let bind_output env params (t : tasklet) (e : edge) :
     (string * Tasklang.Eval.binding) option =
@@ -372,16 +346,8 @@ let bind_output env params (t : tasklet) (e : edge) :
            ((fun _ -> runtime_error "reading output stream connector %S" conn),
             fun _ v ->
               env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Queue.push v (stream_queue s q_idx)))
-    | Chan c ->
-      (* streaming: pushes block when the channel is full (backpressure) *)
-      Some
-        (conn,
-         Tasklang.Eval.Buffer
-           ((fun _ -> runtime_error "reading output stream connector %S" conn),
-            fun _ v ->
-              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Stream.push c v)))
+              (* a pipeline channel blocks here while full *)
+              Stream.push (stream_queue s q_idx) v)))
 
 (* [popped] carries elements already dequeued by an enclosing consume
    scope: connector bindings for those streams deliver the popped value
@@ -423,125 +389,59 @@ let exec_tasklet env params ~popped st nid (t : tasklet) =
 
 (* --- copies between access nodes ----------------------------------------- *)
 
+(* A memlet's view of one side of a copy: the concretized subset, or the
+   whole container when that side names none. *)
+let side_view env params t = function
+  | Some s -> Tensor.view_subset t (concretize env params s)
+  | None -> t
+
+(* Combine [src] into [dst] element by element, each side in its own
+   row-major order; one conflict resolution per element. *)
+let combine_into env w ~src ~dst =
+  Tensor.iter2_offsets src dst (fun so d ->
+      env.stats.wcr_writes <- env.stats.wcr_writes + 1;
+      Tensor.set_linear dst d
+        (Wcr.apply w ~old_v:(Tensor.get_linear dst d)
+           ~new_v:(Tensor.get_linear src so)))
+
 let exec_copy env params st (e : edge) =
   match e.e_memlet with
   | None -> ()
   | Some m -> (
-    let src_name =
-      match State.node st e.e_src with
-      | Access d -> d
-      | _ -> assert false
+    let access nid =
+      match State.node st nid with Access d -> d | _ -> assert false
     in
-    let dst_name =
-      match State.node st e.e_dst with
-      | Access d -> d
-      | _ -> assert false
-    in
+    let src_name = access e.e_src and dst_name = access e.e_dst in
     let src_subset, dst_subset =
       if String.equal m.m_data src_name then (Some m.m_subset, m.m_other)
       else (m.m_other, Some m.m_subset)
     in
     match get_container env src_name, get_container env dst_name with
-    | Tens src_t, Tens dst_t ->
-      let sview =
-        match src_subset with
-        | Some s -> Tensor.view_subset src_t (concretize env params s)
-        | None -> src_t
-      in
-      let dview =
-        match dst_subset with
-        | Some s -> Tensor.view_subset dst_t (concretize env params s)
-        | None -> dst_t
-      in
+    | Tens src_t, Tens dst_t -> (
+      let sview = side_view env params src_t src_subset in
+      let dview = side_view env params dst_t dst_subset in
       env.stats.elements_moved <-
         env.stats.elements_moved + Tensor.num_elements sview;
-      if m.m_wcr = None then Tensor.copy_into ~src:sview ~dst:dview
-      else begin
-        (* element-wise combine *)
-        let n = Tensor.num_elements sview in
-        let sidx = Array.make (Tensor.rank sview) 0 in
-        let didx = Array.make (Tensor.rank dview) 0 in
-        let advance t idx =
-          let rec carry d =
-            if d >= 0 then begin
-              idx.(d) <- idx.(d) + 1;
-              if idx.(d) >= (Tensor.shape t).(d) then begin
-                idx.(d) <- 0;
-                carry (d - 1)
-              end
-            end
-          in
-          carry (Array.length idx - 1)
-        in
-        for _ = 1 to n do
-          apply_wcr env m.m_wcr dview (Array.to_list didx)
-            (Tensor.get sview (Array.to_list sidx));
-          advance sview sidx;
-          advance dview didx
-        done
-      end
+      match m.m_wcr with
+      | None -> Tensor.copy_into ~src:sview ~dst:dview
+      | Some w -> combine_into env w ~src:sview ~dst:dview)
     | Strm s, Tens dst_t ->
-      (* Drain the stream into the array (stream "data" connector). *)
-      let n = stream_total_len s in
-      let li = ref 0 in
-      Array.iter
-        (fun q ->
-          while not (Queue.is_empty q) do
-            Tensor.set_linear dst_t (dst_t.Tensor.offset + !li) (Queue.pop q);
-            incr li;
-            env.stats.stream_pops <- env.stats.stream_pops + 1
-          done)
-        s.qs;
+      (* drain the stream into the array (stream "data" connector) *)
+      let n =
+        drain_into env s (side_view env params dst_t dst_subset)
+          ~what:(Fmt.str "copy %S -> %S" src_name dst_name)
+      in
       env.stats.elements_moved <- env.stats.elements_moved + n
     | Tens src_t, Strm s ->
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Queue.push (Tensor.get src_t (Array.to_list idx)) (stream_queue s []);
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done;
-      env.stats.elements_moved <- env.stats.elements_moved + n
+      let sview = side_view env params src_t src_subset in
+      push_all env s sview;
+      env.stats.elements_moved <-
+        env.stats.elements_moved + Tensor.num_elements sview
     | Strm src_s, Strm dst_s ->
+      let nd = Array.length dst_s.qs in
       Array.iteri
-        (fun i q ->
-          while not (Queue.is_empty q) do
-            Queue.push (Queue.pop q) dst_s.qs.(i mod Array.length dst_s.qs)
-          done)
-        src_s.qs
-    | Tens src_t, Chan c ->
-      (* streaming: feed the channel from an array, blocking on
-         backpressure when it fills *)
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Stream.push c (Tensor.get src_t (Array.to_list idx));
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done;
-      env.stats.elements_moved <- env.stats.elements_moved + n
-    | Chan _, _ | _, Chan _ ->
-      runtime_error
-        "copy %S -> %S reads a live channel outside its pipeline stage"
-        src_name dst_name)
+        (fun i q -> Stream.drain q (Stream.push dst_s.qs.(i mod nd)))
+        src_s.qs)
 
 (* Copy-in edge: scope entry -> access node, memlet naming the source
    container on the far side of the scope (LocalStorage pattern,
@@ -555,11 +455,7 @@ let exec_scope_copy_in env params (e : edge) dst_name =
       let sview =
         Tensor.view_subset src_t (concretize env params m.m_subset)
       in
-      let dview =
-        match m.m_other with
-        | Some s -> Tensor.view_subset dst_t (concretize env params s)
-        | None -> dst_t
-      in
+      let dview = side_view env params dst_t m.m_other in
       env.stats.elements_moved <-
         env.stats.elements_moved + Tensor.num_elements sview;
       Tensor.copy_into ~src:sview ~dst:dview
@@ -574,118 +470,54 @@ let exec_scope_copy_out env params (e : edge) src_name =
   match e.e_memlet with
   | Some m when not (String.equal m.m_data src_name) -> (
     match get_container env src_name, get_container env m.m_data with
-    | Tens src_t, Tens dst_t ->
-      let sview =
-        match m.m_other with
-        | Some s -> Tensor.view_subset src_t (concretize env params s)
-        | None -> src_t
-      in
+    | Tens src_t, Tens dst_t -> (
+      let sview = side_view env params src_t m.m_other in
       let dview =
         Tensor.view_subset dst_t (concretize env params m.m_subset)
       in
       env.stats.elements_moved <-
         env.stats.elements_moved + Tensor.num_elements sview;
-      let n = Tensor.num_elements sview in
-      let sidx = Array.make (Tensor.rank sview) 0 in
-      let didx = Array.make (Tensor.rank dview) 0 in
-      let advance t idx =
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Array.length idx - 1)
-      in
-      for _ = 1 to n do
-        apply_wcr env m.m_wcr dview (Array.to_list didx)
-          (Tensor.get sview (Array.to_list sidx));
-        advance sview sidx;
-        advance dview didx
-      done;
-      (* drain the accumulator *)
-      (match m.m_wcr with
+      match m.m_wcr with
+      | None ->
+        Tensor.iter2_offsets sview dview (fun so d ->
+            Tensor.set_linear dview d (Tensor.get_linear sview so))
       | Some w -> (
+        combine_into env w ~src:sview ~dst:dview;
+        (* drain the accumulator *)
         match Wcr.identity w (Tensor.dtype sview) with
         | Some id -> Tensor.fill sview id
-        | None -> ())
-      | None -> ())
+        | None -> ()))
     | Strm src_s, Strm dst_s ->
       (* local stream flushes into the global stream *)
+      let nd = Array.length dst_s.qs in
       Array.iteri
         (fun i q ->
-          while not (Queue.is_empty q) do
-            Queue.push (Queue.pop q) dst_s.qs.(i mod Array.length dst_s.qs);
-            env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-            env.stats.stream_pops <- env.stats.stream_pops + 1
-          done)
+          Stream.drain q (fun v ->
+              Stream.push dst_s.qs.(i mod nd) v;
+              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
+              env.stats.stream_pops <- env.stats.stream_pops + 1))
         src_s.qs
-    | Strm src_s, Tens dst_t ->
-      (* drain a local stream into an array with WCR at the memlet subset *)
+    | Strm src_s, Tens dst_t -> (
+      (* drain a local stream into an array at the memlet subset *)
       let dview =
         Tensor.view_subset dst_t (concretize env params m.m_subset)
       in
-      let li = ref 0 in
-      Array.iter
-        (fun q ->
-          while not (Queue.is_empty q) do
-            let v = Queue.pop q in
+      match m.m_wcr with
+      | Some w ->
+        (* every element combines into the subset's origin *)
+        let o = dview.Tensor.offset in
+        Array.iter
+          (fun v ->
             env.stats.stream_pops <- env.stats.stream_pops + 1;
-            (match m.m_wcr with
-            | Some w ->
-              let old_v = Tensor.get_linear dview dview.Tensor.offset in
-              Tensor.set_linear dview dview.Tensor.offset
-                (Wcr.apply w ~old_v ~new_v:v)
-            | None ->
-              Tensor.set_linear dview (dview.Tensor.offset + !li) v);
-            incr li
-          done)
-        src_s.qs
-    | Tens _, Strm dst_s ->
-      let src_t = get_tensor env src_name in
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Queue.push (Tensor.get src_t (Array.to_list idx)) (stream_queue dst_s []);
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done
-    | Tens _, Chan c ->
-      (* streaming: commit a scope-local array into a live channel *)
-      let src_t = get_tensor env src_name in
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Stream.push c (Tensor.get src_t (Array.to_list idx));
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done
-    | Chan _, _ | _, Chan _ ->
-      runtime_error
-        "scope commit %S -> %S reads a live channel outside its pipeline \
-         stage"
-        src_name m.m_data)
+            Tensor.set_linear dview o
+              (Wcr.apply w ~old_v:(Tensor.get_linear dview o) ~new_v:v))
+          (pop_all src_s)
+      | None ->
+        ignore
+          (drain_into env src_s dview
+             ~what:(Fmt.str "scope commit %S -> %S" src_name m.m_data)))
+    | Tens src_t, Strm dst_s ->
+      push_all env dst_s (side_view env params src_t m.m_other))
   | _ -> ()
 
 (* --- reduce nodes --------------------------------------------------------- *)
@@ -763,6 +595,37 @@ let scope_body st entry =
       (State.scope_nodes st entry)
   in
   List.filter (fun nid -> List.mem nid direct) (State.topological_order st)
+
+(* Bind [g] into an environment derived from [env]: its own symbol table
+   (holding [symbols]) and plan cache, and its containers — those in
+   [containers] kept, every other descriptor allocated zeroed at shapes
+   concretized against [symbols] (transients; also non-transients the
+   caller chose not to bind).  A nested SDFG derives from its parent and
+   shares its counters, collector and policy; top-level runs and
+   instances derive from {!make_env}'s fresh state. *)
+let enter env g ~containers ~symbols =
+  let env =
+    { env with g; containers; symbols = Hashtbl.create 8;
+      plans = Hashtbl.create 4 }
+  in
+  List.iter (fun (s, v) -> Hashtbl.replace env.symbols s v) symbols;
+  List.iter
+    (fun (name, d) ->
+      if not (Hashtbl.mem containers name) then begin
+        let shape =
+          Array.of_list (List.map (eval_expr env []) (ddesc_shape d))
+        in
+        Hashtbl.replace containers name
+          (match d with
+          | Array a -> Tens (Tensor.create a.a_dtype shape)
+          | Stream _ ->
+            let nq = max 1 (Array.fold_left ( * ) 1 shape) in
+            Strm
+              { qs = Array.init nq (fun _ -> Stream.create ());
+                q_shape = shape })
+      end)
+    (Sdfg.descs g);
+  env
 
 (* Execute the given nodes (already restricted to one scope level) in the
    supplied order. *)
@@ -846,10 +709,7 @@ and exec_consume env st ~params ~popped entry (info : consume_info) =
         info.cs_stream;
     (* pop from the first non-empty queue in flattened order, so the
        loop drains exactly what its len(S) test counts *)
-    let q =
-      Option.get (Array.find_opt (fun q -> not (Queue.is_empty q)) s.qs)
-    in
-    let v = Queue.pop q in
+    let v = Option.get (Array.find_map Stream.try_pop s.qs) in
     env.stats.stream_pops <- env.stats.stream_pops + 1;
     env.stats.map_iterations <- env.stats.map_iterations + 1;
     let params' = params @ [ (info.cs_pe_param, !pe mod num_pes) ] in
@@ -879,12 +739,7 @@ and exec_nested env params st nid (nest : nested) =
           if inner_rank < Tensor.rank view then Tensor.squeeze view else view
         in
         Hashtbl.replace inner_containers conn (Tens view)
-      | Strm s -> Hashtbl.replace inner_containers conn (Strm s)
-      | Chan _ ->
-        runtime_error
-          "nested SDFG input %S is a live channel; nested SDFGs do not \
-           run inside pipeline stages"
-          conn)
+      | Strm s -> Hashtbl.replace inner_containers conn (Strm s))
   in
   List.iter
     (fun conn ->
@@ -912,11 +767,9 @@ and exec_nested env params st nid (nest : nested) =
       env.symbols []
     @ List.filter (fun (k, _) -> not (List.mem_assoc k inner_symbols)) params
   in
-  run_in ~containers:inner_containers
-    ~symbols:(inner_symbols @ inherited)
-    ~stats:env.stats ~collector:env.collector ~max_states:env.max_states
-    ~engine:env.engine ~domains:env.domains ~policy:env.policy ~par:env.par
-    ~kernels:env.kernels inner
+  run_state_machine
+    (enter env inner ~containers:inner_containers
+       ~symbols:(inner_symbols @ inherited))
 
 (* --- top-level execution ---------------------------------------------------- *)
 
@@ -959,38 +812,6 @@ and run_state_machine env =
       current := Sdfg.state env.g t.is_dst
   done
 
-(* Run an SDFG whose containers are already bound (used for nested
-   invocations); allocates any transients not provided. *)
-and run_in ~containers ~symbols ~stats ~collector ~max_states ~engine
-    ~domains ~policy ~par ~kernels (g : sdfg) =
-  let env =
-    { g; containers; symbols = Hashtbl.create 8; stats; collector;
-      max_states; engine; plans = Hashtbl.create 4; domains; policy; par;
-      kernels }
-  in
-  List.iter (fun (s, v) -> Hashtbl.replace env.symbols s v) symbols;
-  (* Allocate missing containers (transients; also non-transients when the
-     caller chose not to bind them — convenient for tests). *)
-  List.iter
-    (fun (name, d) ->
-      if not (Hashtbl.mem containers name) then begin
-        let shape =
-          List.map (fun e -> eval_expr env [] e) (ddesc_shape d)
-          |> Array.of_list
-        in
-        match d with
-        | Array a -> Hashtbl.replace containers name (Tens (Tensor.create a.a_dtype shape))
-        | Stream s ->
-          let nq = max 1 (Array.fold_left ( * ) 1 shape) in
-          Hashtbl.replace containers name
-            (Strm
-               { qs = Array.init nq (fun _ -> Queue.create ());
-                 q_shape = shape;
-                 q_dtype = s.s_dtype })
-      end)
-    (Sdfg.descs g);
-  run_state_machine env
-
 let engine_name : engine -> string = function
   | `Reference -> "reference"
   | `Compiled -> "compiled"
@@ -999,58 +820,6 @@ let engine_of_string : string -> engine option = function
   | "reference" -> Some `Reference
   | "compiled" -> Some `Compiled
   | _ -> None
-
-let counters_of_stats (s : stats) : Obs.Report.counters =
-  { Obs.Report.elements_moved = s.elements_moved;
-    tasklet_execs = s.tasklet_execs;
-    map_iterations = s.map_iterations;
-    stream_pushes = s.stream_pushes;
-    stream_pops = s.stream_pops;
-    states_executed = s.states_executed;
-    wcr_writes = s.wcr_writes }
-
-(* Freeze the policy's per-map records for the report, in registration
-   (= plan) order. *)
-let frozen_decisions (par : par_stats) : Obs.Report.map_decision list =
-  List.rev_map
-    (fun d ->
-      { Obs.Report.pm_state = d.md_state;
-        pm_node = d.md_node;
-        pm_map = d.md_map;
-        pm_kind = d.md_kind;
-        pm_verdict = d.md_verdict;
-        pm_forced = d.md_forced;
-        pm_domains = d.md_domains;
-        pm_reason = d.md_reason;
-        pm_trips = d.md_trips;
-        pm_invocations = d.md_invocations })
-    par.par_decisions
-
-(* The report's multicore section.  A [Fixed] pin above 1 always gets
-   one (the PR 5 contract); [Fixed 1] never does; [Predictive] gets one
-   exactly when the run had something multicore to decide about — so
-   sequential-by-nature programs keep their reports unchanged. *)
-let parallel_section ~policy ~par_domains ~channels ~workers
-    (par : par_stats) : Obs.Report.parallel option =
-  let decisions = frozen_decisions par in
-  let relevant =
-    decisions <> [] || par.par_maps > 0 || par.par_chunks > 0
-    || par.par_forced_seq > 0 || channels <> [] || workers <> []
-  in
-  let section () =
-    { Obs.Report.par_domains;
-      par_policy = policy_name policy;
-      par_maps = par.par_maps;
-      par_chunks = par.par_chunks;
-      par_forced_seq = par.par_forced_seq;
-      par_decisions = decisions;
-      par_channels = channels;
-      par_workers = workers }
-  in
-  match policy with
-  | Fixed d when d > 1 -> Some (section ())
-  | Fixed _ -> if workers <> [] then Some (section ()) else None
-  | Predictive _ -> if relevant then Some (section ()) else None
 
 (* The environment's pin, if any: [Some d] when SDFG_DOMAINS is set to a
    number, clamped to [1, 64] (unparsable garbage pins 1); [None] when
@@ -1268,37 +1037,74 @@ module Config = struct
     validate c
 end
 
+(* The one environment constructor: validates the config and derives
+   fresh run state from it — counters, collector, the resolved domain
+   policy — then binds [g] through {!enter}, keeping [containers]. *)
+let make_env (config : Config.t) g ~containers ~symbols =
+  (match Config.validate config with
+  | Ok _ -> ()
+  | Error e -> runtime_error "%s" (Config.error_message e));
+  let env =
+    { g; containers; symbols = Hashtbl.create 8;
+      stats = Obs.Report.zero_counters ();
+      collector = Obs.Collect.create config.instrument;
+      max_states = config.max_states; engine = config.engine;
+      plans = Hashtbl.create 4; domains = Config.resolved_domains config;
+      policy = Config.resolved_policy config; par = fresh_par ();
+      kernels = config.kernels }
+  in
+  enter env g ~containers ~symbols
+
+(* The one report builder; [of_collector] copies the live counters and
+   decision records.  The multicore section: a [Fixed] pin above 1
+   always gets one (the PR 5 contract); [Fixed 1] only for a pipeline;
+   [Predictive] exactly when the run had something multicore to decide
+   about — so sequential-by-nature programs keep their reports
+   unchanged.  A pipeline reports its worker count as its domains. *)
+let report ?(channels = []) ?(workers = []) env ~wall_s =
+  let par = env.par in
+  let show =
+    match env.policy with
+    | Fixed d -> d > 1 || workers <> []
+    | Predictive _ ->
+      par.par_decisions <> [] || par.par_maps > 0 || par.par_chunks > 0
+      || par.par_forced_seq > 0 || channels <> [] || workers <> []
+  in
+  let parallel =
+    if not show then None
+    else
+      Some
+        { Obs.Report.par_domains =
+            (match workers with [] -> env.domains | _ -> List.length workers);
+          par_policy =
+            (match env.policy with
+            | Fixed _ -> "fixed"
+            | Predictive _ -> "predictive");
+          par_maps = par.par_maps;
+          par_chunks = par.par_chunks;
+          par_forced_seq = par.par_forced_seq;
+          par_decisions = List.rev par.par_decisions;
+          par_channels = channels;
+          par_workers = workers }
+  in
+  Obs.Report.of_collector ?parallel ~program:env.g.g_name
+    ~engine:(engine_name env.engine) ~wall_s ~counters:env.stats
+    env.collector
+
 (* Main entry point: run [g] on the given tensors and symbol values.
    Non-transient containers not supplied in [args] are allocated
-   zero-initialized and discarded.  The returned report freezes the
+   zero-initialized and discarded.  The returned report carries the
    counters, the instrumentation timing tree (per the config's
    [instrument] level), the compiled engine's plan coverage and — when
    the resolved domain count exceeds 1 — the multicore summary. *)
 let run ?(config = Config.default) ?(symbols = []) ?(args = [])
     (g : sdfg) : Obs.Report.t =
-  (match Config.validate config with
-  | Ok _ -> ()
-  | Error e -> runtime_error "%s" (Config.error_message e));
-  let policy = Config.resolved_policy config in
-  let domains = Config.resolved_domains config in
-  let stats = fresh_stats () in
-  let par = fresh_par () in
-  let collector = Obs.Collect.create config.Config.instrument in
   let containers = Hashtbl.create 16 in
   List.iter (fun (name, t) -> Hashtbl.replace containers name (Tens t)) args;
   let t0 = Obs.Collect.now () in
-  run_in ~containers ~symbols ~stats ~collector
-    ~max_states:config.Config.max_states ~engine:config.Config.engine
-    ~domains ~policy ~par ~kernels:config.Config.kernels g;
-  let wall_s = Obs.Collect.now () -. t0 in
-  let parallel =
-    parallel_section ~policy ~par_domains:domains ~channels:[] ~workers:[]
-      par
-  in
-  Obs.Report.of_collector ?parallel ~program:g.g_name
-    ~engine:(engine_name config.Config.engine) ~wall_s
-    ~counters:(counters_of_stats stats)
-    collector
+  let env = make_env config g ~containers ~symbols in
+  run_state_machine env;
+  report env ~wall_s:(Obs.Collect.now () -. t0)
 
 (* --- streaming execution --------------------------------------------------- *)
 
@@ -1315,6 +1121,15 @@ let channel_capacity env (config : Config.t) name =
       let n = try eval_expr env [] s.s_buffer with _ -> 0 in
       if n >= 1 then n else 256
     | _ -> 256)
+
+(* Push [vs] onto the stream's first queue, one counted push each: how
+   stream arguments and streaming input enter a batch run. *)
+let feed_stream env s (vs : value array) =
+  Array.iter
+    (fun v ->
+      env.stats.stream_pushes <- env.stats.stream_pushes + 1;
+      Stream.push s.qs.(0) v)
+    vs
 
 (* Run [env]'s graph in streaming mode.  [source] is polled for input
    chunks ([None] = end of stream) fed into [input]'s channel; every
@@ -1337,11 +1152,7 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
         match source () with
         | None -> ()
         | Some chunk ->
-          Array.iter
-            (fun v ->
-              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Queue.push v (stream_queue s []))
-            chunk;
+          feed_stream env s chunk;
           feed ()
       in
       feed ()
@@ -1351,15 +1162,7 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
     | None -> ()
     | Some out -> (
       match get_container env out with
-      | Strm s ->
-        let buf = ref [] in
-        Array.iter
-          (fun q ->
-            while not (Queue.is_empty q) do
-              buf := Queue.pop q :: !buf
-            done)
-          s.qs;
-        sink (Array.of_list (List.rev !buf))
+      | Strm s -> sink (pop_all s)
       | _ -> runtime_error "streaming: output %S is not a stream" out));
     ([], [])
   in
@@ -1414,10 +1217,13 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
         in
         let chan n = List.assoc n chans in
         let close_all () = List.iter (fun (_, c) -> Stream.close c) chans in
-        (* Workers see streams as live channels; tensors are shared — the
-           pipeline verdict proved the stages' footprints disjoint. *)
+        (* Workers see each stream as its channel; tensors are shared —
+           the pipeline verdict proved the stages' footprints disjoint. *)
         let stbl = Hashtbl.copy env.containers in
-        List.iter (fun (n, c) -> Hashtbl.replace stbl n (Chan c)) chans;
+        List.iter
+          (fun (n, c) ->
+            Hashtbl.replace stbl n (Strm { qs = [| c |]; q_shape = [||] }))
+          chans;
         let err_lock = Mutex.create () in
         let first_err = ref None in
         let record e =
@@ -1432,7 +1238,7 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
            (EOS or another worker's failure): exit silently. *)
         let guard f () = try f () with Stream.Closed _ -> () | e -> record e in
         let in_ch = chan input in
-        let feeder_stats = fresh_stats () in
+        let feeder_stats = Obs.Report.zero_counters () in
         let feeder_elems = ref 0 and feeder_busy = ref 0.0 in
         let feeder () =
           let rec loop () =
@@ -1462,7 +1268,7 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
           in
           (* exactly the batch executor's [exec_consume] schedule *)
           let body = scope_body st entry in
-          let wstats = fresh_stats () in
+          let wstats = Obs.Report.zero_counters () in
           let wenv =
             (* domains = 1: the pool is not reentrant, so inner maps run
                sequentially inside a pipeline stage *)
@@ -1503,8 +1309,7 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
             in
             loop ()
           in
-          ("consume:" ^ stg.Analysis.Races.pl_stream, task, Some wstats, elems,
-           busy)
+          ("consume:" ^ stg.Analysis.Races.pl_stream, task, wstats, elems, busy)
         in
         let drainer name =
           let ch = chan name in
@@ -1549,11 +1354,10 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
               in
               loop ()
           in
-          ("drain:" ^ name, task, None, elems, busy)
+          ("drain:" ^ name, task, Obs.Report.zero_counters (), elems, busy)
         in
         let workers =
-          (("feed:" ^ input, feeder, Some feeder_stats, feeder_elems,
-            feeder_busy)
+          (("feed:" ^ input, feeder, feeder_stats, feeder_elems, feeder_busy)
           :: List.map stage_worker stages)
           @ List.map drainer terminals
         in
@@ -1564,40 +1368,14 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
             guard task ());
         let wall = Obs.Collect.now () -. t0 in
         (match !first_err with Some e -> raise e | None -> ());
-        (* Deterministic counter merge: feeder first, then stages in
-           pipeline order.  Drainer pops are bookkeeping, not program
-           semantics, and stay out of the counters (the batch path's
-           sink hand-off does not count pops either). *)
+        (* Drainers count nothing: their pops are bookkeeping, not
+           program semantics (the batch path's sink hand-off does not
+           count pops either). *)
         Array.iter
-          (fun (_, _, stats, _, _) ->
-            match stats with
-            | Some (s : stats) ->
-              env.stats.elements_moved <-
-                env.stats.elements_moved + s.elements_moved;
-              env.stats.tasklet_execs <-
-                env.stats.tasklet_execs + s.tasklet_execs;
-              env.stats.map_iterations <-
-                env.stats.map_iterations + s.map_iterations;
-              env.stats.stream_pushes <-
-                env.stats.stream_pushes + s.stream_pushes;
-              env.stats.stream_pops <- env.stats.stream_pops + s.stream_pops;
-              env.stats.wcr_writes <- env.stats.wcr_writes + s.wcr_writes
-            | None -> ())
+          (fun (_, _, s, _, _) -> Obs.Report.add_counters ~into:env.stats s)
           tasks;
         env.stats.states_executed <- env.stats.states_executed + 1;
-        let channels =
-          List.map
-            (fun (_, c) ->
-              let s = Stream.stats c in
-              { Obs.Report.pc_name = s.Stream.ch_name;
-                pc_capacity = s.Stream.ch_capacity;
-                pc_pushes = s.Stream.ch_pushes;
-                pc_pops = s.Stream.ch_pops;
-                pc_depth_hwm = s.Stream.ch_depth_hwm;
-                pc_push_blocked_s = s.Stream.ch_push_blocked_s;
-                pc_pop_blocked_s = s.Stream.ch_pop_blocked_s })
-            chans
-        in
+        let channels = List.map (fun (_, c) -> Stream.stats c) chans in
         let worker_stats =
           List.map
             (fun (name, _, _, elems, busy) ->
@@ -1624,70 +1402,30 @@ module Instance = struct
   type t = {
     i_env : env;
     i_config : Config.t;
-    i_domains : int;  (* resolved at creation, frozen *)
-    i_policy : domain_policy;  (* resolved at creation, frozen *)
     i_symbols : (string * int) list;
     i_lock : Mutex.t;  (* an instance runs one request at a time *)
   }
 
   let create ?(config = Config.default) ?(symbols = []) (g : sdfg) : t =
-    (match Config.validate config with
-    | Ok _ -> ()
-    | Error e -> runtime_error "%s" (Config.error_message e));
     (* Timing spans memoize into plan closures at compile time, so a
        timed plan would accumulate spans across requests; instances are
        counters-only. *)
     let config = { config with Config.instrument = Obs.Collect.Off } in
-    let domains = Config.resolved_domains config in
-    let policy = Config.resolved_policy config in
-    let g = Sdfg.clone g in  (* isolate from later caller mutation *)
+    (* Every container is allocated up front so plans and recognized
+       kernels bind to tensors that stay stable across runs.  Shapes
+       concretize against the instance's symbol valuation, which is why
+       the valuation is part of the instance's identity (and of the serve
+       cache key).  The clone isolates the plans from later caller
+       mutation of [g]. *)
     let env =
-      { g; containers = Hashtbl.create 16; symbols = Hashtbl.create 8;
-        stats = fresh_stats ();
-        collector = Obs.Collect.create Obs.Collect.Off;
-        max_states = config.Config.max_states;
-        engine = config.Config.engine; plans = Hashtbl.create 4; domains;
-        policy; par = fresh_par (); kernels = config.Config.kernels }
+      make_env config (Sdfg.clone g) ~containers:(Hashtbl.create 16) ~symbols
     in
-    List.iter (fun (s, v) -> Hashtbl.replace env.symbols s v) symbols;
-    (* Allocate every container up front so plans and recognized kernels
-       bind to tensors that stay stable across runs.  Shapes concretize
-       against the instance's symbol valuation, which is why the
-       valuation is part of the instance's identity (and of the serve
-       cache key). *)
-    List.iter
-      (fun (name, d) ->
-        let shape =
-          List.map (fun e -> eval_expr env [] e) (ddesc_shape d)
-          |> Array.of_list
-        in
-        match d with
-        | Array a ->
-          Hashtbl.replace env.containers name
-            (Tens (Tensor.create a.a_dtype shape))
-        | Stream s ->
-          let nq = max 1 (Array.fold_left ( * ) 1 shape) in
-          Hashtbl.replace env.containers name
-            (Strm
-               { qs = Array.init nq (fun _ -> Queue.create ());
-                 q_shape = shape;
-                 q_dtype = s.s_dtype }))
-      (Sdfg.descs g);
-    { i_env = env; i_config = config; i_domains = domains;
-      i_policy = policy; i_symbols = symbols; i_lock = Mutex.create () }
+    { i_env = env; i_config = config; i_symbols = symbols;
+      i_lock = Mutex.create () }
 
   let config inst = inst.i_config
   let symbols inst = inst.i_symbols
   let graph inst = inst.i_env.g
-
-  let reset_stats (s : stats) =
-    s.elements_moved <- 0;
-    s.tasklet_execs <- 0;
-    s.map_iterations <- 0;
-    s.stream_pushes <- 0;
-    s.stream_pops <- 0;
-    s.states_executed <- 0;
-    s.wcr_writes <- 0
 
   let reset_par (p : par_stats) =
     p.par_maps <- 0;
@@ -1697,15 +1435,15 @@ module Instance = struct
        plans survive the reset), so keep them and zero the per-run
        tallies *)
     List.iter
-      (fun d ->
-        d.md_invocations <- 0;
-        d.md_trips <- 0)
+      (fun (d : Obs.Report.map_decision) ->
+        d.pm_invocations <- 0;
+        d.pm_trips <- 0)
       p.par_decisions
 
   (* Shared per-run preparation: validate the request's containers,
      restore the instance's symbol valuation, zero the counters, copy
      the request's tensors in, zero-fill unsupplied tensors exactly as
-     [run_in] zero-allocates them, and empty every stream. *)
+     [enter] zero-allocates them, and empty every stream. *)
   let prepare (inst : t) args =
     let env = inst.i_env in
     List.iter
@@ -1718,7 +1456,7 @@ module Instance = struct
     List.iter
       (fun (s, v) -> Hashtbl.replace env.symbols s v)
       inst.i_symbols;
-    reset_stats env.stats;
+    Obs.Report.reset_counters env.stats;
     reset_par env.par;
     Hashtbl.iter
       (fun name c ->
@@ -1736,11 +1474,7 @@ module Instance = struct
                 env.g.g_name name
             else Tensor.copy_into ~src ~dst:t
           | None -> Tensor.fill t (Tasklang.Types.zero_of (Tensor.dtype t)))
-        | Strm s -> Array.iter Queue.clear s.qs
-        | Chan _ ->
-          (* instances allocate [Strm] only; a [Chan] never outlives the
-             streaming run that created it *)
-          assert false)
+        | Strm s -> Array.iter Stream.clear s.qs)
       env.containers
 
   let copy_out env args =
@@ -1764,14 +1498,9 @@ module Instance = struct
     let env = inst.i_env in
     prepare inst args;
     List.iter
-      (fun (name, (vs : value array)) ->
+      (fun (name, vs) ->
         match Hashtbl.find_opt env.containers name with
-        | Some (Strm s) ->
-          Array.iter
-            (fun v ->
-              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Queue.push v (stream_queue s []))
-            vs
+        | Some (Strm s) -> feed_stream env s vs
         | _ ->
           runtime_error "instance %S: stream argument %S is not a stream"
             env.g.g_name name)
@@ -1780,14 +1509,7 @@ module Instance = struct
     run_state_machine env;
     let wall_s = Obs.Collect.now () -. t0 in
     copy_out env args;
-    let parallel =
-      parallel_section ~policy:inst.i_policy ~par_domains:inst.i_domains
-        ~channels:[] ~workers:[] env.par
-    in
-    Obs.Report.of_collector ?parallel ~program:env.g.g_name
-      ~engine:(engine_name env.engine) ~wall_s
-      ~counters:(counters_of_stats env.stats)
-      env.collector
+    report env ~wall_s
 
   (* Non-destructive peek at a stream container's buffered contents, in
      pop order.  How batch runs expose what streaming runs hand to the
@@ -1795,11 +1517,7 @@ module Instance = struct
   let stream_contents (inst : t) name : value array =
     match Hashtbl.find_opt inst.i_env.containers name with
     | Some (Strm s) ->
-      let buf = ref [] in
-      Array.iter
-        (fun q -> Queue.iter (fun v -> buf := v :: !buf) q)
-        s.qs;
-      Array.of_list (List.rev !buf)
+      Array.of_list (List.concat_map Stream.to_list (Array.to_list s.qs))
     | Some _ ->
       runtime_error "instance %S: container %S is not a stream"
         inst.i_env.g.g_name name
@@ -1827,17 +1545,5 @@ module Instance = struct
     in
     let wall_s = Obs.Collect.now () -. t0 in
     copy_out env args;
-    let parallel =
-      let par_domains =
-        match workers with
-        | [] -> inst.i_domains
-        | _ -> List.length workers
-      in
-      parallel_section ~policy:inst.i_policy ~par_domains ~channels
-        ~workers env.par
-    in
-    Obs.Report.of_collector ?parallel ~program:env.g.g_name
-      ~engine:(engine_name env.engine) ~wall_s
-      ~counters:(counters_of_stats env.stats)
-      env.collector
+    report env ~wall_s ~channels ~workers
 end

@@ -11,37 +11,28 @@
 
     The interpreter is the semantic oracle of the test suite: every
     transformation and device offload is checked to preserve its
-    results. *)
+    results.
+
+    Run state keeps one representation per concept.  A stream container
+    is an array of {!Stream.t}: unbounded in batch runs, bounded
+    channels in a streaming pipeline.  The counters and per-map policy
+    decisions the engines update are {!Obs.Report}'s own records, which
+    a report copies when it is built.  {!run}, {!Instance} and nested
+    SDFG invocations share one environment constructor, one container
+    allocator and one report builder. *)
 
 exception Runtime_error of string
 
+(** A stream container: a flattened array of {!Stream.t}s of shape
+    [q_shape] (paper Fig. 3).  Batch runs allocate them unbounded; a
+    pipeline worker's container table binds each stream to its bounded
+    channel, a single one with [q_shape = [||]]. *)
 type stream_rt = {
-  qs : Tasklang.Types.value Queue.t array;
+  qs : Tasklang.Types.value Stream.t array;
   q_shape : int array;
-  q_dtype : Tasklang.Types.dtype;
 }
 
-type container =
-  | Tens of Tensor.t
-  | Strm of stream_rt
-  | Chan of Tasklang.Types.value Stream.t
-      (** streaming mode only: a live bounded channel with blocking
-          push/pop, substituted for [Strm] in pipeline workers' container
-          tables *)
-
-(** Instrumentation counters gathered during a run. *)
-type stats = {
-  mutable elements_moved : int;   (** memlet-bound element transfers *)
-  mutable tasklet_execs : int;
-  mutable map_iterations : int;
-  mutable stream_pushes : int;
-  mutable stream_pops : int;
-  mutable states_executed : int;
-  mutable wcr_writes : int;       (** write-conflict resolutions applied *)
-}
-
-val fresh_stats : unit -> stats
-val pp_stats : Format.formatter -> stats -> unit
+type container = Tens of Tensor.t | Strm of stream_rt
 
 (** How the compiled engine picks a worker count for each
     [Cpu_multicore] map: [Fixed d] dispatches every Parallel-verdict map
@@ -51,34 +42,17 @@ val pp_stats : Format.formatter -> stats -> unit
     sequential by prediction, at sequential cost. *)
 type domain_policy = Fixed of int | Predictive of int
 
-val policy_name : domain_policy -> string
-(** ["fixed"] / ["predictive"] — the report's [par_policy] field. *)
-
-(** One [Cpu_multicore] map's standing policy record: registered when
-    the map is planned, updated on every invocation.  Surfaced in the
-    report's parallel section as [predicted_domains]/[policy_reason]. *)
-type map_decision = {
-  md_state : string;             (** state label *)
-  md_node : int;                 (** map-entry node id within the state *)
-  md_map : string;               (** map span name, ["[i,j]"] *)
-  md_kind : string;              (** bulk-kernel kind, or ["closure"] *)
-  md_verdict : string;           (** race verdict / Serial reason code *)
-  md_forced : bool;              (** counted under [par_forced_seq] *)
-  mutable md_domains : int;      (** worker count of the last invocation *)
-  mutable md_reason : string;    (** policy reason of the last invocation *)
-  mutable md_trips : int;        (** outer trip count, last invocation *)
-  mutable md_invocations : int;
-}
-
 (** Multicore bookkeeping (compiled engine); shared down through nested
-    SDFGs like [stats].  [par_chunks] depends on the domain count —
-    determinism checks across domain counts compare {!stats}. *)
+    SDFGs like the counters.  [par_chunks] depends on the domain count —
+    determinism checks across domain counts compare the counters. *)
 type par_stats = {
   mutable par_maps : int;        (** parallel map-scope invocations *)
   mutable par_chunks : int;      (** chunks dispatched to the pool *)
   mutable par_forced_seq : int;  (** Cpu_multicore maps forced sequential *)
-  mutable par_decisions : map_decision list;
-      (** per planned Cpu_multicore map, registration order reversed *)
+  mutable par_decisions : Obs.Report.map_decision list;
+      (** one standing policy record per planned Cpu_multicore map,
+          registered when the map is planned and updated on every
+          invocation; registration order reversed *)
 }
 
 val fresh_par : unit -> par_stats
@@ -91,19 +65,10 @@ val register_decision :
   kind:string ->
   verdict:string ->
   forced:bool ->
-  map_decision
+  Obs.Report.map_decision
 (** Add (or replace, keyed by [(state, node)] — recompiles must not
     duplicate, and one state may hold two maps over the same span) the
     decision record for one map; called by {!Plan} at plan time. *)
-
-val env_domains : unit -> int option
-(** The environment's pin, if any: [Some d] when [SDFG_DOMAINS] is set
-    (unparsable garbage pins 1); [None] when unset or empty — in which
-    case an unpinned config resolves to the predictive policy. *)
-
-val auto_cap : unit -> int
-(** The predictive policy's default worker-count ceiling:
-    [Pool.available ()] clamped to [[1, 64]]. *)
 
 val register_external :
   string -> ((string * Tasklang.Eval.binding) list -> unit) -> unit
@@ -122,12 +87,6 @@ type engine = [ `Reference | `Compiled ]
 val engine_name : engine -> string
 (** ["reference"] / ["compiled"] — the [r_engine] field of reports. *)
 
-val engine_of_string : string -> engine option
-(** Inverse of {!engine_name}; [None] on anything else. *)
-
-val counters_of_stats : stats -> Obs.Report.counters
-(** Freeze the mutable counters into a report's immutable record. *)
-
 (** Execution-tuning configuration — the single surface for every knob
     that used to be a separate optional argument of {!run}.  Build one
     with the with-style setters off {!Config.default}:
@@ -144,8 +103,9 @@ module Config : sig
 
   (** How the config asks for domains: [Denv] (the default) defers to
       the environment — [SDFG_DOMAINS] set pins that count, unset or
-      empty selects the predictive per-map policy capped at
-      {!auto_cap}; [Dfixed d] pins a count, beating the environment;
+      empty selects the predictive per-map policy capped at the
+      hardware's domain count ([Pool.available ()] clamped to
+      [[1, 64]]); [Dfixed d] pins a count, beating the environment;
       [Dauto cap] forces the predictive policy with an optional
       explicit ceiling. *)
   type domains_spec = Denv | Dfixed of int | Dauto of int option
@@ -181,7 +141,7 @@ module Config : sig
 
   val with_auto_domains : ?cap:int -> t -> t
   (** Force the predictive per-map policy, optionally capped at [cap]
-      (default: the hardware's {!auto_cap}), regardless of
+      (default: the hardware's domain count), regardless of
       [SDFG_DOMAINS]. *)
 
   val with_kernels : bool -> t -> t
@@ -333,7 +293,7 @@ type env = {
   g : Sdfg_ir.Defs.sdfg;
   containers : (string, container) Hashtbl.t;
   symbols : (string, int) Hashtbl.t;
-  stats : stats;
+  stats : Obs.Report.counters;  (** the run's live counters *)
   collector : Obs.Collect.t;  (** wall-clock spans + plan coverage *)
   max_states : int;
   engine : engine;
@@ -348,19 +308,8 @@ val map_span_name : Sdfg_ir.Defs.map_info -> string
 (** Span name of a map scope — shared by both engines so timing trees
     match shape-for-shape. *)
 
-val timed :
-  env -> Obs.Collect.kind -> string -> flag:bool -> (unit -> 'a) -> 'a
-(** Run a thunk under a span when the collector's level and the
-    construct's [instrument] flag ask for it; otherwise run it untouched. *)
-
 val runtime_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** @raise Runtime_error always. *)
-
-val sym_lookup : env -> (string * int) list -> string -> int option
-(** Symbol environment: scope parameters, then interstate symbols, then
-    rank-0 containers / stream lengths (data-dependent control flow). *)
-
-val eval_expr : env -> (string * int) list -> Symbolic.Expr.t -> int
 
 val scope_body : Sdfg_ir.Defs.state -> int -> int list
 (** The direct children of the scope opened by the given entry node, in

@@ -588,7 +588,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   let tens_of name =
     match Hashtbl.find_opt env.Exec.containers name with
     | Some (Exec.Tens t) -> t
-    | Some (Exec.Strm _ | Exec.Chan _) -> reject "stream"
+    | Some (Exec.Strm _) -> reject "stream"
     | None -> reject "container"
   in
   let wcr =
@@ -1303,12 +1303,10 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
             let w, dyn = in_wins.(i) in
             moved := !moved + if dyn then 1 else w.View.v_vol
           done;
-          stats.Exec.map_iterations <- stats.Exec.map_iterations + !total;
-          stats.Exec.tasklet_execs <- stats.Exec.tasklet_execs + !total;
-          stats.Exec.elements_moved <-
-            stats.Exec.elements_moved + (!total * !moved);
-          if has_wcr then
-            stats.Exec.wcr_writes <- stats.Exec.wcr_writes + !total;
+          stats.Obs.Report.map_iterations <- stats.map_iterations + !total;
+          stats.tasklet_execs <- stats.tasklet_execs + !total;
+          stats.elements_moved <- stats.elements_moved + (!total * !moved);
+          if has_wcr then stats.wcr_writes <- stats.wcr_writes + !total;
           go inner 0
         end
       end

@@ -62,7 +62,7 @@ type ctx = {
    domains share nothing mutable except the output tensors the race
    analysis proved disjoint. *)
 type replica = {
-  rp_stats : Exec.stats;         (* merged into the main stats after join *)
+  rp_stats : Obs.Report.counters;  (* merged into the main stats after join *)
   rp_collector : Obs.Collect.t;  (* absorbed under the map's span *)
   rp_refresh : unit -> unit;     (* reload interstate symbol slots *)
   rp_acc : Tensor.t array;       (* private accumulators, in verdict order *)
@@ -115,6 +115,62 @@ let symbol_refresh ctx =
     Array.iter
       (fun (name, slot) -> fr.(slot) <- Hashtbl.find symbols name)
       slots
+
+(* A map's range endpoints, compiled against the enclosing scope: ranges
+   may not use the map's own parameters, exactly like the reference. *)
+let comp_dims ctx scope_env (info : map_info) =
+  Array.of_list
+    (List.map2
+       (fun p (r : Subset.range) ->
+         ( p,
+           comp_expr ctx scope_env r.start,
+           comp_expr ctx scope_env r.stop,
+           comp_expr ctx scope_env r.stride ))
+       info.mp_params info.mp_ranges)
+
+(* Evaluate [dims] against the frame once per invocation into a bounds
+   scratch, [lo; hi; step] per dimension, as the reference does. *)
+let eval_bounds ctx dims bounds =
+  let fr = ctx.frame in
+  Array.iteri
+    (fun k (p, lo_f, hi_f, step_f) ->
+      bounds.(3 * k) <- lo_f fr;
+      bounds.((3 * k) + 1) <- hi_f fr;
+      let s = step_f fr in
+      if s <= 0 then
+        Exec.runtime_error
+          "map over parameter %S in state %S: non-positive stride %d" p
+          ctx.st.st_label s;
+      bounds.((3 * k) + 2) <- s)
+    dims
+
+(* The loop nest over dimensions [from..] of a map: each level writes its
+   parameter's frame slot from [bounds], and the innermost level counts
+   one map iteration before running the body steps. *)
+let loop_nest ctx ~from pslots bounds steps =
+  let stats = ctx.env.Exec.stats in
+  let run_body () =
+    stats.map_iterations <- stats.map_iterations + 1;
+    for i = 0 to Array.length steps - 1 do
+      (Array.unsafe_get steps i) ()
+    done
+  in
+  let rec build k =
+    if k = Array.length pslots then run_body
+    else
+      let inner = build (k + 1) in
+      let slot = snd pslots.(k) in
+      fun () ->
+        let fr = ctx.frame in
+        let hi = bounds.((3 * k) + 1) and step = bounds.((3 * k) + 2) in
+        let i = ref bounds.(3 * k) in
+        while !i <= hi do
+          fr.(slot) <- !i;
+          inner ();
+          i := !i + step
+        done
+  in
+  build from
 
 (* --- node compilation --------------------------------------------------- *)
 
@@ -266,18 +322,7 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
    map iteration before running the body steps. *)
 and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
     unit -> unit =
-  let dims =
-    List.map2
-      (fun p (r : Subset.range) ->
-        (* ranges may not use this map's own parameters: compiled against
-           the enclosing scope only, exactly like the reference *)
-        ( p,
-          comp_expr ctx scope_env r.start,
-          comp_expr ctx scope_env r.stop,
-          comp_expr ctx scope_env r.stride ))
-      info.mp_params info.mp_ranges
-  in
-  let dims = Array.of_list dims in
+  let dims = comp_dims ctx scope_env info in
   let pslots = Array.map (fun (p, _, _, _) -> (p, alloc_slot ctx)) dims in
   let scope_env' = scope_env @ Array.to_list pslots in
   let steps =
@@ -286,31 +331,8 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
          (comp_node ~strict ctx scope_env')
          (Exec.scope_body ctx.st entry))
   in
-  let nd = Array.length dims in
-  let bounds = Array.make (max 1 (nd * 3)) 0 in
-  let stats = ctx.env.Exec.stats in
-  let run_body () =
-    stats.Exec.map_iterations <- stats.Exec.map_iterations + 1;
-    for i = 0 to Array.length steps - 1 do
-      (Array.unsafe_get steps i) ()
-    done
-  in
-  let rec build k =
-    if k = nd then run_body
-    else
-      let inner = build (k + 1) in
-      let _, slot = pslots.(k) in
-      fun () ->
-        let fr = ctx.frame in
-        let hi = bounds.((3 * k) + 1) and step = bounds.((3 * k) + 2) in
-        let i = ref bounds.(3 * k) in
-        while !i <= hi do
-          fr.(slot) <- !i;
-          inner ();
-          i := !i + step
-        done
-  in
-  let nest = build 0 in
+  let bounds = Array.make (max 1 (Array.length dims * 3)) 0 in
+  let nest = loop_nest ctx ~from:0 pslots bounds steps in
   let launch =
     match try_kernel ctx scope_env entry info with
     | None -> nest
@@ -319,20 +341,8 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
         k.Kernels.k_run ~frame:ctx.frame ~bounds ~lo:bounds.(0)
           ~hi:bounds.(1) ~step:bounds.(2) ~slow:nest
   in
-  let label = ctx.st.st_label in
   fun () ->
-    let fr = ctx.frame in
-    Array.iteri
-      (fun k (p, lo_f, hi_f, step_f) ->
-        bounds.(3 * k) <- lo_f fr;
-        bounds.((3 * k) + 1) <- hi_f fr;
-        let s = step_f fr in
-        if s <= 0 then
-          Exec.runtime_error
-            "map over parameter %S in state %S: non-positive stride %d" p
-            label s;
-        bounds.((3 * k) + 2) <- s)
-      dims;
+    eval_bounds ctx dims bounds;
     launch ()
 
 (* --- parallel maps ------------------------------------------------------- *)
@@ -364,11 +374,11 @@ and comp_parallel_map ctx nid (info : map_info) : (unit -> unit) option =
           ~map:(Exec.map_span_name info) ~kind:"closure" ~verdict
           ~forced:true
       in
-      md.Exec.md_reason <- "forced-serial";
+      md.pm_reason <- "forced-serial";
       Some
         (fun () ->
           par.Exec.par_forced_seq <- par.Exec.par_forced_seq + 1;
-          md.Exec.md_invocations <- md.Exec.md_invocations + 1;
+          md.pm_invocations <- md.pm_invocations + 1;
           seq ())
     in
     match Analysis.Races.analyze_map env.Exec.g ctx.st nid with
@@ -402,12 +412,6 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
      names can alias one buffer (nested-SDFG views of overlapping outer
      windows).  If any accessed pair involving a write shares a buffer,
      refuse to parallelize. *)
-  let same_buf (a : Tensor.t) (b : Tensor.t) =
-    match a.Tensor.buf, b.Tensor.buf with
-    | Tensor.Fbuf x, Tensor.Fbuf y -> x == y
-    | Tensor.Ibuf x, Tensor.Ibuf y -> x == y
-    | _ -> false
-  in
   let accessed =
     List.map (fun (name, cls) -> (name, cls, tens name)) containers
   in
@@ -419,23 +423,14 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
             n1 < n2
             && (c1 <> Analysis.Races.Read_only
                || c2 <> Analysis.Races.Read_only)
-            && same_buf t1 t2
+            && Tensor.shares_buffer t1 t2
           then raise Fallback)
         accessed)
     accessed;
   (* Outer range endpoints compile against the enclosing (top-level)
      scope on the main ctx; evaluated once per invocation into a bounds
      scratch the workers read but never write. *)
-  let dims =
-    Array.of_list
-      (List.map2
-         (fun p (r : Subset.range) ->
-           ( p,
-             comp_expr ctx [] r.start,
-             comp_expr ctx [] r.stop,
-             comp_expr ctx [] r.stride ))
-         info.mp_params info.mp_ranges)
-  in
+  let dims = comp_dims ctx [] info in
   let nd = Array.length dims in
   if nd = 0 then raise Fallback;
   let bounds = Array.make (nd * 3) 0 in
@@ -487,7 +482,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     in
     let renv =
       { env with
-        Exec.stats = Exec.fresh_stats ();
+        Exec.stats = Obs.Report.zero_counters ();
         collector = Obs.Collect.create (Obs.Collect.level env.Exec.collector);
         containers = rcontainers }
     in
@@ -507,30 +502,8 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
        any symbol slots it allocates must precede the frame allocation *)
     let kernel = try_kernel rctx [] entry info in
     rctx.frame <- Array.make (max 1 rctx.n_slots) 0;
-    let stats = renv.Exec.stats in
-    let run_body () =
-      stats.Exec.map_iterations <- stats.Exec.map_iterations + 1;
-      for i = 0 to Array.length steps - 1 do
-        (Array.unsafe_get steps i) ()
-      done
-    in
     (* inner dimensions loop sequentially inside each chunk *)
-    let rec build k =
-      if k = nd then run_body
-      else
-        let inner = build (k + 1) in
-        let _, slot = pslots.(k) in
-        fun () ->
-          let fr = rctx.frame in
-          let hi = bounds.((3 * k) + 1) and step = bounds.((3 * k) + 2) in
-          let i = ref bounds.(3 * k) in
-          while !i <= hi do
-            fr.(slot) <- !i;
-            inner ();
-            i := !i + step
-          done
-    in
-    let inner = build 1 in
+    let inner = loop_nest rctx ~from:1 pslots bounds steps in
     let slot0 = snd pslots.(0) in
     let run_range lo hi step =
       let fr = rctx.frame in
@@ -559,7 +532,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
             | _ -> assert false)
           acc_names
     in
-    { rp_stats = stats; rp_collector = renv.Exec.collector;
+    { rp_stats = renv.Exec.stats; rp_collector = renv.Exec.collector;
       rp_refresh = symbol_refresh rctx; rp_acc;
       rp_kind = Option.map (fun k -> k.Kernels.k_name) kernel;
       rp_run = run_range }
@@ -609,65 +582,33 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let chunk_tally = Array.make (max 1 (d * pad)) 0 in
   let par = env.Exec.par in
   let collector = env.Exec.collector in
-  let main_stats = env.Exec.stats in
-  let label = ctx.st.st_label in
   (* merge one worker's counters into the run's; totals stay bit-equal
      to sequential because every iteration is counted exactly once *)
-  let drain_stats (s : Exec.stats) =
-    main_stats.Exec.elements_moved <-
-      main_stats.Exec.elements_moved + s.Exec.elements_moved;
-    main_stats.Exec.tasklet_execs <-
-      main_stats.Exec.tasklet_execs + s.Exec.tasklet_execs;
-    main_stats.Exec.map_iterations <-
-      main_stats.Exec.map_iterations + s.Exec.map_iterations;
-    main_stats.Exec.stream_pushes <-
-      main_stats.Exec.stream_pushes + s.Exec.stream_pushes;
-    main_stats.Exec.stream_pops <-
-      main_stats.Exec.stream_pops + s.Exec.stream_pops;
-    main_stats.Exec.states_executed <-
-      main_stats.Exec.states_executed + s.Exec.states_executed;
-    main_stats.Exec.wcr_writes <-
-      main_stats.Exec.wcr_writes + s.Exec.wcr_writes;
-    s.Exec.elements_moved <- 0;
-    s.Exec.tasklet_execs <- 0;
-    s.Exec.map_iterations <- 0;
-    s.Exec.stream_pushes <- 0;
-    s.Exec.stream_pops <- 0;
-    s.Exec.states_executed <- 0;
-    s.Exec.wcr_writes <- 0
+  let publish (r : replica) =
+    Obs.Report.add_counters ~into:env.Exec.stats r.rp_stats;
+    Obs.Report.reset_counters r.rp_stats
   in
   (* interstate symbols may have changed since the last invocation:
      refresh a participating replica's slots before dispatch *)
   let refresh r = r.rp_refresh () in
   fun () ->
-    let fr = ctx.frame in
-    Array.iteri
-      (fun k (p, lo_f, hi_f, step_f) ->
-        bounds.(3 * k) <- lo_f fr;
-        bounds.((3 * k) + 1) <- hi_f fr;
-        let s = step_f fr in
-        if s <= 0 then
-          Exec.runtime_error
-            "map over parameter %S in state %S: non-positive stride %d" p
-            label s;
-        bounds.((3 * k) + 2) <- s)
-      dims;
+    eval_bounds ctx dims bounds;
     let lo = bounds.(0) and hi = bounds.(1) and step = bounds.(2) in
     if lo > hi then begin
-      md.Exec.md_trips <- 0;
-      md.Exec.md_domains <- 1;
-      md.Exec.md_reason <-
+      md.pm_trips <- 0;
+      md.pm_domains <- 1;
+      md.pm_reason <-
         (match policy with
         | Exec.Fixed _ -> "pinned"
         | Exec.Predictive _ -> "zero-trip");
-      md.Exec.md_invocations <- md.Exec.md_invocations + 1
+      md.pm_invocations <- md.pm_invocations + 1
     end
     else begin
       let trips = ((hi - lo) / step) + 1 in
       let workers =
         match policy with
         | Exec.Fixed _ ->
-          md.Exec.md_reason <- "pinned";
+          md.pm_reason <- "pinned";
           if trips < d then trips else d
         | Exec.Predictive cap ->
           (* price the whole nest: outer trips x inner iterations *)
@@ -686,12 +627,12 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
               ~max_domains:(if trips < cap then trips else cap)
               ~kind ~trips ~inner ~merge_elems ()
           in
-          md.Exec.md_reason <- dec.Machine.Cost.Parallel.d_reason;
+          md.pm_reason <- dec.Machine.Cost.Parallel.d_reason;
           dec.Machine.Cost.Parallel.d_domains
       in
-      md.Exec.md_trips <- trips;
-      md.Exec.md_domains <- workers;
-      md.Exec.md_invocations <- md.Exec.md_invocations + 1;
+      md.pm_trips <- trips;
+      md.pm_domains <- workers;
+      md.pm_invocations <- md.pm_invocations + 1;
       match solo with
       | Some s when workers <= 1 ->
         (* sequential by prediction: the solo replica runs the whole
@@ -699,7 +640,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
            as fast as) the sequential plan, no fork, no merge *)
         refresh s;
         s.rp_run lo hi step;
-        drain_stats s.rp_stats;
+        publish s;
         if Obs.Collect.timing_on collector then
           Obs.Collect.absorb collector s.rp_collector
       | _ ->
@@ -707,26 +648,14 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         for w = 0 to workers - 1 do
           refresh replicas.(w)
         done;
-        if n_acc > 0 then begin
-          (* accumulating maps get exactly one contiguous block per
-             worker: the private-accumulator merge below then combines
-             partial sums in canonical (ascending-iteration) order, so
-             results are deterministic for a given domain count *)
-          par.Exec.par_chunks <- par.Exec.par_chunks + workers;
-          Pool.run ~domains:workers (fun w ->
-              let t0 = w * trips / workers
-              and t1 = (w + 1) * trips / workers in
-              if t1 > t0 then
-                replicas.(w).rp_run
-                  (lo + (t0 * step))
-                  (lo + ((t1 - 1) * step))
-                  step)
-        end
-        else if kind <> None then begin
-          (* bulk-kernel bodies: one contiguous block per worker means
-             one kernel launch per worker — the whole map runs as
-             [workers] flat strided loops with no shared chunk cursor
-             to contend on *)
+        if n_acc > 0 || kind <> None then begin
+          (* one contiguous block per worker.  For accumulating maps the
+             private-accumulator merge below then combines partial sums
+             in canonical (ascending-iteration) order, so results are
+             deterministic for a given domain count; for bulk-kernel
+             bodies it means one kernel launch per worker — [workers]
+             flat strided loops with no shared chunk cursor to contend
+             on *)
           par.Exec.par_chunks <- par.Exec.par_chunks + workers;
           Pool.run ~domains:workers (fun w ->
               let t0 = w * trips / workers
@@ -771,7 +700,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         end;
         (* merge per-domain counters; totals are bit-equal to sequential *)
         for w = 0 to workers - 1 do
-          drain_stats replicas.(w).rp_stats
+          publish replicas.(w)
         done;
         (* fold worker timing trees under this map's open span *)
         if Obs.Collect.timing_on collector then
@@ -803,11 +732,11 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
 
 (* A top-level consume scope over a single-queue batch stream compiles to
    the reference's quiescence loop ([Exec.exec_consume]) around a body
-   compiled once: pop while the queue is non-empty, count one pop and one
-   iteration per element, bind the PE parameter to [pe mod num_pes], and
-   stop with the reference's error past 100M iterations.  The PE count
-   is evaluated in the enclosing scope once per invocation, like the
-   reference.  Multi-queue streams and live channels stay on the
+   compiled once: drain the stream (one lock-free pop per element),
+   count one pop and one iteration per element, bind the PE parameter to
+   [pe mod num_pes], and stop with the reference's error past 100M
+   iterations.  The PE count is evaluated in the enclosing scope once per
+   invocation, like the reference.  Multi-queue streams stay on the
    reference path. *)
 and comp_consume ctx entry (info : consume_info) : unit -> unit =
   let q =
@@ -824,22 +753,20 @@ and comp_consume ctx entry (info : consume_info) : unit -> unit =
     let num_pes = max 1 (num_pes ctx.frame) in
     refresh ();
     let pe = ref 0 in
-    while not (Queue.is_empty q) do
-      if !pe >= 100_000_000 then
-        Exec.runtime_error "consume scope on %S exceeded iteration budget"
-          info.cs_stream;
-      let v = Queue.pop q in
-      stats.Exec.stream_pops <- stats.Exec.stream_pops + 1;
-      stats.Exec.map_iterations <- stats.Exec.map_iterations + 1;
-      step (!pe mod num_pes) v;
-      incr pe
-    done
+    Stream.drain q (fun v ->
+        if !pe >= 100_000_000 then
+          Exec.runtime_error "consume scope on %S exceeded iteration budget"
+            info.cs_stream;
+        stats.stream_pops <- stats.stream_pops + 1;
+        stats.map_iterations <- stats.map_iterations + 1;
+        step (!pe mod num_pes) v;
+        incr pe)
 
 (* Compile one consume scope's body for per-element execution, shared by
    the batch loop above and the streaming pipeline workers
    ({!compile_stage}).  The body gets its own frame: the PE parameter
    takes a slot, the popped element binds as a scalar through a cell,
-   pushes resolve to the stream's queue or live channel, and inner maps
+   pushes resolve to the stream (a pipeline's channel), and inner maps
    compile as usual (bulk kernels included).  Strict: a body the plan
    cannot fully lower raises {!Fallback} and the whole scope stays on
    the reference path; its coverage notes are dropped with it.  Returns
@@ -917,8 +844,8 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         prologues :=
           (fun fr ->
             View.refresh v fr;
-            stats.Exec.elements_moved <-
-              stats.Exec.elements_moved + (if dyn then 1 else v.View.v_vol);
+            stats.elements_moved <-
+              stats.elements_moved + (if dyn then 1 else v.View.v_vol);
             snap := get v.View.v_base)
           :: !prologues;
         resolutions :=
@@ -929,8 +856,8 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         prologues :=
           (fun fr ->
             View.refresh v fr;
-            stats.Exec.elements_moved <-
-              stats.Exec.elements_moved + (if dyn then 1 else v.View.v_vol))
+            stats.elements_moved <-
+              stats.elements_moved + (if dyn then 1 else v.View.v_vol))
           :: !prologues;
         let set _ _ =
           Exec.runtime_error "tasklet %S: writing input connector %S"
@@ -950,27 +877,21 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         | Some c -> c
         | None -> raise Fallback
       in
-      (* stream pushes mirror [Exec.bind_output]: one counted push per
-         write, reads rejected *)
-      let push_to push =
+      match Hashtbl.find_opt env.Exec.containers m.m_data with
+      | Some (Exec.Strm { Exec.q_shape = [||]; qs }) ->
+        (* a scalar stream, as [Exec.bind_output]: one counted push per
+           write (blocking while a pipeline channel is full), reads
+           rejected *)
+        let q = qs.(0) in
         resolutions :=
           (conn,
            Tasklang.Compile.Buffer_src
              ((fun _ ->
                 Exec.runtime_error "reading output stream connector %S" conn),
               fun _ v ->
-                stats.Exec.stream_pushes <- stats.Exec.stream_pushes + 1;
-                push v))
+                stats.stream_pushes <- stats.stream_pushes + 1;
+                Stream.push q v))
           :: !resolutions
-      in
-      match Hashtbl.find_opt env.Exec.containers m.m_data with
-      | Some (Exec.Chan c) ->
-        (* streaming stage: the live channel, blocking on backpressure *)
-        push_to (fun v -> Stream.push c v)
-      | Some (Exec.Strm { Exec.q_shape = [||]; qs; _ }) ->
-        (* batch scalar stream: its single queue *)
-        let q = qs.(0) in
-        push_to (fun v -> Queue.push v q)
       | _ ->
         let tens = tens_of m.m_data in
         let v =
@@ -1006,7 +927,7 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
   in
   let body = Tasklang.Compile.compile ~resolve code in
   fun () ->
-    stats.Exec.tasklet_execs <- stats.Exec.tasklet_execs + 1;
+    stats.tasklet_execs <- stats.tasklet_execs + 1;
     let fr = ctx.frame in
     for i = 0 to Array.length prologues - 1 do
       (Array.unsafe_get prologues i) fr
@@ -1039,8 +960,7 @@ let prepare (env : Exec.env) (st : state) : Exec.cached_plan =
   { Exec.pl_version = st.st_version; pl_run = run }
 
 let exec_state (env : Exec.env) (st : state) =
-  env.Exec.stats.Exec.states_executed <-
-    env.Exec.stats.Exec.states_executed + 1;
+  env.Exec.stats.states_executed <- env.Exec.stats.states_executed + 1;
   let plan =
     match Hashtbl.find_opt env.Exec.plans st.st_id with
     | Some p when p.Exec.pl_version = st.st_version -> p
@@ -1057,7 +977,7 @@ let () = Exec.set_compiled_state_exec exec_state
 
 (* A pipeline worker's stage body: the batch consume loop's compiled body
    ({!comp_consume_body}) run on the worker's private environment, where
-   the streams are live channels.  [None] keeps the worker on the
+   the streams are its bounded channels.  [None] keeps the worker on the
    reference body loop.  Called from the main domain before the pipeline
    starts. *)
 let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :

@@ -98,63 +98,48 @@ let set t idx v = set_linear t (linear_index t idx) v
 let get_scalar t = get_linear t t.offset
 let set_scalar t v = set_linear t t.offset v
 
-(* Walk a view's buffer offsets in logical row-major order.  The
-   odometer carries strides, not indices-to-offset recomputation, so the
-   strided paths of the bulk primitives below stay allocation-free. *)
-let iter_view_offsets t f =
-  let n = Array.length t.shape in
-  if n = 0 then f t.offset
-  else begin
-    let total = num_elements t in
-    if total > 0 then begin
-      let idx = Array.make n 0 in
-      let li = ref t.offset in
-      for _ = 1 to total do
-        f !li;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            li := !li + t.strides.(d);
-            if idx.(d) >= t.shape.(d) then begin
-              li := !li - (t.shape.(d) * t.strides.(d));
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (n - 1)
-      done
+(* Step a row-major index odometer over [t]'s shape, keeping [off] at
+   the matching buffer offset; past the last element it wraps to the
+   origin.  It carries strides rather than recomputing offsets from
+   indices, so the walks below stay allocation-free. *)
+let advance t idx off =
+  let d = ref (Array.length idx - 1) in
+  while !d >= 0 do
+    let k = !d in
+    idx.(k) <- idx.(k) + 1;
+    off := !off + t.strides.(k);
+    if idx.(k) < t.shape.(k) then d := -1
+    else begin
+      off := !off - (t.shape.(k) * t.strides.(k));
+      idx.(k) <- 0;
+      d := k - 1
     end
-  end
+  done
 
-(* Lockstep walk of two same-shaped views. *)
-let iter2_view_offsets a b f =
-  let n = Array.length a.shape in
-  if n = 0 then f a.offset b.offset
-  else begin
-    let total = num_elements a in
-    if total > 0 then begin
-      let idx = Array.make n 0 in
-      let la = ref a.offset and lb = ref b.offset in
-      for _ = 1 to total do
-        f !la !lb;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            la := !la + a.strides.(d);
-            lb := !lb + b.strides.(d);
-            if idx.(d) >= a.shape.(d) then begin
-              la := !la - (a.shape.(d) * a.strides.(d));
-              lb := !lb - (b.shape.(d) * b.strides.(d));
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (n - 1)
-      done
-    end
-  end
+let iter_offsets t f =
+  let idx = Array.make (rank t) 0 and off = ref t.offset in
+  for _ = 1 to num_elements t do
+    f !off;
+    advance t idx off
+  done
+
+let iter2_offsets a b f =
+  let n = num_elements a in
+  if n > 0 && num_elements b = 0 then begin
+    (* fail as an element access into the empty view does *)
+    let d = ref 0 in
+    while b.shape.(!d) > 0 do
+      incr d
+    done;
+    bounds_error "index 0 out of bounds for dimension %d (size 0)" !d
+  end;
+  let ia = Array.make (rank a) 0 and oa = ref a.offset in
+  let ib = Array.make (rank b) 0 and ob = ref b.offset in
+  for _ = 1 to n do
+    f !oa !ob;
+    advance a ia oa;
+    advance b ib ob
+  done
 
 let fill t v =
   let n = num_elements t in
@@ -163,11 +148,11 @@ let fill t v =
     | Fbuf a ->
       let x = to_float v in
       if is_dense t then Array.fill a t.offset n x
-      else iter_view_offsets t (fun li -> a.(li) <- x)
+      else iter_offsets t (fun li -> a.(li) <- x)
     | Ibuf a ->
       let x = to_int v in
       if is_dense t then Array.fill a t.offset n x
-      else iter_view_offsets t (fun li -> a.(li) <- x)
+      else iter_offsets t (fun li -> a.(li) <- x)
 
 (* In-place [t := alpha * t]. *)
 let scale t ~alpha =
@@ -180,14 +165,14 @@ let scale t ~alpha =
         for i = t.offset to t.offset + n - 1 do
           a.(i) <- c *. a.(i)
         done
-      else iter_view_offsets t (fun li -> a.(li) <- c *. a.(li))
+      else iter_offsets t (fun li -> a.(li) <- c *. a.(li))
     | Ibuf a ->
       let c = to_int alpha in
       if is_dense t then
         for i = t.offset to t.offset + n - 1 do
           a.(i) <- c * a.(i)
         done
-      else iter_view_offsets t (fun li -> a.(li) <- c * a.(li))
+      else iter_offsets t (fun li -> a.(li) <- c * a.(li))
 
 (* In-place [y := alpha * x + y], elementwise over same-shaped views of
    matching representation.  Overlapping views get loop-order semantics
@@ -209,7 +194,7 @@ let axpy ~alpha ~x ~y =
         done
       end
       else
-        iter2_view_offsets x y (fun lx ly ->
+        iter2_offsets x y (fun lx ly ->
             yb.(ly) <- yb.(ly) +. (a *. xb.(lx)))
     | Ibuf xb, Ibuf yb ->
       let a = to_int alpha in
@@ -220,7 +205,7 @@ let axpy ~alpha ~x ~y =
         done
       end
       else
-        iter2_view_offsets x y (fun lx ly ->
+        iter2_offsets x y (fun lx ly ->
             yb.(ly) <- yb.(ly) + (a * xb.(lx)))
     | _ -> bounds_error "axpy: dtype mismatch"
 
@@ -322,25 +307,7 @@ let rec copy_into ~src ~dst =
     copy_into ~src ~dst:tmp;
     copy_into ~src:tmp ~dst
   | _ ->
-  let sidx = Array.make (rank src) 0 in
-  let didx = Array.make (rank dst) 0 in
-  let advance t idx =
-    let rec carry d =
-      if d >= 0 then begin
-        idx.(d) <- idx.(d) + 1;
-        if idx.(d) >= t.shape.(d) then begin
-          idx.(d) <- 0;
-          carry (d - 1)
-        end
-      end
-    in
-    carry (Array.length idx - 1)
-  in
-  for _ = 1 to n do
-    set dst (Array.to_list didx) (get src (Array.to_list sidx));
-    advance src sidx;
-    advance dst didx
-  done
+    iter2_offsets src dst (fun so d -> set_linear dst d (get_linear src so))
 
 (* --- construction helpers -------------------------------------------- *)
 
@@ -368,39 +335,16 @@ let of_int_array dtype shape a : t =
 
 let init dtype shape f : t =
   let t = create dtype shape in
-  let idx = Array.make (Array.length shape) 0 in
-  let n = num_elements t in
-  for _ = 1 to n do
-    set t (Array.to_list idx) (f (Array.to_list idx));
-    let rec carry d =
-      if d >= 0 then begin
-        idx.(d) <- idx.(d) + 1;
-        if idx.(d) >= shape.(d) then begin
-          idx.(d) <- 0;
-          carry (d - 1)
-        end
-      end
-    in
-    carry (Array.length shape - 1)
+  let idx = Array.make (Array.length shape) 0 and off = ref 0 in
+  for _ = 1 to num_elements t do
+    set_linear t !off (f (Array.to_list idx));
+    advance t idx off
   done;
   t
 
 let to_float_list t =
   let acc = ref [] in
-  let idx = Array.make (rank t) 0 in
-  for _ = 1 to num_elements t do
-    acc := to_float (get t (Array.to_list idx)) :: !acc;
-    let rec carry d =
-      if d >= 0 then begin
-        idx.(d) <- idx.(d) + 1;
-        if idx.(d) >= t.shape.(d) then begin
-          idx.(d) <- 0;
-          carry (d - 1)
-        end
-      end
-    in
-    carry (rank t - 1)
-  done;
+  iter_offsets t (fun off -> acc := to_float (get_linear t off) :: !acc);
   List.rev !acc
 
 let equal ?(eps = 1e-9) a b =

@@ -45,14 +45,25 @@ val set_linear : t -> int -> Tasklang.Types.value -> unit
 val get_scalar : t -> Tasklang.Types.value
 val set_scalar : t -> Tasklang.Types.value -> unit
 
+val iter_offsets : t -> (int -> unit) -> unit
+(** Walk the view's buffer offsets in logical row-major order (a rank-0
+    view has one, its origin), without allocating per element. *)
+
+val iter2_offsets : t -> t -> (int -> int -> unit) -> unit
+(** [iter2_offsets a b f] walks [a]'s offsets as {!iter_offsets} does
+    and, in lockstep, [b]'s in [b]'s own row-major order: the shapes may
+    differ (reshape-on-copy), and [b]'s walk restarts at its origin
+    after its last element.
+    @raise Bounds when [a] has elements and [b] has none. *)
+
 val fill : t -> Tasklang.Types.value -> unit
 (** Set every element of the view to [v] (coerced to the buffer's
     representation).  Dense views take one [Array.fill]; strided views
-    walk an allocation-free stride odometer. *)
+    walk {!iter_offsets}. *)
 
 val scale : t -> alpha:Tasklang.Types.value -> unit
-(** In-place [t := alpha * t], elementwise; dense fast path, strided
-    odometer otherwise. *)
+(** In-place [t := alpha * t], elementwise; dense fast path,
+    {!iter_offsets} otherwise. *)
 
 val axpy : alpha:Tasklang.Types.value -> x:t -> y:t -> unit
 (** In-place [y := alpha * x + y] over same-shaped views of matching

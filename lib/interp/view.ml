@@ -124,13 +124,13 @@ let get v =
     (* an empty index reads the view origin, as [get_scalar] does *)
     if Array.length idx = 0 then get v.v_base else get (offset v idx)
 
-let set (stats : Exec.stats) v wcr =
+let set (stats : Obs.Report.counters) v wcr =
   let get = lin_get v.v_tens and set = lin_set v.v_tens in
   fun (idx : int array) value ->
-    stats.Exec.elements_moved <- stats.Exec.elements_moved + 1;
+    stats.elements_moved <- stats.elements_moved + 1;
     (* the reference counts a conflict resolution before its bounds
        check ([Exec.apply_wcr]) *)
-    if wcr <> None then stats.Exec.wcr_writes <- stats.Exec.wcr_writes + 1;
+    if wcr <> None then stats.wcr_writes <- stats.wcr_writes + 1;
     let off =
       if Array.length idx = 0 then begin
         (* the reference writes index [0,...,0] of the view: check the

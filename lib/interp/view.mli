@@ -42,7 +42,7 @@ val get : t -> int array -> Tasklang.Types.value
     @raise Tensor.Bounds with [Tensor.get]'s messages. *)
 
 val set :
-  Exec.stats ->
+  Obs.Report.counters ->
   t ->
   Sdfg_ir.Defs.wcr option ->
   int array ->

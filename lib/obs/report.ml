@@ -1,6 +1,6 @@
 (* Structured execution reports — the result surface of [Exec.run].
 
-   A report freezes everything a run observed: the instrumentation
+   A report holds copies of everything a run observed: the instrumentation
    counters (the data-movement / execution counts the machine model
    cross-validates against), the per-construct wall-clock timing tree
    gathered by {!Collect}, and — for the compiled engine — how much of
@@ -9,15 +9,39 @@
    human-readable table, JSON for tooling, and Chrome trace-event files
    for chrome://tracing / Perfetto. *)
 
+(* The live counters the engines bump during a run; a report holds a
+   copy taken when it freezes. *)
 type counters = {
-  elements_moved : int;
-  tasklet_execs : int;
-  map_iterations : int;
-  stream_pushes : int;
-  stream_pops : int;
-  states_executed : int;
-  wcr_writes : int;
+  mutable elements_moved : int;
+  mutable tasklet_execs : int;
+  mutable map_iterations : int;
+  mutable stream_pushes : int;
+  mutable stream_pops : int;
+  mutable states_executed : int;
+  mutable wcr_writes : int;
 }
+
+let zero_counters () =
+  { elements_moved = 0; tasklet_execs = 0; map_iterations = 0;
+    stream_pushes = 0; stream_pops = 0; states_executed = 0; wcr_writes = 0 }
+
+let add_counters ~into c =
+  into.elements_moved <- into.elements_moved + c.elements_moved;
+  into.tasklet_execs <- into.tasklet_execs + c.tasklet_execs;
+  into.map_iterations <- into.map_iterations + c.map_iterations;
+  into.stream_pushes <- into.stream_pushes + c.stream_pushes;
+  into.stream_pops <- into.stream_pops + c.stream_pops;
+  into.states_executed <- into.states_executed + c.states_executed;
+  into.wcr_writes <- into.wcr_writes + c.wcr_writes
+
+let reset_counters c =
+  c.elements_moved <- 0;
+  c.tasklet_execs <- 0;
+  c.map_iterations <- 0;
+  c.stream_pushes <- 0;
+  c.stream_pops <- 0;
+  c.states_executed <- 0;
+  c.wcr_writes <- 0
 
 type timer = {
   t_kind : Collect.kind;
@@ -38,16 +62,17 @@ type coverage = {
 }
 
 (* Per-channel pressure counters from a streaming run: one entry per
-   bounded stream channel.  The depth high-water mark never exceeding
-   the capacity is the backpressure guarantee. *)
+   bounded stream channel, which keeps the live record and hands the
+   report a copy.  The depth high-water mark never exceeding the
+   capacity is the backpressure guarantee. *)
 type channel_stat = {
   pc_name : string;
   pc_capacity : int;
-  pc_pushes : int;
-  pc_pops : int;
-  pc_depth_hwm : int;
-  pc_push_blocked_s : float;  (* producers waiting on a full channel *)
-  pc_pop_blocked_s : float;   (* consumers waiting on an empty channel *)
+  mutable pc_pushes : int;
+  mutable pc_pops : int;
+  mutable pc_depth_hwm : int;
+  mutable pc_push_blocked_s : float;  (* producers waiting on a full one *)
+  mutable pc_pop_blocked_s : float;   (* consumers waiting on an empty one *)
 }
 
 (* Per-worker utilization from a streaming run: feeder, one worker per
@@ -60,14 +85,10 @@ type worker_stat = {
   pw_wall_s : float;     (* lifetime of the worker (the barrier wall) *)
 }
 
-(* Multicore execution summary: present only when the run was given more
-   than one domain, or ran in streaming mode.  [par_chunks] depends on
-   the domain count (it is the number of work units dispatched to the
-   pool), so determinism checks across domain counts compare
-   [counters], not this record.  [par_channels]/[par_workers] are empty
-   except for streaming runs. *)
 (* One Cpu_multicore map's domain-policy record: what the race analysis
-   said, what the policy decided last time the map ran, and why. *)
+   said, what the policy decided last time the map ran, and why.  The
+   compiled engine registers it at plan time and updates it per
+   invocation; a report holds a copy. *)
 type map_decision = {
   pm_state : string;        (* state label *)
   pm_node : int;            (* map-entry node id within the state *)
@@ -75,12 +96,18 @@ type map_decision = {
   pm_kind : string;         (* bulk-kernel kind, or "closure" *)
   pm_verdict : string;      (* race verdict / Serial reason code *)
   pm_forced : bool;         (* invocations counted as forced sequential *)
-  pm_domains : int;         (* worker count of the last invocation *)
-  pm_reason : string;       (* policy reason of the last invocation *)
-  pm_trips : int;           (* outer trip count of the last invocation *)
-  pm_invocations : int;
+  mutable pm_domains : int;      (* worker count of the last invocation *)
+  mutable pm_reason : string;    (* policy reason of the last invocation *)
+  mutable pm_trips : int;        (* outer trip count of the last invocation *)
+  mutable pm_invocations : int;
 }
 
+(* Multicore execution summary: present only when the run was given more
+   than one domain, or ran in streaming mode.  [par_chunks] depends on
+   the domain count (it is the number of work units dispatched to the
+   pool), so determinism checks across domain counts compare
+   [counters], not this record.  [par_channels]/[par_workers] are empty
+   except for streaming runs. *)
 type parallel = {
   par_domains : int;       (* domains the run was allowed to use *)
   par_policy : string;     (* "fixed" | "predictive" *)
@@ -112,8 +139,19 @@ let rec freeze_span (s : Collect.span) : timer =
     t_total_s = s.Collect.sp_total_s;
     t_children = List.map freeze_span (Collect.children s) }
 
+(* The live records keep changing on the next run: copy them, so a
+   report stays the snapshot of its own run. *)
 let of_collector ?parallel ~program ~engine ~wall_s ~counters (c : Collect.t)
     : t =
+  let parallel =
+    Option.map
+      (fun p ->
+        { p with
+          par_decisions =
+            List.map (fun d -> { d with pm_domains = d.pm_domains })
+              p.par_decisions })
+      parallel
+  in
   let coverage =
     match Collect.coverage c with
     | 0, 0, 0 -> None
@@ -128,7 +166,7 @@ let of_collector ?parallel ~program ~engine ~wall_s ~counters (c : Collect.t)
     r_engine = engine;
     r_level = Collect.level c;
     r_wall_s = wall_s;
-    r_counters = counters;
+    r_counters = { counters with elements_moved = counters.elements_moved };
     r_timers = List.map freeze_span (Collect.roots c);
     r_coverage = coverage;
     r_parallel = parallel }

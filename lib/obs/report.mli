@@ -1,19 +1,31 @@
 (** Structured execution reports — the result surface of [Exec.run].
 
-    Immutable snapshot of one run: instrumentation counters, the
-    per-construct wall-clock timing tree, and (compiled engine) plan
-    coverage.  Renders as a human-readable table, JSON, or a Chrome
-    trace-event file for chrome://tracing / Perfetto. *)
+    A snapshot of one run: instrumentation counters, the per-construct
+    wall-clock timing tree, and (compiled engine) plan coverage.  The
+    counter, decision and channel records are the same ones the engines
+    update while they run; a report holds copies taken when it is built,
+    so a later run cannot change it.  Renders as a human-readable table,
+    JSON, or a Chrome trace-event file for chrome://tracing / Perfetto. *)
 
 type counters = {
-  elements_moved : int;
-  tasklet_execs : int;
-  map_iterations : int;
-  stream_pushes : int;
-  stream_pops : int;
-  states_executed : int;
-  wcr_writes : int;
+  mutable elements_moved : int;   (** memlet-bound element transfers *)
+  mutable tasklet_execs : int;
+  mutable map_iterations : int;
+  mutable stream_pushes : int;
+  mutable stream_pops : int;
+  mutable states_executed : int;
+  mutable wcr_writes : int;       (** write-conflict resolutions applied *)
 }
+(** Instrumentation counters: the live record an engine bumps during a
+    run, and (copied) a report's [r_counters]. *)
+
+val zero_counters : unit -> counters
+
+val add_counters : into:counters -> counters -> unit
+(** Add every field of the second record into [into] — how parallel
+    replicas and pipeline workers publish their private counters. *)
+
+val reset_counters : counters -> unit
 
 type timer = {
   t_kind : Collect.kind;
@@ -36,13 +48,14 @@ type coverage = {
 type channel_stat = {
   pc_name : string;
   pc_capacity : int;
-  pc_pushes : int;
-  pc_pops : int;
-  pc_depth_hwm : int;   (** never exceeds capacity: backpressure held *)
-  pc_push_blocked_s : float;  (** producers waiting on a full channel *)
-  pc_pop_blocked_s : float;   (** consumers waiting on an empty channel *)
+  mutable pc_pushes : int;
+  mutable pc_pops : int;
+  mutable pc_depth_hwm : int;   (** never exceeds capacity: backpressure held *)
+  mutable pc_push_blocked_s : float;  (** producers waiting on a full one *)
+  mutable pc_pop_blocked_s : float;   (** consumers waiting on an empty one *)
 }
-(** Per-channel pressure counters from a streaming run. *)
+(** Per-channel pressure counters from a streaming run: the live record
+    of a bounded [Interp.Stream] channel, copied by its [stats]. *)
 
 type worker_stat = {
   pw_name : string;
@@ -60,16 +73,19 @@ type map_decision = {
   pm_kind : string;    (** bulk-kernel kind, or ["closure"] *)
   pm_verdict : string; (** race verdict / Serial reason code *)
   pm_forced : bool;    (** invocations counted as forced sequential *)
-  pm_domains : int;    (** worker count of the last invocation *)
-  pm_reason : string;  (** policy reason: ["profitable"],
-                           ["below-threshold"], ["single-domain"],
-                           ["zero-trip"], ["pinned"], ["forced-serial"] *)
-  pm_trips : int;      (** outer trip count of the last invocation *)
-  pm_invocations : int;
+  mutable pm_domains : int;    (** worker count of the last invocation *)
+  mutable pm_reason : string;
+      (** policy reason: ["profitable"], ["below-threshold"],
+          ["single-domain"], ["zero-trip"], ["pinned"],
+          ["forced-serial"] *)
+  mutable pm_trips : int;      (** outer trip count of the last invocation *)
+  mutable pm_invocations : int;
 }
 (** One [Cpu_multicore] map's domain-policy record: the race verdict,
-    what the policy decided the last time the map ran, and why.  JSON
-    fields: [predicted_domains] / [policy_reason]. *)
+    what the policy decided the last time the map ran, and why.  The
+    compiled engine registers it when it plans the map and updates it
+    on every invocation.  JSON fields: [predicted_domains] /
+    [policy_reason]. *)
 
 type parallel = {
   par_domains : int;     (** domains the run was allowed to use *)
@@ -107,7 +123,8 @@ val of_collector :
   counters:counters ->
   Collect.t ->
   t
-(** Freeze a collector into a report.  Coverage is included when the
+(** Freeze a collector into a report, copying [counters] and the
+    decision records of [parallel].  Coverage is included when the
     collector recorded any planner activity. *)
 
 val shape : t -> string

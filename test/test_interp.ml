@@ -273,6 +273,116 @@ let test_stream_fifo_order () =
   ignore (Exec.run g ~symbols:[ ("N", 6) ] ~args:[ ("out", out) ]);
   check_floats "FIFO order" [ 0.; 1.; 2.; 3.; 4.; 5. ] out
 
+(* Copies between a stream and an array walk the array-side memlet
+   subset in row-major order: a column of a 3x2 array in, a column of a
+   3x2 array out. *)
+module Sub = Symbolic.Subset
+
+let column = [ Sub.range E.zero (E.int 2); Sub.index E.one ]
+
+(* A[0..2, 1] -> S -> X *)
+let column_into_stream () =
+  let g, st = Builder.Build.single_state "column_into_stream" in
+  Sdfg_ir.Sdfg.add_array g "A" ~shape:[ E.int 3; E.int 2 ] ~dtype:f64;
+  Sdfg_ir.Sdfg.add_array g "X" ~shape:[ E.int 3 ] ~dtype:f64;
+  Sdfg_ir.Sdfg.add_stream g "S" ~transient:true ~dtype:f64;
+  let a = Builder.Build.access st "A" and s = Builder.Build.access st "S" in
+  let x = Builder.Build.access st "X" in
+  Builder.Build.edge st ~memlet:(Sdfg_ir.Memlet.simple "A" column) ~src:a
+    ~dst:s ();
+  Builder.Build.edge st
+    ~memlet:(Sdfg_ir.Memlet.dyn "S" [ Sub.index E.zero ])
+    ~src:s ~dst:x ();
+  Builder.Build.finalize g
+
+(* a map pushes X[i] + 1 into S; S -> A[0..2, 1] *)
+let stream_into_column () =
+  let g, st = Builder.Build.single_state "stream_into_column" in
+  Sdfg_ir.Sdfg.add_array g "X" ~shape:[ E.int 3 ] ~dtype:f64;
+  Sdfg_ir.Sdfg.add_array g "A" ~shape:[ E.int 3; E.int 2 ] ~dtype:f64;
+  Sdfg_ir.Sdfg.add_stream g "S" ~transient:true ~dtype:f64;
+  let _, _, exit_ =
+    Builder.Build.mapped_tasklet g st ~name:"push" ~params:[ "i" ]
+      ~ranges:[ Sub.range E.zero (E.int 2) ]
+      ~ins:[ Builder.Build.in_elem "x" "X" [ E.sym "i" ] ]
+      ~outs:[ Builder.Build.out_ ~dynamic:true "s" "S" [ Sub.index E.zero ] ]
+      ~code:(`Src "s = x + 1.0") ()
+  in
+  let s =
+    match Sdfg_ir.State.out_edges st exit_ with
+    | [ e ] -> e.Sdfg_ir.Defs.e_dst
+    | _ -> assert false
+  in
+  let a = Builder.Build.access st "A" in
+  Builder.Build.edge st ~memlet:(Sdfg_ir.Memlet.simple "A" column) ~src:s
+    ~dst:a ();
+  Builder.Build.finalize g
+
+let engines =
+  [ ("reference", Exec.Config.default);
+    ("compiled", Exec.Config.(with_engine Plan.compiled default)) ]
+
+let test_stream_copy_column_in () =
+  List.iter
+    (fun (name, config) ->
+      let a = farr [| 3; 2 |] (function
+        | [ i; j ] -> float_of_int ((2 * i) + j + 1) | _ -> 0.) in
+      let x = Tensor.create f64 [| 3 |] in
+      let r =
+        Exec.run ~config (column_into_stream ()) ~args:[ ("A", a); ("X", x) ]
+      in
+      check_floats (name ^ ": X = A[:, 1]") [ 2.; 4.; 6. ] x;
+      let c = r.R.r_counters in
+      Alcotest.(check (list int)) (name ^ ": moved, pushes, pops") [ 6; 3; 3 ]
+        [ c.R.elements_moved; c.R.stream_pushes; c.R.stream_pops ])
+    engines
+
+let test_stream_copy_column_out () =
+  List.iter
+    (fun (name, config) ->
+      let x = farr [| 3 |] (fun i -> float_of_int (10 * (List.hd i + 1))) in
+      let a = Tensor.create f64 [| 3; 2 |] in
+      let r =
+        Exec.run ~config (stream_into_column ()) ~args:[ ("X", x); ("A", a) ]
+      in
+      check_floats (name ^ ": A[:, 1] = X + 1")
+        [ 0.; 11.; 0.; 21.; 0.; 31. ] a;
+      let c = r.R.r_counters in
+      Alcotest.(check (list int)) (name ^ ": moved, pushes, pops") [ 6; 3; 3 ]
+        [ c.R.elements_moved; c.R.stream_pushes; c.R.stream_pops ])
+    engines
+
+(* A stream holding more elements than the destination subset fails
+   before popping anything: the whole of A goes into S, S into a
+   3-element column. *)
+let test_stream_copy_overflow () =
+  let g, st = Builder.Build.single_state "stream_overflow" in
+  Sdfg_ir.Sdfg.add_array g "A" ~shape:[ E.int 3; E.int 2 ] ~dtype:f64;
+  Sdfg_ir.Sdfg.add_array g "B" ~shape:[ E.int 3; E.int 2 ] ~dtype:f64;
+  Sdfg_ir.Sdfg.add_stream g "S" ~transient:true ~dtype:f64;
+  let a = Builder.Build.access st "A" and s = Builder.Build.access st "S" in
+  let b = Builder.Build.access st "B" in
+  Builder.Build.edge st
+    ~memlet:(Sdfg_ir.Memlet.full "A" [ E.int 3; E.int 2 ])
+    ~src:a ~dst:s ();
+  Builder.Build.edge st ~memlet:(Sdfg_ir.Memlet.simple "B" column) ~src:s
+    ~dst:b ();
+  let g = Builder.Build.finalize g in
+  List.iter
+    (fun (name, config) ->
+      let inst = Exec.Instance.create ~config g in
+      let a = farr [| 3; 2 |] (fun _ -> 1.) in
+      (match Exec.Instance.run inst ~args:[ ("A", a) ] with
+      | exception Exec.Runtime_error msg ->
+        Alcotest.(check string) (name ^ ": message")
+          "copy \"S\" -> \"B\": stream holds 6 elements, destination \
+           subset has 3"
+          msg
+      | _ -> Alcotest.fail "expected Runtime_error for an overfull stream");
+      Alcotest.(check int) (name ^ ": nothing popped") 6
+        (Array.length (Exec.Instance.stream_contents inst "S")))
+    engines
+
 let test_max_states_guard () =
   (* an infinite loop in the state machine is caught by the budget *)
   let g = Sdfg_ir.Sdfg.create "spin" in
@@ -339,6 +449,10 @@ let test_external_tasklet () =
 let suite =
   suite
   @ [ ("stream FIFO ordering", `Quick, test_stream_fifo_order);
+      ("stream copy from an array column", `Quick, test_stream_copy_column_in);
+      ("stream copy into an array column", `Quick,
+       test_stream_copy_column_out);
+      ("stream copy overflowing its subset", `Quick, test_stream_copy_overflow);
       ("state-machine budget guard", `Quick, test_max_states_guard);
       ("bounds checking on bad arguments", `Quick, test_missing_container_error);
       ("external tasklets (Fig. 5)", `Quick, test_external_tasklet) ]

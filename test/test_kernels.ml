@@ -388,7 +388,7 @@ let run_env ~engine ~kernels g symbols args =
   List.iter (fun (k, t) -> Hashtbl.replace containers k (Exec.Tens t)) args;
   List.iter (fun (k, v) -> Hashtbl.replace syms k v) symbols;
   let env =
-    { Exec.g; containers; symbols = syms; stats = Exec.fresh_stats ();
+    { Exec.g; containers; symbols = syms; stats = Obs.Report.zero_counters ();
       collector = Obs.Collect.create Obs.Collect.Off; max_states = 1000;
       engine; plans = Hashtbl.create 4; domains = 1; policy = Exec.Fixed 1;
       par = Exec.fresh_par (); kernels }
@@ -399,7 +399,7 @@ let run_env ~engine ~kernels g symbols args =
       if engine = Plan.compiled then Plan.exec_state env st
       else begin
         (* the state machine's count, which [Plan.exec_state] keeps too *)
-        env.Exec.stats.Exec.states_executed <- 1;
+        env.Exec.stats.Obs.Report.states_executed <- 1;
         let parents = State.scope_parents st in
         Exec.exec_nodes env st ~params:[] ~popped:[]
           (List.filter
@@ -410,7 +410,7 @@ let run_env ~engine ~kernels g symbols args =
     | () -> "no error"
     | exception e -> Printexc.to_string e
   in
-  (outcome, counter_list (Exec.counters_of_stats env.Exec.stats))
+  (outcome, counter_list env.Exec.stats)
 
 let test_indirect_oob_same_error () =
   let n = 9 and m = 6 in

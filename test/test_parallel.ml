@@ -181,6 +181,53 @@ let test_policy_pinned_regressions () =
     [ "corpus/parallel_chunk_tiny_map.sdfg";
       "corpus/parallel_merge_large_accumulator.sdfg" ]
 
+(* Reports are snapshots.  Under the predictive policy gemm's maps carry
+   decision records; an instance's second run (other inputs) and a third
+   that fails after resetting the live counters and decisions must leave
+   the first report as it was. *)
+let test_report_snapshot () =
+  let k = Workloads.Polybench.find "gemm" in
+  let g = k.Workloads.Polybench.k_build () in
+  let inst =
+    Exec.Instance.create g ~symbols:k.k_mini
+      ~config:
+        Exec.Config.(
+          default |> with_engine Plan.compiled |> with_auto_domains ~cap:4)
+  in
+  let args = Test_polybench.alloc_args g k.k_mini in
+  let r1 = Exec.Instance.run inst ~args in
+  let decisions (r : R.t) =
+    match r.R.r_parallel with Some p -> p.R.par_decisions | None -> []
+  in
+  Alcotest.(check bool) "gemm has policy decisions" true (decisions r1 <> []);
+  let view () =
+    Fmt.str "%a | %s" R.pp_counters r1.R.r_counters
+      (String.concat "; "
+         (List.map
+            (fun d ->
+              Fmt.str "%s %d %s %d %d" d.R.pm_map d.R.pm_domains
+                d.R.pm_reason d.R.pm_trips d.R.pm_invocations)
+            (decisions r1)))
+  in
+  let before = view () in
+  let doubled =
+    List.map
+      (fun (n, t) ->
+        let t' = Tensor.create (Tensor.dtype t) (Array.copy (Tensor.shape t)) in
+        Tensor.copy_into ~src:t ~dst:t';
+        Tensor.scale t' ~alpha:(T.F 2.);
+        (n, t'))
+      args
+  in
+  ignore (Exec.Instance.run inst ~args:doubled);
+  Alcotest.(check string) "unchanged by a second run" before (view ());
+  let name, _ = List.hd args in
+  let misfit = Tensor.create T.F64 [| 1 |] in
+  (match Exec.Instance.run inst ~args:[ (name, misfit) ] with
+  | exception Exec.Runtime_error _ -> ()
+  | _ -> Alcotest.fail "expected a shape mismatch");
+  Alcotest.(check string) "unchanged by a failed run" before (view ())
+
 (* --- runtime corners ----------------------------------------------------- *)
 
 module E = Symbolic.Expr
@@ -240,7 +287,9 @@ let suite =
       test_nonpositive_stride_parallel);
     ("corpus repros: parallel == sequential", `Quick, test_corpus_parallel);
     ("pinned pathologies: policy predicts 1 domain", `Quick,
-      test_policy_pinned_regressions) ]
+      test_policy_pinned_regressions);
+    ("reports are snapshots across instance runs", `Quick,
+     test_report_snapshot) ]
   @ List.map
       (fun c ->
         let name, _, _, _ = c in

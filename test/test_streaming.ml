@@ -45,9 +45,9 @@ let test_channel_zero_trip () =
   Stream.close c;
   Alcotest.(check (option int)) "pop on closed empty" None (Stream.pop c);
   let s = Stream.stats c in
-  Alcotest.(check int) "no pushes" 0 s.Stream.ch_pushes;
-  Alcotest.(check int) "no pops" 0 s.Stream.ch_pops;
-  Alcotest.(check int) "hwm zero" 0 s.Stream.ch_depth_hwm
+  Alcotest.(check int) "no pushes" 0 s.R.pc_pushes;
+  Alcotest.(check int) "no pops" 0 s.R.pc_pops;
+  Alcotest.(check int) "hwm zero" 0 s.R.pc_depth_hwm
 
 let test_channel_capacity_clamp () =
   let c = Stream.create ~capacity:(-3) () in
@@ -81,9 +81,9 @@ let test_channel_backpressure () =
   Alcotest.(check int) "all elements" n (List.length got);
   Alcotest.(check (list int)) "in order" (List.init n Fun.id) got;
   let s = Stream.stats c in
-  Alcotest.(check bool) "hwm within capacity" true (s.Stream.ch_depth_hwm <= 2);
-  Alcotest.(check int) "pushes" n s.Stream.ch_pushes;
-  Alcotest.(check int) "pops" n s.Stream.ch_pops
+  Alcotest.(check bool) "hwm within capacity" true (s.R.pc_depth_hwm <= 2);
+  Alcotest.(check int) "pushes" n s.R.pc_pushes;
+  Alcotest.(check int) "pops" n s.R.pc_pops
 
 (* A consumer blocked on an empty channel wakes on close and reports
    EOS rather than hanging. *)
@@ -93,6 +93,72 @@ let test_channel_close_wakes_consumer () =
   Unix.sleepf 0.01;
   Stream.close c;
   Alcotest.(check (option int)) "woken with EOS" None (Domain.join cons)
+
+(* Every metric a channel keeps is filled: the producer blocks on the
+   full channel while the consumer sleeps, and the consumer blocks on
+   the empty one while the producer sleeps before closing. *)
+let test_channel_stats_fields () =
+  let c = Stream.create ~name:"s" ~capacity:2 () in
+  let ready = Atomic.make false in
+  let prod =
+    Domain.spawn (fun () ->
+        Stream.push c 0;
+        Stream.push c 1;
+        Atomic.set ready true;
+        Stream.push c 2 (* full: blocks until the consumer pops *);
+        while Atomic.get ready do
+          Domain.cpu_relax ()
+        done;
+        Unix.sleepf 0.02;
+        Stream.close c)
+  in
+  while not (Atomic.get ready) do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.02;
+  let got = List.filter_map (fun _ -> Stream.pop c) [ (); (); () ] in
+  Atomic.set ready false;
+  Alcotest.(check (option int)) "EOS after close" None (Stream.pop c);
+  Domain.join prod;
+  Alcotest.(check (list int)) "elements" [ 0; 1; 2 ] got;
+  let s = Stream.stats c in
+  Alcotest.(check string) "name" "s" s.R.pc_name;
+  Alcotest.(check int) "capacity" 2 s.R.pc_capacity;
+  Alcotest.(check int) "pushes" 3 s.R.pc_pushes;
+  Alcotest.(check int) "pops" 3 s.R.pc_pops;
+  Alcotest.(check int) "depth high-water mark" 2 s.R.pc_depth_hwm;
+  Alcotest.(check bool) "push blocked" true (s.R.pc_push_blocked_s > 0.);
+  Alcotest.(check bool) "pop blocked" true (s.R.pc_pop_blocked_s > 0.)
+
+(* --- unbounded batch streams ------------------------------------------- *)
+
+let test_unbounded_empty () =
+  let s = Stream.create () in
+  Alcotest.(check (option int)) "pop does not block" None (Stream.pop s);
+  Alcotest.(check (option int)) "try_pop" None (Stream.try_pop s);
+  Alcotest.(check int) "capacity 0: unbounded" 0 (Stream.capacity s)
+
+let test_to_list_and_clear () =
+  let n = 1000 (* past any channel capacity: never blocks *) in
+  let s = Stream.create () in
+  for i = 0 to n - 1 do
+    Stream.push s i
+  done;
+  Alcotest.(check (list int)) "to_list in pop order" (List.init n Fun.id)
+    (Stream.to_list s);
+  Alcotest.(check int) "to_list removes nothing" n (Stream.length s);
+  Alcotest.(check (option int)) "head intact" (Some 0) (Stream.pop s);
+  Stream.clear s;
+  Alcotest.(check int) "clear empties" 0 (Stream.length s);
+  Alcotest.(check (option int)) "nothing left" None (Stream.try_pop s);
+  let c = Stream.create ~capacity:4 () in
+  List.iter (Stream.push c) [ 7; 8; 9 ];
+  ignore (Stream.pop c);
+  Stream.push c 10 (* wraps the ring *);
+  Alcotest.(check (list int)) "channel to_list" [ 8; 9; 10 ] (Stream.to_list c);
+  Alcotest.(check int) "channel keeps its elements" 3 (Stream.length c);
+  Stream.clear c;
+  Alcotest.(check (option int)) "channel cleared" None (Stream.try_pop c)
 
 (* --- the pipeline verdict ---------------------------------------------- *)
 
@@ -586,6 +652,10 @@ let suite =
       test_channel_backpressure;
     Alcotest.test_case "channel close wakes consumer" `Quick
       test_channel_close_wakes_consumer;
+    Alcotest.test_case "channel stats fields" `Quick test_channel_stats_fields;
+    Alcotest.test_case "unbounded: empty never blocks" `Quick
+      test_unbounded_empty;
+    Alcotest.test_case "to_list and clear" `Quick test_to_list_and_clear;
     Alcotest.test_case "pipeline verdict workloads" `Quick
       test_verdict_workloads;
     Alcotest.test_case "pipeline verdict rejections" `Quick
