@@ -660,220 +660,206 @@ let ablations () =
       row "P = %2d workers: %.4f s@." p t)
     [ 1; 2; 4; 8; 12 ]
 
-(* --- interpreter engines: reference vs compiled ----------------------------------- *)
+(* --- measured experiments: one protocol ------------------------------------------- *)
 
-(* Wall-clock timing with adaptive repetition.  The reference engine takes
-   seconds per invocation on the larger inputs, which bechamel's
-   quota-driven sampler handles poorly, so these are measured directly:
-   one run if it is long enough, otherwise enough repetitions to
-   accumulate ~0.5 s, averaged. *)
-let time_run f =
-  let once () =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  let first = once () in
-  if first >= 0.5 then first
-  else begin
-    let reps = min 20 (1 + int_of_float (0.5 /. Float.max first 1e-6)) in
-    let total = ref first in
-    for _ = 1 to reps do
-      total := !total +. once ()
-    done;
-    !total /. float_of_int (reps + 1)
-  end
+(* Every measured experiment below goes through Interp.Profile: SDFG runs
+   are timed on one planned instance, with set-up reported apart from the
+   run-only walls, and any other timed work goes through its sampler.
+   Timings are recorded as medians with their quartiles and counts. *)
 
-let engine_cases =
-  [ ("matmul 64x64x64", Workloads.Kernels.matmul,
-     [ ("M", 64); ("N", 64); ("K", 64) ]);
-    ("matmul 256x256x256", Workloads.Kernels.matmul,
-     [ ("M", 256); ("N", 256); ("K", 256) ]);
-    ("histogram 512x512", Workloads.Kernels.histogram,
-     [ ("H", 512); ("W", 512) ]);
-    ("jacobi-2d N=64 T=20", Workloads.Kernels.jacobi,
-     [ ("N", 64); ("T", 20) ]) ]
+(* The fields every BENCH file starts with. *)
+let bench_header generated_by =
+  Obs.Json.
+    [ ("generated_by", Str generated_by);
+      ("clock", Str "monotonic");
+      ("host_cores", Int (Interp.Pool.available ())) ]
 
 (* BENCH_interp.json holds one top-level key per measured experiment
-   ("engines", "autoopt"); each experiment replaces its own key and
-   preserves the others, so partial regeneration is safe. *)
+   ("engines", "calibrate", "parallel", "autoopt"); each experiment
+   replaces its own key and preserves the others, so partial
+   regeneration is safe. *)
+let bench_interp = "BENCH_interp.json"
+
+(* its top-level fields; none when it is absent or unreadable *)
+let bench_interp_fields () =
+  if not (Sys.file_exists bench_interp) then []
+  else
+    match
+      Obs.Json.parse
+        (In_channel.with_open_bin bench_interp In_channel.input_all)
+    with
+    | Obs.Json.Obj fields -> fields
+    | _ | (exception _) -> []
+
 let update_bench_json key value =
-  let open Obs.Json in
-  let path = "BENCH_interp.json" in
+  let head = bench_header "dune exec bench/main.exe" in
   let existing =
-    if Sys.file_exists path then
-      match parse (In_channel.with_open_bin path In_channel.input_all) with
-      | Obj fields ->
-        List.filter (fun (k, _) -> k <> key && k <> "generated_by") fields
-      | _ | (exception _) -> []
-    else []
+    List.filter
+      (fun (k, _) -> k <> key && not (List.mem_assoc k head))
+      (bench_interp_fields ())
   in
-  save
-    (Obj
-       (("generated_by", Str "dune exec bench/main.exe")
-       :: (existing @ [ (key, value) ])))
-    path;
-  row "wrote %S to BENCH_interp.json@." key
+  Obs.Json.save
+    (Obs.Json.Obj (head @ existing @ [ (key, value) ]))
+    bench_interp;
+  row "wrote %S to %s@." key bench_interp
+
+let compiled_config ?(kernels = true) domains =
+  Interp.Exec.Config.(
+    default |> with_engine Interp.Plan.compiled |> with_kernels kernels
+    |> with_domains domains)
+
+(* Profile [g], returning the arguments of the last timed run as well,
+   so its outputs can be compared across configurations. *)
+let profile ?(repeat = 5) ?args_of config symbols g =
+  let args_of =
+    Option.value args_of ~default:(fun () ->
+        Interp.Profile.make_args ~symbols g)
+  in
+  let last = ref [] in
+  let res =
+    Interp.Profile.run ~config ~repeat ~symbols g
+      ~args_for:(fun () ->
+        last := args_of ();
+        !last)
+  in
+  (res, !last)
+
+let median (res : Interp.Profile.result) = res.p_run.s_median
+
+let same_bits outs1 outs2 =
+  let bits (t : Interp.Tensor.t) =
+    match t.buf with
+    | Fbuf a -> Array.map Int64.bits_of_float a
+    | Ibuf a -> Array.map Int64.of_int a
+  in
+  List.for_all2
+    (fun (n1, t1) (n2, t2) -> String.equal n1 n2 && bits t1 = bits t2)
+    outs1 outs2
+
+(* --- interpreter engines: reference, closure and kernel paths -------------------- *)
+
+(* Every case runs at one domain on the compiled engine with bulk kernels
+   off (the closure path) and on (the kernel path); the 64-scale cases
+   also run on the reference engine.  One reference run of matmul 256^3
+   takes about 37 s, so the larger cases have no reference column.  The
+   first rows are the §6.1 kernels; copy, eadd and axpy are memory-bound
+   affine bodies where per-iteration closure overhead dominates.
+   Outputs must be bit-identical across the columns, and each case
+   records which map bodies lowered to kernels and why the rest fell
+   back. *)
+let engine_cases =
+  [ ("matmul 64x64x64", Workloads.Kernels.matmul,
+     [ ("M", 64); ("N", 64); ("K", 64) ], true);
+    ("histogram 512x512", Workloads.Kernels.histogram,
+     [ ("H", 512); ("W", 512) ], true);
+    ("jacobi-2d N=64 T=20", Workloads.Kernels.jacobi,
+     [ ("N", 64); ("T", 20) ], true);
+    ("matmul 256x256x256", Workloads.Kernels.matmul,
+     [ ("M", 256); ("N", 256); ("K", 256) ], false);
+    ("jacobi-2d N=256 T=50", Workloads.Kernels.jacobi,
+     [ ("N", 256); ("T", 50) ], false);
+    ("histogram 1024x1024", Workloads.Kernels.histogram,
+     [ ("H", 1024); ("W", 1024) ], false);
+    ("copy 4M", Workloads.Kernels.copy, [ ("N", 1 lsl 22) ], false);
+    ("eadd 4M", Workloads.Kernels.eadd, [ ("N", 1 lsl 22) ], false);
+    ("axpy 4M", Workloads.Kernels.axpy, [ ("N", 1 lsl 22) ], false) ]
+
+(* the geomean over the three large §6.1 kernels is the headline claim *)
+let engines_core =
+  [ "matmul 256x256x256"; "jacobi-2d N=256 T=50"; "histogram 1024x1024" ]
 
 let engines () =
-  header "Interpreter engines: reference vs compiled (plan-once/run-many)";
-  row "%-22s%15s%14s%10s@." "workload" "reference [s]" "compiled [s]"
-    "speedup";
-  let results =
-    List.map
-      (fun (name, build, symbols) ->
-        let measure engine =
-          time_run (fun () ->
-              ignore
-                (Interp.Exec.run
-                   ~config:(Interp.Exec.Config.with_engine engine
-                              Interp.Exec.Config.default)
-                   ~symbols (build ())))
-        in
-        let ref_t = measure Interp.Plan.reference in
-        let comp_t = measure Interp.Plan.compiled in
-        let speedup = ref_t /. comp_t in
-        row "%-22s%15.4f%14.4f%9.2fx@." name ref_t comp_t speedup;
-        (name, ref_t, comp_t, speedup))
-      engine_cases
-  in
-  let gm = geomean (List.map (fun (_, _, _, s) -> s) results) in
-  row "geomean compiled-engine speedup: %.2fx@." gm;
+  header
+    "Interpreter engines: reference vs closure path vs kernel path (1 \
+     domain, run-only medians)";
+  row "%-22s%14s%13s%13s%9s%9s  %s@." "workload" "reference [s]"
+    "closure [s]" "kernel [s]" "ker/clo" "ker/ref" "kernel coverage";
   let open Obs.Json in
-  update_bench_json "engines"
-    (Obj
-       [ ( "results",
-           Arr
-             (List.map
-                (fun (name, ref_t, comp_t, speedup) ->
-                  Obj
-                    [ ("workload", Str name);
-                      ("reference_s", Float ref_t);
-                      ("compiled_s", Float comp_t);
-                      ("speedup", Float speedup) ])
-                results) );
-         ("geomean_speedup", Float gm) ])
-
-(* --- engine v2: bulk strided kernels vs the closure path --------------------------- *)
-
-(* Same compiled engine, kernels off vs on, pinned to one domain so the
-   comparison isolates the bulk-kernel lowering itself.  The first three
-   workloads are the §6.1 kernels of the "engines" experiment; the
-   micro-workloads are the memory-bound affine bodies (copy, elementwise
-   add, axpy) where per-iteration closure overhead dominates.  Besides
-   timing, each case is checked for output bit-identity between the two
-   paths and its kernel coverage (which map bodies lowered, and why the
-   rest fell back) is recorded. *)
-let engines_v2_cases =
-  [ ("matmul 256x256x256", Workloads.Kernels.matmul,
-     [ ("M", 256); ("N", 256); ("K", 256) ]);
-    ("jacobi-2d N=256 T=50", Workloads.Kernels.jacobi,
-     [ ("N", 256); ("T", 50) ]);
-    ("histogram 1024x1024", Workloads.Kernels.histogram,
-     [ ("H", 1024); ("W", 1024) ]);
-    ("copy 4M", Workloads.Kernels.copy, [ ("N", 1 lsl 22) ]);
-    ("eadd 4M", Workloads.Kernels.eadd, [ ("N", 1 lsl 22) ]);
-    ("axpy 4M", Workloads.Kernels.axpy, [ ("N", 1 lsl 22) ]) ]
-
-(* geomean over the three §6.1 kernels — the headline claim *)
-let engines_v2_core = [ "matmul 256x256x256"; "jacobi-2d N=256 T=50";
-                        "histogram 1024x1024" ]
-
-let engines_v2 () =
-  header "Engine v2: bulk strided kernels vs closure path (compiled engine)";
-  row "%-22s%14s%13s%10s%7s  %s@." "workload" "closure [s]" "kernel [s]"
-    "speedup" "bits" "kernel coverage";
+  let opt f = Option.fold ~none:Null ~some:f in
+  let tally ts = Obj (List.map (fun (k, n) -> (k, Int n)) ts) in
+  let pp_tally ts =
+    String.concat ", " (List.map (fun (k, n) -> Fmt.str "%s x%d" k n) ts)
+  in
   let results =
     List.map
-      (fun (name, build, symbols) ->
-        let compiled_1dom kernels =
-          Interp.Exec.Config.(
-            default |> with_engine Interp.Plan.compiled
-            |> with_kernels kernels |> with_domains 1)
+      (fun (name, build, symbols, with_reference) ->
+        let measure config = profile config symbols (build ()) in
+        let reference =
+          if with_reference then
+            Some
+              (measure
+                 Interp.Exec.Config.(
+                   default |> with_engine Interp.Plan.reference
+                   |> with_domains 1))
+          else None
         in
-        let measure kernels =
-          time_run (fun () ->
-              ignore
-                (Interp.Exec.run ~config:(compiled_1dom kernels) ~symbols
-                   (build ())))
-        in
-        let closure_t = measure false in
-        let kernel_t = measure true in
-        let speedup = closure_t /. kernel_t in
-        (* output bit-identity and coverage, from one run per path on
-           identical deterministic inputs *)
-        let outputs kernels =
-          let g = build () in
-          let args = Interp.Profile.make_args ~symbols g in
-          let r =
-            Interp.Exec.run ~config:(compiled_1dom kernels) ~symbols ~args g
-          in
-          (args, r.Obs.Report.r_coverage)
-        in
-        let closure_out, _ = outputs false in
-        let kernel_out, cov = outputs true in
-        let identical =
-          List.for_all2
-            (fun (n1, t1) (n2, t2) ->
-              String.equal n1 n2 && Interp.Tensor.equal t1 t2)
-            closure_out kernel_out
-        in
-        if not identical then
-          Fmt.failwith "engines_v2: %s kernel output differs from closure"
-            name;
+        let closure, closure_out = measure (compiled_config ~kernels:false 1) in
+        let kernel, kernel_out = measure (compiled_config 1) in
+        if
+          not
+            (same_bits closure_out kernel_out
+            && Option.fold ~none:true
+                 ~some:(fun (_, out) -> same_bits out kernel_out)
+                 reference)
+        then Fmt.failwith "engines: %s outputs differ across engines" name;
         let kmaps, kfall =
-          match cov with
+          match kernel.p_report.Obs.Report.r_coverage with
           | Some c ->
             (c.Obs.Report.cov_kernels, c.Obs.Report.cov_kernel_fallbacks)
           | None -> ([], [])
         in
-        let pp_tally ts =
-          String.concat ", "
-            (List.map (fun (k, n) -> Fmt.str "%s x%d" k n) ts)
+        let over_closure = median closure /. median kernel in
+        let over_reference =
+          Option.map (fun (r, _) -> median r /. median kernel) reference
         in
-        row "%-22s%14.4f%13.4f%9.2fx%7s  %s%s@." name closure_t kernel_t
-          speedup
-          (if identical then "=" else "!=")
+        row "%-22s%14s%13.5f%13.5f%8.2fx%9s  %s%s@." name
+          (Option.fold ~none:"-"
+             ~some:(fun (r, _) -> Fmt.str "%.5f" (median r))
+             reference)
+          (median closure) (median kernel) over_closure
+          (Option.fold ~none:"-" ~some:(Fmt.str "%.2fx") over_reference)
           (if kmaps = [] then "(none)" else pp_tally kmaps)
           (if kfall = [] then ""
            else Fmt.str "; fallback: %s" (pp_tally kfall));
-        (name, closure_t, kernel_t, speedup, kmaps, kfall))
-      engines_v2_cases
+        ( name,
+          over_closure,
+          over_reference,
+          Obj
+            [ ("workload", Str name);
+              ( "reference",
+                opt (fun (r, _) -> Interp.Profile.timing_to_json r) reference );
+              ("closure", Interp.Profile.timing_to_json closure);
+              ("kernel", Interp.Profile.timing_to_json kernel);
+              ("kernel_over_closure", Float over_closure);
+              ("kernel_over_reference", opt (fun r -> Float r) over_reference);
+              ("kernel_maps", tally kmaps);
+              ("kernel_fallbacks", tally kfall) ] ))
+      engine_cases
   in
-  let gm_all =
-    geomean (List.map (fun (_, _, _, s, _, _) -> s) results)
-  in
+  let gm f = geomean (List.filter_map f results) in
+  let gm_closure = gm (fun (_, s, _, _) -> Some s) in
   let gm_core =
-    geomean
-      (List.filter_map
-         (fun (n, _, _, s, _, _) ->
-           if List.mem n engines_v2_core then Some s else None)
-         results)
+    gm (fun (n, s, _, _) -> if List.mem n engines_core then Some s else None)
   in
-  row "geomean kernel-path speedup: %.2fx overall, %.2fx on the \
-       matmul/jacobi/histogram core@."
-    gm_all gm_core;
-  let open Obs.Json in
-  let tally ts = Obj (List.map (fun (k, n) -> (k, Int n)) ts) in
-  update_bench_json "engines_v2"
+  let gm_reference = gm (fun (_, _, r, _) -> r) in
+  row "geomean kernel-path speedup: %.2fx over the closure path (%.2fx on \
+       the matmul/jacobi/histogram core), %.2fx over the reference engine \
+       (64-scale cases)@."
+    gm_closure gm_core gm_reference;
+  update_bench_json "engines"
     (Obj
-       [ ("engine", Str "compiled");
-         ("domains", Int 1);
+       [ ("domains", Int 1);
+         ("warmup", Int 1);
          ("bit_identical", Bool true);
-         ( "results",
-           Arr
-             (List.map
-                (fun (name, closure_t, kernel_t, speedup, kmaps, kfall) ->
-                  Obj
-                    [ ("workload", Str name);
-                      ("closure_s", Float closure_t);
-                      ("kernel_s", Float kernel_t);
-                      ("speedup", Float speedup);
-                      ("kernel_maps", tally kmaps);
-                      ("kernel_fallbacks", tally kfall) ])
-                results) );
-         ("geomean_speedup", Float gm_all);
-         ("geomean_core_speedup", Float gm_core) ])
+         ( "ratio_base",
+           Str
+             "run-only median over run-only median, both on planned \
+              instances; set-up (instance creation + first run) is \
+              recorded apart as setup_s" );
+         ("results", Arr (List.map (fun (_, _, _, j) -> j) results));
+         ("geomean_kernel_over_closure", Float gm_closure);
+         ("geomean_core_kernel_over_closure", Float gm_core);
+         ("geomean_kernel_over_reference", Float gm_reference) ])
 
 (* --- predictive-policy calibration ------------------------------------------------- *)
 
@@ -885,34 +871,11 @@ let engines_v2 () =
    BENCH_interp.json so the parallel experiment (and CI) can replay the
    same record. *)
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-let wall_best ?(reps = 5) f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    best := Float.min !best (wall f)
-  done;
-  !best
-
-(* one timed compiled-engine run plus its counters, for per-iteration
-   rates: ns/iter = wall / map_iterations *)
+(* one kernel path's rate: run-only median over map iterations *)
 let iter_rate_ns ~kernels build symbols =
-  let config =
-    Interp.Exec.Config.(
-      default |> with_engine Interp.Plan.compiled |> with_kernels kernels
-      |> with_domains 1)
-  in
-  let g = build () in
-  let r = Interp.Exec.run ~config ~symbols g in
-  let iters = r.Obs.Report.r_counters.Obs.Report.map_iterations in
-  let t =
-    time_run (fun () ->
-        ignore (Interp.Exec.run ~config ~symbols (build ())))
-  in
-  (t *. 1e9 /. float_of_int (max 1 iters), iters)
+  let res, _ = profile (compiled_config ~kernels 1) symbols (build ()) in
+  let iters = res.p_report.Obs.Report.r_counters.Obs.Report.map_iterations in
+  (median res *. 1e9 /. float_of_int (max 1 iters), iters, res)
 
 let calibration_of_json json =
   let open Obs.Json in
@@ -966,59 +929,58 @@ let calibration_of_json json =
    `bench parallel` run in a fresh process prices maps with this host's
    constants rather than the built-in defaults. *)
 let apply_saved_calibration () =
-  let path = "BENCH_interp.json" in
-  if Sys.file_exists path then
-    match
-      Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
-    with
-    | Obs.Json.Obj fields -> (
-      match List.assoc_opt "calibrate" fields with
-      | Some json -> (
-        match calibration_of_json json with
-        | Some cal ->
-          Cost.Parallel.set_calibration cal;
-          true
-        | None -> false)
-      | None -> false)
-    | _ | (exception _) -> false
-  else false
+  match
+    Option.bind
+      (List.assoc_opt "calibrate" (bench_interp_fields ()))
+      calibration_of_json
+  with
+  | Some cal ->
+    Cost.Parallel.set_calibration cal;
+    true
+  | None -> false
 
 let calibrate () =
   header "Predictive-policy calibration (measured on this host)";
   let module P = Cost.Parallel in
-  (* fork + join barrier per dispatch: trivial work on a 2-domain pool,
-     after one warm-up dispatch that spawns the pool domains *)
-  Interp.Pool.run ~domains:2 (fun _ -> ());
+  (* seconds per operation: the median of five timed loops of [reps]
+     operations each, after one warmup loop *)
+  let per_op ?(prepare = ignore) reps f =
+    let s =
+      Interp.Profile.summarize
+        (Interp.Profile.sample ~repeat:5 ~prepare f)
+    in
+    (s.Interp.Profile.s_median /. float_of_int reps, s)
+  in
+  (* fork + join barrier per dispatch: trivial work on a 2-domain pool
+     (the warmup loop spawns the pool domains) *)
   let fork_reps = 200 in
-  let fork_s =
-    wall_best (fun () ->
+  let fork_s, fork =
+    per_op fork_reps (fun () ->
         for _ = 1 to fork_reps do
           Interp.Pool.run ~domains:2 (fun _ -> ())
         done)
-    /. float_of_int fork_reps
   in
   (* dynamic chunk dealing: one atomic fetch-and-add on the shared
      cursor per chunk *)
   let chunk_reps = 1_000_000 in
   let cursor = Atomic.make 0 in
-  let chunk_s =
-    wall_best (fun () ->
-        Atomic.set cursor 0;
+  let chunk_s, chunk =
+    per_op chunk_reps
+      ~prepare:(fun () -> Atomic.set cursor 0)
+      (fun () ->
         while Atomic.fetch_and_add cursor 1 < chunk_reps do
           ()
         done)
-    /. float_of_int chunk_reps
   in
   (* accumulator merge: one float add per element into shared storage *)
   let merge_n = 1 lsl 20 in
   let src = Array.make merge_n 1.0 and dst = Array.make merge_n 0.0 in
-  let merge_s_per_elem =
-    wall_best (fun () ->
+  let merge_s_per_elem, merge =
+    per_op merge_n (fun () ->
         for i = 0 to merge_n - 1 do
           Array.unsafe_set dst i
             (Array.unsafe_get dst i +. Array.unsafe_get src i)
         done)
-    /. float_of_int merge_n
   in
   (* per-iteration rates of the bulk-kernel kinds this host can measure
      directly; the remaining kinds keep their built-in ratios *)
@@ -1032,12 +994,12 @@ let calibrate () =
   let measured =
     List.map
       (fun (kind, build, symbols) ->
-        let ns, iters = iter_rate_ns ~kernels:true build symbols in
+        let ns, iters, res = iter_rate_ns ~kernels:true build symbols in
         row "kernel %-10s %8.2f ns/iter  (%d iterations)@." kind ns iters;
-        (kind, ns))
+        (kind, ns, res))
       kernel_cases
   in
-  let closure_iter_ns, closure_iters =
+  let closure_iter_ns, closure_iters, closure =
     iter_rate_ns ~kernels:false Workloads.Kernels.copy [ ("N", 1 lsl 20) ]
   in
   row "closure path      %8.2f ns/iter  (%d iterations)@." closure_iter_ns
@@ -1046,25 +1008,21 @@ let calibrate () =
      matmul; on a single-core host this honestly comes out low, which is
      exactly what makes the policy predict 1 *)
   let eff_symbols = [ ("M", 128); ("N", 128); ("K", 128) ] in
-  let eff_wall d =
-    let res =
-      Interp.Profile.run
-        ~config:
-          Interp.Exec.Config.(
-            default |> with_engine Interp.Plan.compiled |> with_domains d)
-        ~warmup:1 ~repeat:3 ~symbols:eff_symbols
-        (Workloads.Kernels.matmul ())
-    in
-    Interp.Profile.wall_min res
+  let eff_run d =
+    fst (profile (compiled_config d) eff_symbols (Workloads.Kernels.matmul ()))
   in
-  let e1 = eff_wall 1 and e2 = eff_wall 2 in
+  let r1 = eff_run 1 and r2 = eff_run 2 in
+  let e1 = median r1 and e2 = median r2 in
   let efficiency =
     Cost.calibrate_parallel_efficiency [ (1, e1); (2, e2) ]
   in
   let default_tbl = P.default_calibration.P.cal_kernel_iter_ns in
   let kernel_tbl =
-    measured
-    @ List.filter (fun (k, _) -> not (List.mem_assoc k measured)) default_tbl
+    List.map (fun (k, ns, _) -> (k, ns)) measured
+    @ List.filter
+        (fun (k, _) ->
+          not (List.exists (fun (m, _, _) -> String.equal m k) measured))
+        default_tbl
   in
   let cal =
     { P.cal_host_domains = max 1 (Interp.Pool.available ());
@@ -1090,7 +1048,18 @@ let calibrate () =
          ( "kernel_iter_ns",
            Obj (List.map (fun (k, v) -> (k, Float v)) kernel_tbl) );
          ("closure_iter_ns", Float closure_iter_ns);
-         ("efficiency", Float efficiency) ])
+         ("efficiency", Float efficiency);
+         ( "timings",
+           Obj
+             (List.map
+                (fun (k, s) -> (k, Interp.Profile.summary_to_json s))
+                [ ("fork_loop", fork); ("chunk_loop", chunk);
+                  ("merge_loop", merge) ]
+             @ List.map
+                 (fun (k, res) -> (k, Interp.Profile.timing_to_json res))
+                 (List.map (fun (k, _, res) -> (k, res)) measured
+                 @ [ ("closure", closure); ("efficiency_1_domain", r1);
+                     ("efficiency_2_domains", r2) ])) ) ])
 
 (* --- multicore map execution: domain-count scaling --------------------------------- *)
 
@@ -1102,70 +1071,47 @@ let calibrate () =
 let parallel () =
   header "Multicore map execution: domain-count scaling (compiled engine)";
   let calibrated = apply_saved_calibration () in
-  let build = Workloads.Kernels.matmul in
   let symbols = [ ("M", 256); ("N", 256); ("K", 256) ] in
   let workload = "matmul 256x256x256" in
-  let domain_counts = [ 1; 2; 4 ] in
+  let repeat = 9 in
+  let measure domains =
+    profile ~repeat
+      Interp.Exec.Config.(
+        default |> with_engine Interp.Plan.compiled |> domains)
+      symbols (Workloads.Kernels.matmul ())
+  in
   row "host has %d recommended domain(s); calibration: %s@."
     (Interp.Pool.available ())
     (if calibrated then "measured (BENCH_interp.json)" else "built-in");
   row "%-10s%12s%10s%12s%10s@." "domains" "wall [s]" "speedup" "par maps"
     "chunks";
-  (* outputs at each domain count, for the bit-identity check *)
-  let outputs d =
-    let g = build () in
-    let args = Interp.Profile.make_args ~symbols g in
-    ignore
-      (Interp.Exec.run
-         ~config:
-           Interp.Exec.Config.(
-             default |> with_engine Interp.Plan.compiled |> with_domains d)
-         ~symbols ~args g);
-    args
+  let runs =
+    List.map
+      (fun d -> (d, measure (Interp.Exec.Config.with_domains d)))
+      [ 1; 2; 4 ]
   in
-  let tensor_bits (t : Interp.Tensor.t) =
-    match t.Interp.Tensor.buf with
-    | Interp.Tensor.Fbuf a -> Array.map Int64.bits_of_float a
-    | Interp.Tensor.Ibuf a -> Array.map Int64.of_int a
+  let t1, base_out =
+    match runs with
+    | (_, (res, out)) :: _ -> (median res, out)
+    | [] -> assert false
   in
-  let base_out = outputs 1 in
   let results =
     List.map
-      (fun d ->
-        let res =
-          Interp.Profile.run
-            ~config:
-              Interp.Exec.Config.(
-                default |> with_engine Interp.Plan.compiled
-                |> with_domains d)
-            ~warmup:1 ~repeat:3 ~symbols (build ())
-        in
-        let wall = Interp.Profile.wall_min res in
+      (fun (d, (res, out)) ->
+        if not (same_bits base_out out) then
+          Fmt.failwith "parallel: outputs at %d domains differ from 1 domain"
+            d;
         let par_maps, chunks =
           match res.Interp.Profile.p_report.Obs.Report.r_parallel with
           | Some p -> (p.Obs.Report.par_maps, p.Obs.Report.par_chunks)
           | None -> (0, 0)
         in
-        let identical =
-          List.for_all2
-            (fun (n1, t1) (n2, t2) ->
-              String.equal n1 n2 && tensor_bits t1 = tensor_bits t2)
-            base_out (outputs d)
-        in
-        if not identical then
-          Fmt.failwith "parallel: outputs at %d domains differ from 1 domain"
-            d;
-        (d, wall, par_maps, chunks))
-      domain_counts
+        row "%-10d%12.4f%9.2fx%12d%10d@." d (median res) (t1 /. median res)
+          par_maps chunks;
+        (d, res, par_maps, chunks))
+      runs
   in
-  let t1 =
-    match results with (1, w, _, _) :: _ -> w | _ -> assert false
-  in
-  List.iter
-    (fun (d, w, par_maps, chunks) ->
-      row "%-10d%12.4f%9.2fx%12d%10d@." d w (t1 /. w) par_maps chunks)
-    results;
-  let curve = List.map (fun (d, w, _, _) -> (d, w)) results in
+  let curve = List.map (fun (d, res, _, _) -> (d, median res)) results in
   let efficiency = Cost.calibrate_parallel_efficiency curve in
   row "calibrated parallel_efficiency: %.3f (model default %.2f)@."
     efficiency Cost.default_options.Cost.parallel_efficiency;
@@ -1174,30 +1120,14 @@ let parallel () =
      baseline — bit-identical outputs, and when it predicts 1 the solo
      dispatch must stay within noise of the forced-1 wall *)
   let cap = 4 in
-  let predictive_config =
-    Interp.Exec.Config.(
-      default |> with_engine Interp.Plan.compiled |> with_auto_domains ~cap)
+  let pred_res, pred_out =
+    measure (Interp.Exec.Config.with_auto_domains ~cap)
   in
-  let pred_out =
-    let g = build () in
-    let args = Interp.Profile.make_args ~symbols g in
-    ignore (Interp.Exec.run ~config:predictive_config ~symbols ~args g);
-    args
-  in
-  let pred_identical =
-    List.for_all2
-      (fun (n1, t1) (n2, t2) ->
-        String.equal n1 n2 && tensor_bits t1 = tensor_bits t2)
-      base_out pred_out
-  in
+  let pred_identical = same_bits base_out pred_out in
   if not pred_identical then
     Fmt.failwith
       "parallel: predictive-policy outputs differ from 1 domain";
-  let pred_res =
-    Interp.Profile.run ~config:predictive_config ~warmup:1 ~repeat:3
-      ~symbols (build ())
-  in
-  let pred_wall = Interp.Profile.wall_min pred_res in
+  let pred_wall = median pred_res in
   let decisions =
     match pred_res.Interp.Profile.p_report.Obs.Report.r_parallel with
     | Some p -> p.Obs.Report.par_decisions
@@ -1225,24 +1155,23 @@ let parallel () =
     (Obj
        [ ("workload", Str workload);
          ("engine", Str "compiled");
-         ("host_domains", Int (Interp.Pool.available ()));
          ("recommended_domains", Int recommended);
          ("bit_identical", Bool true);
          ( "curve",
            Arr
              (List.map
-                (fun (d, w, par_maps, chunks) ->
+                (fun (d, res, par_maps, chunks) ->
                   Obj
                     [ ("domains", Int d);
-                      ("wall_s", Float w);
-                      ("speedup", Float (t1 /. w));
+                      ("speedup", Float (t1 /. median res));
                       ("parallel_maps", Int par_maps);
-                      ("chunks", Int chunks) ])
+                      ("chunks", Int chunks);
+                      ("timing", Interp.Profile.timing_to_json res) ])
                 results) );
          ( "policy",
            Obj
              [ ("cap", Int cap);
-               ("wall_s", Float pred_wall);
+               ("timing", Interp.Profile.timing_to_json pred_res);
                ("predicted_domains", Int recommended);
                ("policy_reason", Str reason);
                ("overhead_vs_seq", Float overhead);
@@ -1272,10 +1201,9 @@ let parallel () =
    (Std.apply_strict), and the chain found by the measured cost-guided
    search (Opt.Search).  The claim: the automatic search matches or beats
    the hand-written chain without human input. *)
-(* Per-kernel measurement sizes: large enough that compiled-engine walls
-   are milliseconds (mini-size walls are tens of microseconds, below the
-   noise floor of wall-clock timing), small enough that a beam search
-   measuring ~10 graphs stays within its budget. *)
+(* Per-kernel measurement sizes: larger than mini, whose run-only walls
+   are a few microseconds, and small enough that a beam search measuring
+   ~10 graphs stays within its budget. *)
 let autoopt_kernels =
   [ ("gemm", [ ("NI", 32); ("NJ", 40); ("NK", 48) ]);
     ("atax", [ ("M", 80); ("N", 96) ]);
@@ -1286,25 +1214,25 @@ let autoopt_kernels =
 let autoopt () =
   header
     "Auto-optimizer: untransformed vs strict chain vs cost-guided search \
-     (compiled engine, bench sizes)";
+     (compiled engine, bench sizes, run-only medians)";
   row "%-10s%12s%12s%12s%10s%10s%8s@." "kernel" "base [s]" "strict [s]"
     "auto [s]" "strict-up" "auto-up" "steps";
   let results =
     List.map
       (fun (name, bench_sizes) ->
         let k = Workloads.Polybench.find name in
-        let wall g =
-          Interp.Profile.wall_min
-            (Interp.Profile.run
-               ~config:(Interp.Exec.Config.with_engine Interp.Plan.compiled
-                          Interp.Exec.Config.default)
-               ~warmup:1 ~repeat:5 ~symbols:bench_sizes g)
+        let measure g =
+          fst
+            (profile
+               (Interp.Exec.Config.with_engine Interp.Plan.compiled
+                  Interp.Exec.Config.default)
+               bench_sizes g)
         in
-        let base_s = wall (k.k_build ()) in
-        let strict_s =
+        let base = measure (k.k_build ()) in
+        let strict =
           let g = k.k_build () in
           Transform.Std.apply_strict g;
-          wall g
+          measure g
         in
         let cfg =
           Opt.Search.config ~target:Cost.Tcpu ~symbols:k.k_large
@@ -1317,53 +1245,49 @@ let autoopt () =
         (match Opt.Search.crossval ~symbols:k.k_mini k.k_build res.r_chain with
         | Ok () -> ()
         | Error msg -> Fmt.failwith "autoopt crossval failed on %s: %s" name msg);
-        let auto_s =
-          (* an empty chain is the untransformed graph: reuse its wall *)
-          if res.Opt.Search.r_chain = [] then base_s
+        let auto =
+          (* an empty chain is the untransformed graph: reuse its timing *)
+          if res.Opt.Search.r_chain = [] then base
           else begin
             let g = k.k_build () in
             Transform.Xform.apply_chain_exn g res.r_chain;
-            wall g
+            measure g
           end
         in
-        let strict_up = base_s /. strict_s and auto_up = base_s /. auto_s in
-        row "%-10s%12.6f%12.6f%12.6f%9.2fx%9.2fx%8d@." name base_s strict_s
-          auto_s strict_up auto_up
+        let base_s = median base in
+        let strict_up = base_s /. median strict
+        and auto_up = base_s /. median auto in
+        row "%-10s%12.6f%12.6f%12.6f%9.2fx%9.2fx%8d@." name base_s
+          (median strict) (median auto) strict_up auto_up
           (List.length res.Opt.Search.r_chain);
-        (name, base_s, strict_s, auto_s, res))
+        let open Obs.Json in
+        ( strict_up,
+          auto_up,
+          Obj
+            [ ("kernel", Str name);
+              ("base", Interp.Profile.timing_to_json base);
+              ("strict", Interp.Profile.timing_to_json strict);
+              ("auto", Interp.Profile.timing_to_json auto);
+              ("strict_speedup", Float strict_up);
+              ("auto_speedup", Float auto_up);
+              ( "chain",
+                Str (Transform.Xform.chain_to_string res.Opt.Search.r_chain)
+              );
+              ("stop", Str res.Opt.Search.r_stop);
+              ("profile_runs", Int res.Opt.Search.r_profile_runs);
+              ("search_wall_s", Float res.Opt.Search.r_search_wall_s) ] ))
       autoopt_kernels
   in
-  let gm f = geomean (List.map f results) in
+  let strict_up = geomean (List.map (fun (s, _, _) -> s) results)
+  and auto_up = geomean (List.map (fun (_, a, _) -> a) results) in
   row "geomean speedup: strict %.2fx, auto %.2fx (auto/strict ratio %.2f)@."
-    (gm (fun (_, b, s, _, _) -> b /. s))
-    (gm (fun (_, b, _, a, _) -> b /. a))
-    (gm (fun (_, b, s, a, _) -> b /. a /. (b /. s)));
+    strict_up auto_up (auto_up /. strict_up);
   let open Obs.Json in
   update_bench_json "autoopt"
     (Obj
-       [ ( "results",
-           Arr
-             (List.map
-                (fun (name, base_s, strict_s, auto_s, res) ->
-                  Obj
-                    [ ("kernel", Str name);
-                      ("base_s", Float base_s);
-                      ("strict_s", Float strict_s);
-                      ("auto_s", Float auto_s);
-                      ("strict_speedup", Float (base_s /. strict_s));
-                      ("auto_speedup", Float (base_s /. auto_s));
-                      ( "chain",
-                        Str
-                          (Transform.Xform.chain_to_string
-                             res.Opt.Search.r_chain) );
-                      ("stop", Str res.Opt.Search.r_stop);
-                      ("profile_runs", Int res.Opt.Search.r_profile_runs);
-                      ("search_wall_s", Float res.Opt.Search.r_search_wall_s)
-                    ])
-                results) );
-         ("geomean_strict_speedup", Float (gm (fun (_, b, s, _, _) -> b /. s)));
-         ("geomean_auto_speedup", Float (gm (fun (_, b, _, a, _) -> b /. a)))
-       ])
+       [ ("results", Arr (List.map (fun (_, _, j) -> j) results));
+         ("geomean_strict_speedup", Float strict_up);
+         ("geomean_auto_speedup", Float auto_up) ])
 
 (* --- microbenchmarks of the infrastructure itself --------------------------------- *)
 
@@ -1434,109 +1358,118 @@ let micro () =
 
 (* --- serve: daemon throughput, cold vs warm plan cache --------------------------- *)
 
-(* Start an in-process daemon, replay the same fuzz-generated request
-   schedule twice — once against an empty plan cache (every request
-   parses, validates and plans) and once against a warm one (every
-   request is a cache hit) — and record both rates plus the daemon's own
-   latency percentiles in BENCH_serve.json. *)
+(* Replay the same fuzz-generated request schedule against an in-process
+   daemon in two phases: cold (an empty plan cache, so every request
+   parses, validates and plans) and warm (every request is a cache hit).
+   Each phase is one unmeasured pass, then [passes] timed ones; every
+   cold pass starts a new daemon, so its cache is empty.  A pass's wall
+   is the load generator's own reading of Obs.Collect.now, which leaves
+   its unmeasured priming out, and each phase records the protocol's
+   summary of those walls.  warm_over_cold compares throughput at the
+   median walls.  BENCH_serve.json also keeps the warm daemon's own
+   latency percentiles. *)
 let serve () =
   header "Serve daemon: cold vs warm plan cache";
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Fmt.str "sdfg-bench-serve-%d.sock" (Unix.getpid ()))
   in
-  let distinct = 24 in
-  let clients = 4 in
-  let config =
-    Interp.Exec.Config.(
-      default |> with_engine Interp.Plan.compiled |> with_domains 1)
+  let distinct = 24 and clients = 4 and passes = 9 in
+  let config = compiled_config 1 in
+  (* Larger-than-default graphs weight the cold path toward its parse +
+     validate + plan work, which is what the warm cache elides. *)
+  let gen_config =
+    { Fuzz.Gen.default with c_max_states = 10; c_max_ops = 10; c_max_rank = 1 }
   in
-  let srv =
-    Serve.Server.start ~capacity:(2 * distinct) ~max_queue:256 ~socket ()
+  let load ?prime requests =
+    Fuzz.Load.run ~clients ~distinct ~config ~gen_config ?prime ~socket
+      ~requests ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Server.stop srv;
-      Serve.Server.wait srv)
-    (fun () ->
-      (* Larger-than-default graphs weight the cold path toward its
-         parse + validate + plan work, which is what the warm cache
-         elides. *)
-      let gen_config =
-        { Fuzz.Gen.default with c_max_states = 10; c_max_ops = 10; c_max_rank = 1 }
-      in
-      let load ?prime requests =
-        Fuzz.Load.run ~clients ~distinct ~config ~gen_config ?prime ~socket
-          ~requests ()
-      in
-      (* Cold: every distinct graph exactly once, nothing cached yet —
-         each request parses, validates, instantiates and plans. *)
-      let cold = load distinct in
-      (* Warm: the same graphs in steady state — resubmitted by cache
-         key, all plan-cache hits (priming pass unmeasured). *)
-      let warm = load ~prime:true (4 * distinct) in
-      let stats =
-        let c = Serve.Client.connect socket in
-        Fun.protect
-          ~finally:(fun () -> Serve.Client.close c)
-          (fun () ->
-            match Serve.Client.stats c with
-            | Ok j -> j
-            | Error e -> Obs.Json.Obj [ ("error", Obs.Json.Str e) ])
-      in
-      let speedup =
-        if cold.Fuzz.Load.o_rps > 0. then warm.Fuzz.Load.o_rps /. cold.o_rps
-        else 0.
-      in
-      row "%-8s%10s%10s%10s%12s@." "phase" "requests" "errors" "hits"
-        "req/s";
-      row "%-8s%10d%10d%10d%12.1f@." "cold" cold.Fuzz.Load.o_requests
-        cold.o_errors cold.o_hits cold.o_rps;
-      row "%-8s%10d%10d%10d%12.1f@." "warm" warm.Fuzz.Load.o_requests
-        warm.o_errors warm.o_hits warm.o_rps;
-      row "warm/cold throughput: %.1fx@." speedup;
-      Obs.Json.save
-        (Obs.Json.Obj
-           [ ("generated_by", Obs.Json.Str "dune exec bench/main.exe serve");
-             ("clients", Obs.Json.Int clients);
-             ("distinct_graphs", Obs.Json.Int distinct);
-             ("cold", Fuzz.Load.outcome_to_json cold);
-             ("warm", Fuzz.Load.outcome_to_json warm);
-             ("warm_over_cold", Obs.Json.Float speedup);
-             ("server_stats", stats) ])
-        "BENCH_serve.json";
-      row "wrote BENCH_serve.json@.")
+  let with_daemon f =
+    let srv =
+      Serve.Server.start ~capacity:(2 * distinct) ~max_queue:256 ~socket ()
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Serve.Server.stop srv;
+        Serve.Server.wait srv)
+      (fun () -> f srv)
+  in
+  let timed_passes pass =
+    ignore (pass ());
+    List.init passes (fun _ -> pass ())
+  in
+  (* Cold: every distinct graph exactly once, nothing cached yet. *)
+  let cold = timed_passes (fun () -> with_daemon (fun _ -> load distinct)) in
+  (* Warm: the same graphs in steady state, resubmitted by cache key and
+     all plan-cache hits (each pass primes first, unmeasured). *)
+  let warm, stats =
+    with_daemon (fun srv ->
+        let warm = timed_passes (fun () -> load ~prime:true (4 * distinct)) in
+        ( warm,
+          Serve.Metrics.to_json
+            (Serve.Metrics.snapshot (Serve.Server.metrics srv))
+            ~cache:(Serve.Cache.stats (Serve.Server.cache srv)) ))
+  in
+  (* totals over the timed passes; throughput is requests per pass over
+     the median pass wall *)
+  let phase name outcomes =
+    let open Fuzz.Load in
+    let total f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
+    let requests = (List.hd outcomes).o_requests in
+    let walls =
+      Interp.Profile.summarize (List.map (fun o -> o.o_wall_s) outcomes)
+    in
+    let rps = float_of_int requests /. walls.s_median in
+    let errors = total (fun o -> o.o_errors)
+    and hits = total (fun o -> o.o_hits) in
+    row "%-8s%10d%10d%10d%12.1f%12.5f%12.5f@." name requests errors hits rps
+      walls.s_q1 walls.s_q3;
+    ( rps,
+      Obs.Json.Obj
+        [ ("requests_per_pass", Obs.Json.Int requests);
+          ("errors", Obs.Json.Int errors);
+          ("hits", Obs.Json.Int hits);
+          ("wall", Interp.Profile.summary_to_json walls);
+          ("rps", Obs.Json.Float rps) ] )
+  in
+  row "%-8s%10s%10s%10s%12s%12s%12s@." "phase" "req/pass" "errors" "hits"
+    "req/s" "q1 [s]" "q3 [s]";
+  let cold_rps, cold_json = phase "cold" cold in
+  let warm_rps, warm_json = phase "warm" warm in
+  row "warm/cold throughput at the median walls: %.1fx@."
+    (warm_rps /. cold_rps);
+  Obs.Json.save
+    (Obs.Json.Obj
+       (bench_header "dune exec bench/main.exe serve"
+       @ [ ("clients", Obs.Json.Int clients);
+           ("distinct_graphs", Obs.Json.Int distinct);
+           ("passes", Obs.Json.Int passes);
+           ("cold", cold_json);
+           ("warm", warm_json);
+           ("warm_over_cold", Obs.Json.Float (warm_rps /. cold_rps));
+           ("server_stats", stats) ]))
+    "BENCH_serve.json";
+  row "wrote BENCH_serve.json@."
+
 
 (* --- streaming: continuous queries, chunked vs batch ----------------------------- *)
-
-(* Seconds on the monotonic clock (bechamel's), immune to wall-clock
-   steps. *)
-let mono_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* Run every continuous-query workload both ways on one compiled
    instance — batch (the whole input pre-loaded on the stream, consume
    scopes compiled like any other scope) and streaming (chunked source,
-   bounded channels, consume-scope workers) — after one warm-up run of
-   each, and record per-run latency percentiles of both, sustained
-   streaming throughput, and the streaming-over-batch ratio of medians
-   in BENCH_stream.json.  Inputs are allocated outside the timed region.
-   Two invariants are checked and recorded, not assumed: the streamed
-   output is bit-identical to the batch run, and no channel's depth
-   high-water mark ever exceeds its capacity. *)
+   bounded channels, consume-scope workers) — through the protocol's
+   sampler: one warm-up run of each, then timed runs whose inputs are
+   made outside the timed span.  BENCH_stream.json records the median,
+   quartiles and count of both, sustained streaming throughput, and the
+   streaming-over-batch ratio of medians.  Two invariants are checked and
+   recorded, not assumed: the streamed output is bit-identical to the
+   batch run, and no channel's depth high-water mark ever exceeds its
+   capacity. *)
 let streaming () =
   header "Streaming: chunked continuous queries vs compiled batch";
   let n_elems = 2048 and chunk = 64 and runs = 30 in
-  let engine = Interp.Plan.compiled in
-  let config =
-    Interp.Exec.Config.(
-      default |> with_engine engine |> with_domains 2
-      |> with_stream_chunk chunk)
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.
-    else sorted.(min (n - 1) (int_of_float (q /. 100. *. float_of_int n)))
-  in
+  let config = Interp.Exec.Config.with_stream_chunk chunk (compiled_config 2) in
   let bench_workload (name, mk, input, output, symbols) =
     let module I = Interp.Exec.Instance in
     let g = mk () in
@@ -1544,112 +1477,97 @@ let streaming () =
     let values = Workloads.Streaming.sample_values n_elems 42 in
     (* Fresh deterministic args for every run (warm-up included) —
        several workloads accumulate into their outputs, and run k's
-       results must not leak into run k+1's inputs. *)
+       results must not leak into run k+1's inputs.  The last run's
+       args are kept for the bit-identity check. *)
+    let last_args = ref [] in
     let fresh_args () =
-      Array.init (runs + 1) (fun _ -> Interp.Profile.make_args ~symbols g)
-    in
-    let args = fresh_args () in
-    let timed f =
-      let t0 = mono_s () in
-      f ();
-      mono_s () -. t0
+      last_args := Interp.Profile.make_args ~symbols g;
+      !last_args
     in
     (* batch baseline: input pre-loaded, one shot *)
-    let batch_runs =
-      Array.init (runs + 1) (fun i ->
-          timed (fun () ->
-              ignore
-                (I.run ~args:args.(i) ~stream_args:[ (input, values) ] inst)))
+    let batch =
+      Interp.Profile.sample ~repeat:runs ~prepare:fresh_args (fun args ->
+          ignore (I.run ~args ~stream_args:[ (input, values) ] inst))
     in
     let batch_out =
       match output with Some o -> I.stream_contents inst o | None -> [||]
     in
-    let batch_args = args.(runs) in
+    let batch_args = !last_args in
     (* streaming: chunked source, sink collecting the output stream *)
-    let args = fresh_args () in
     let collected = ref [] in
-    let hwm_ok = ref true in
-    let stream_runs =
-      Array.init (runs + 1) (fun i ->
-          let source = Workloads.Streaming.chunked_source values chunk in
+    let reports = ref [] in
+    let stream =
+      Interp.Profile.sample ~repeat:runs
+        ~prepare:(fun () ->
           collected := [];
-          let sink =
-            Option.map (fun _ vs -> collected := vs :: !collected) output
-          in
-          let report = ref None in
-          let dt =
-            timed (fun () ->
-                report :=
-                  Some
-                    (I.run_streaming ~args:args.(i) ~input ?output ?sink
-                       ~source inst))
-          in
-          (match !report with
-          | Some { Obs.Report.r_parallel = Some par; _ } ->
-            List.iter
+          ( fresh_args (),
+            Workloads.Streaming.chunked_source values chunk,
+            Option.map (fun _ vs -> collected := vs :: !collected) output ))
+        (fun (args, source, sink) ->
+          reports :=
+            I.run_streaming ~args ~input ?output ?sink ~source inst
+            :: !reports)
+    in
+    let hwm_ok =
+      List.for_all
+        (fun (r : Obs.Report.t) ->
+          match r.r_parallel with
+          | Some par ->
+            List.for_all
               (fun (c : Obs.Report.channel_stat) ->
-                if c.pc_depth_hwm > c.pc_capacity then hwm_ok := false)
+                c.pc_depth_hwm <= c.pc_capacity)
               par.Obs.Report.par_channels
-          | _ -> ());
-          dt)
+          | None -> true)
+        !reports
     in
     let streamed_out = Array.concat (List.rev !collected) in
     (* Every run saw identical inputs, so the last of each path compares. *)
     let identical =
-      streamed_out = batch_out
-      && List.for_all2
-           (fun (_, a) (_, b) ->
-             Interp.Tensor.to_float_list a = Interp.Tensor.to_float_list b)
-           batch_args args.(runs)
+      streamed_out = batch_out && same_bits batch_args !last_args
     in
-    (* drop the warm-up run (index 0: planning, first touches) *)
-    let sorted a =
-      let s = Array.sub a 1 runs in
-      Array.sort compare s;
-      s
+    let b = Interp.Profile.summarize batch
+    and s = Interp.Profile.summarize stream in
+    let eps =
+      float_of_int (n_elems * runs) /. List.fold_left ( +. ) 0. stream
     in
-    let batch = sorted batch_runs and stream = sorted stream_runs in
-    let total = Array.fold_left ( +. ) 0. stream in
-    let eps = float_of_int (n_elems * runs) /. total in
-    let ms a q = 1e3 *. percentile a q in
-    let p50 = ms stream 50. and batch_p50 = ms batch 50. in
-    let ratio = batch_p50 /. p50 in
-    row "%-8s%14.0f%10.3f%10.3f%10.3f%10.3f%9.2fx%6s%6s@." name eps p50
-      (ms stream 95.) (ms stream 99.) batch_p50 ratio
+    let ratio = b.s_median /. s.s_median in
+    let ms x = 1e3 *. x in
+    row "%-8s%14.0f%10.3f%16s%10.3f%16s%9.2fx%6s%6s@." name eps
+      (ms s.s_median)
+      (Fmt.str "%.3f-%.3f" (ms s.s_q1) (ms s.s_q3))
+      (ms b.s_median)
+      (Fmt.str "%.3f-%.3f" (ms b.s_q1) (ms b.s_q3))
+      ratio
       (if identical then "ok" else "DIFF")
-      (if !hwm_ok then "ok" else "OVER");
+      (if hwm_ok then "ok" else "OVER");
     ( name,
       Obs.Json.Obj
         [ ("elements_per_s", Obs.Json.Float eps);
-          ("p50_ms", Obs.Json.Float p50);
-          ("p95_ms", Obs.Json.Float (ms stream 95.));
-          ("p99_ms", Obs.Json.Float (ms stream 99.));
-          ("batch_engine", Obs.Json.Str (Interp.Exec.engine_name engine));
-          ("batch_ms", Obs.Json.Float batch_p50);
-          ("batch_p95_ms", Obs.Json.Float (ms batch 95.));
+          ("streaming", Interp.Profile.summary_to_json s);
+          ("batch", Interp.Profile.summary_to_json b);
+          ( "batch_engine",
+            Obs.Json.Str (Interp.Exec.engine_name Interp.Plan.compiled) );
           ("streaming_over_batch", Obs.Json.Float ratio);
           ("bit_identical_to_batch", Obs.Json.Bool identical);
-          ("channel_hwm_within_capacity", Obs.Json.Bool !hwm_ok) ] )
+          ("channel_hwm_within_capacity", Obs.Json.Bool hwm_ok) ] )
   in
-  row "%-8s%14s%10s%10s%10s%10s%10s%6s%6s@." "query" "elems/s" "p50 ms"
-    "p95 ms" "p99 ms" "batch ms" "str/bat" "bits" "hwm";
+  row "%-8s%14s%10s%16s%10s%16s%10s%6s%6s@." "query" "elems/s" "str ms"
+    "str IQR ms" "batch ms" "batch IQR ms" "str/bat" "bits" "hwm";
   let results = List.map bench_workload Workloads.Streaming.all in
   Obs.Json.save
     (Obs.Json.Obj
-       [ ("generated_by", Obs.Json.Str "dune exec bench/main.exe streaming");
-         ("clock", Obs.Json.Str "monotonic (bechamel Monotonic_clock)");
-         ("host_cores", Obs.Json.Int (Domain.recommended_domain_count ()));
-         ("elements", Obs.Json.Int n_elems);
-         ("chunk", Obs.Json.Int chunk);
-         ("runs", Obs.Json.Int runs);
-         ("warmup_runs", Obs.Json.Int 1);
-         ("domains", Obs.Json.Int 2);
-         ("ratio_base",
-          Obs.Json.Str
-            "streaming_over_batch = batch_ms / p50_ms: median batch run \
-             (stream pre-loaded, consume scopes compiled) over median \
-             streaming run, same compiled instance, same inputs");
-         ("workloads", Obs.Json.Obj results) ])
+       (bench_header "dune exec bench/main.exe streaming"
+       @ [ ("elements", Obs.Json.Int n_elems);
+           ("chunk", Obs.Json.Int chunk);
+           ("warmup", Obs.Json.Int 1);
+           ("domains", Obs.Json.Int 2);
+           ( "ratio_base",
+             Obs.Json.Str
+               "streaming_over_batch = batch median / streaming median: \
+                whole Instance.run calls (copy-in and copy-out included) \
+                on one compiled instance, same inputs; batch pre-loads \
+                the stream and compiles consume scopes" );
+           ("workloads", Obs.Json.Obj results) ]))
     "BENCH_stream.json";
   row "wrote BENCH_stream.json@."
 
@@ -1659,45 +1577,36 @@ let streaming () =
    variant on the same deterministic arguments — CFD spectral-element
    (naive element loop vs batched gather/contract/scatter), attention
    (untiled vs MapTiling on both contraction maps), im2col convolution
-   (direct affine contraction vs gather + GEMM) — and record wall
-   times, speedup and output agreement in BENCH_workloads.json.
+   (direct affine contraction vs gather + GEMM) — and record each
+   variant's set-up and run-only walls, the run-only speedup, the
+   set-up-inclusive speedup (one cold run of each: instance creation
+   plus first run) and output agreement in BENCH_workloads.json.
    Agreement is checked, not assumed: [values_agree] uses the approx
    comparison sanctioned for reordered float accumulation,
    [bit_identical] records whether the stricter bit comparison also
    held. *)
 let workloads_bench () =
   header "Scenario workloads: baseline vs transformed variants";
-  let runs = 5 in
+  let runs = 9 in
   let config =
     Interp.Exec.Config.(
       default |> with_engine Interp.Plan.compiled |> with_auto_domains ~cap:4)
   in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
-  let time_variant build symbols args_of out =
-    let g = build () in
-    let args = ref (args_of ()) in
-    let samples =
-      Array.init runs (fun _ ->
-          args := args_of ();
-          let t0 = Unix.gettimeofday () in
-          ignore (Interp.Exec.run g ~config ~symbols ~args:!args);
-          Unix.gettimeofday () -. t0)
-    in
-    (median samples, List.assoc out !args)
-  in
   let bench_family (family, base_name, base_build, opt_name, opt_build,
                     symbols, args_of, out) =
-    let base_s, base_out = time_variant base_build symbols args_of out in
-    let opt_s, opt_out = time_variant opt_build symbols args_of out in
+    let measure build =
+      profile ~repeat:runs ~args_of config symbols (build ())
+    in
+    let base, base_args = measure base_build in
+    let opt, opt_args = measure opt_build in
+    let base_out = List.assoc out base_args
+    and opt_out = List.assoc out opt_args in
     let agree = Interp.Tensor.approx_equal base_out opt_out in
     let bits = Interp.Tensor.equal base_out opt_out in
-    let speedup = if opt_s > 0. then base_s /. opt_s else 0. in
-    row "%-10s%16.2f%16.2f%10.2fx%8s@." family (1e3 *. base_s)
-      (1e3 *. opt_s) speedup
+    let speedup = median base /. median opt in
+    let setup_speedup = base.p_setup_s /. opt.p_setup_s in
+    row "%-10s%14.3f%14.3f%10.2fx%14.2fx%8s@." family (1e3 *. median base)
+      (1e3 *. median opt) speedup setup_speedup
       (if bits then "bits" else if agree then "ok" else "DIFF");
     ( family,
       Obs.Json.Obj
@@ -1706,9 +1615,12 @@ let workloads_bench () =
           ("symbols",
            Obs.Json.Obj
              (List.map (fun (s, v) -> (s, Obs.Json.Int v)) symbols));
-          ("baseline_ms", Obs.Json.Float (1e3 *. base_s));
-          ("optimized_ms", Obs.Json.Float (1e3 *. opt_s));
+          ("baseline_ms", Obs.Json.Float (1e3 *. median base));
+          ("optimized_ms", Obs.Json.Float (1e3 *. median opt));
           ("speedup", Obs.Json.Float speedup);
+          ("setup_inclusive_speedup", Obs.Json.Float setup_speedup);
+          ("baseline_timing", Interp.Profile.timing_to_json base);
+          ("optimized_timing", Interp.Profile.timing_to_json opt);
           ("values_agree", Obs.Json.Bool agree);
           ("bit_identical", Obs.Json.Bool bits) ] )
   in
@@ -1726,16 +1638,22 @@ let workloads_bench () =
         "conv-im2col", Workloads.Attention.conv_im2col, conv_syms,
         (fun () -> Workloads.Attention.conv_args conv_syms), "O2" ) ]
   in
-  row "%-10s%16s%16s%11s%8s@." "family" "baseline ms" "optimized ms"
-    "speedup" "agree";
+  row "%-10s%14s%14s%11s%15s%8s@." "family" "baseline ms" "optimized ms"
+    "run-only" "setup-incl." "agree";
   let results = List.map bench_family families in
   Obs.Json.save
     (Obs.Json.Obj
-       [ ("generated_by",
-          Obs.Json.Str "dune exec bench/main.exe workloads");
-         ("runs", Obs.Json.Int runs);
-         ("domains_policy", Obs.Json.Str "predictive-cap-4");
-         ("families", Obs.Json.Obj results) ])
+       (bench_header "dune exec bench/main.exe workloads"
+       @ [ ("warmup", Obs.Json.Int 1);
+           ("domains_policy", Obs.Json.Str "predictive-cap-4");
+           ( "ratio_base",
+             Obs.Json.Str
+               "speedup = baseline run-only median / optimized run-only \
+                median (baseline_ms, optimized_ms); \
+                setup_inclusive_speedup = baseline setup_s / optimized \
+                setup_s, one cold run each (instance creation + first \
+                run)" );
+           ("families", Obs.Json.Obj results) ]))
     "BENCH_workloads.json";
   row "wrote BENCH_workloads.json@."
 
@@ -1746,7 +1664,7 @@ let experiments =
     ("fig14a", fig14a); ("fig14b", fig14b); ("fig14c", fig14c);
     ("fig15", fig15); ("fig17", fig17); ("table2", table2);
     ("table3", table3); ("ablations", ablations); ("micro", micro);
-    ("engines", engines); ("engines_v2", engines_v2); ("autoopt", autoopt);
+    ("engines", engines); ("autoopt", autoopt);
     ("calibrate", calibrate); ("parallel", parallel); ("serve", serve);
     ("streaming", streaming); ("workloads", workloads_bench) ]
 
@@ -1758,8 +1676,8 @@ let () =
       (fun (name, f) ->
         if not
              (List.mem name
-                [ "micro"; "engines"; "engines_v2"; "autoopt"; "serve";
-                  "streaming"; "workloads" ])
+                [ "micro"; "engines"; "autoopt"; "serve"; "streaming";
+                  "workloads" ])
         then f ())
       experiments;
     Fmt.pr "@.(run with argument 'micro' for bechamel microbenchmarks)@."

@@ -381,11 +381,12 @@ let run_cmd =
 let profile_cmd =
   let repeat_arg =
     Arg.(value & opt int 5
-         & info [ "r"; "repeat" ] ~docv:"N" ~doc:"Measured repetitions.")
+         & info [ "r"; "repeat" ] ~docv:"N" ~doc:"Timed runs.")
   in
   let warmup_arg =
     Arg.(value & opt int 1
-         & info [ "w"; "warmup" ] ~docv:"N" ~doc:"Unmeasured warmup runs.")
+         & info [ "w"; "warmup" ] ~docv:"N"
+             ~doc:"Unmeasured warmup runs after set-up.")
   in
   let instrument_arg =
     let level_conv =
@@ -396,21 +397,24 @@ let profile_cmd =
     in
     Arg.(value & opt level_conv Obs.Collect.All
          & info [ "i"; "instrument" ] ~docv:"LEVEL"
-             ~doc:"Instrumentation level for the measured runs: 'off' \
-                   (wall-clock only), 'marked' (only IR nodes flagged \
-                   with instrument) or 'all'.")
+             ~doc:"Instrumentation level of the one breakdown run that \
+                   supplies the timer tree and the trace: 'off' (no \
+                   extra run; the breakdown is the median timed run), \
+                   'marked' (only IR nodes flagged with instrument) or \
+                   'all'.  Timed runs are never instrumented.")
   in
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the full profile (walls, counters, timer tree, \
-                   plan coverage) as JSON to $(docv).")
+             ~doc:"Write the full profile (set-up, run walls and their \
+                   summary, counters, timer tree, plan coverage) as JSON \
+                   to $(docv).")
   in
   let trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write the median run as a Chrome trace-event file to \
-                   $(docv) (open in about://tracing or Perfetto).")
+             ~doc:"Write the breakdown run as a Chrome trace-event file \
+                   to $(docv) (open in about://tracing or Perfetto).")
   in
   let run name engine domains no_kernels repeat warmup instrument json trace =
     match find_program name with
@@ -441,8 +445,10 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Profile a Polybench program (mini size) or an engine \
-             workload: warmup + repeated measured runs, median report, \
-             optional JSON / Chrome-trace output")
+             workload on one planned instance: set-up (instance \
+             creation + first run) reported on its own, then warmup and \
+             timed uninstrumented runs summarized as median, quartiles, \
+             min and count; optional JSON / Chrome-trace output")
     Term.(const run $ prog_arg $ engine_arg $ domains_arg $ no_kernels_arg
           $ repeat_arg $ warmup_arg $ instrument_arg $ json_arg $ trace_arg)
 

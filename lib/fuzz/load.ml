@@ -171,7 +171,7 @@ let run ?(clients = 4) ?(distinct = 8) ?(verify = false)
     Array.init clients (fun _ ->
         { t_ok = 0; t_errors = 0; t_hits = 0; t_mismatches = 0 })
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Collect.now () in
   let threads =
     Array.to_list
       (Array.mapi
@@ -184,7 +184,7 @@ let run ?(clients = 4) ?(distinct = 8) ?(verify = false)
          slices)
   in
   List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Obs.Collect.now () -. t0 in
   let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
   let ok = sum (fun t -> t.t_ok) in
   { o_requests = requests;

@@ -16,11 +16,6 @@
     Selected via [Exec.run ~engine:`Compiled]; this module registers
     itself with {!Exec} at load time. *)
 
-val prepare : Exec.env -> Sdfg_ir.Defs.state -> Exec.cached_plan
-(** Lower one state into an executable plan against the given runtime
-    environment.  The plan is valid while the environment's containers
-    and the state's structure ([st_version]) are unchanged. *)
-
 val exec_state : Exec.env -> Sdfg_ir.Defs.state -> unit
 (** Execute a state under the compiled engine, preparing (or reusing)
     its cached plan from [env.plans]. *)

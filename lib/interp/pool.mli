@@ -1,12 +1,10 @@
 (** Spawn-once/reuse domain pool for the compiled engine's parallel maps.
 
     Workers are plain [Stdlib.Domain]s parked on mutex/condition
-    mailboxes, spawned lazily on first use and reused for the rest of the
-    process.  Not reentrant: [run] must only be called from the main
-    domain (parallel map bodies never start nested parallel regions). *)
-
-val max_domains : int
-(** Hard cap on pool size (64). *)
+    mailboxes, spawned lazily on first use, reused for the rest of the
+    process and joined at exit; at most 64.  Not reentrant: [run] must
+    only be called from the main domain (parallel map bodies never
+    start nested parallel regions). *)
 
 val run : domains:int -> (int -> unit) -> unit
 (** [run ~domains f] executes [f w] for every worker index [w] in
@@ -17,7 +15,3 @@ val run : domains:int -> (int -> unit) -> unit
 
 val available : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
-
-val shutdown : unit -> unit
-(** Stop and join all pool domains.  Registered via [at_exit]
-    automatically; safe to call manually (the pool respawns on demand). *)

@@ -42,29 +42,14 @@ let create dtype shape : t =
   in
   { shape; strides = row_major_strides shape; offset = 0; buf; dtype }
 
-let scalar dtype : t = create dtype [||]
-
 let shape t = t.shape
 let dtype t = t.dtype
 let rank t = Array.length t.shape
 let num_elements t = num_elements_shape t.shape
 
-let size_bytes t = num_elements t * dtype_size_bytes t.dtype
-
-(* Whether this tensor is a dense row-major view starting at offset 0 of
-   its own buffer (i.e., not a strided alias). *)
-let is_contiguous t =
-  t.offset = 0
-  && t.strides = row_major_strides t.shape
-  &&
-  match t.buf with
-  | Fbuf a -> Array.length a = num_elements t
-  | Ibuf a -> Array.length a = num_elements t
-
 (* Whether the view's memory order equals its logical row-major order, so
    its elements occupy the single run [offset, offset + num_elements).
-   Weaker than {!is_contiguous}: a dense window of a larger buffer
-   qualifies. *)
+   A dense window of a larger buffer qualifies. *)
 let is_dense t = t.strides = row_major_strides t.shape
 
 let linear_index t idx =
@@ -96,7 +81,6 @@ let get t idx = get_linear t (linear_index t idx)
 let set t idx v = set_linear t (linear_index t idx) v
 
 let get_scalar t = get_linear t t.offset
-let set_scalar t v = set_linear t t.offset v
 
 (* Step a row-major index odometer over [t]'s shape, keeping [off] at
    the matching buffer offset; past the last element it wraps to the
@@ -363,8 +347,3 @@ let approx_equal ?(rtol = 1e-9) ?(atol = 1e-12) a b =
       (Float.is_nan x && Float.is_nan y)
       || Float.abs (x -. y) <= atol +. (rtol *. Float.abs y))
     fa fb
-
-let pp ppf t =
-  Fmt.pf ppf "tensor<%s>[%s]"
-    (dtype_name t.dtype)
-    (String.concat "x" (Array.to_list (Array.map string_of_int t.shape)))

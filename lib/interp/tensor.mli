@@ -21,20 +21,16 @@ val row_major_strides : int array -> int array
 val create : Tasklang.Types.dtype -> int array -> t
 (** Zero-initialized dense tensor. *)
 
-val scalar : Tasklang.Types.dtype -> t
-
 val shape : t -> int array
 val dtype : t -> Tasklang.Types.dtype
 val rank : t -> int
 val num_elements : t -> int
-val size_bytes : t -> int
-val is_contiguous : t -> bool
 
 val is_dense : t -> bool
 (** Memory order equals logical row-major order: the elements occupy the
-    single run [offset, offset + num_elements).  Weaker than
-    {!is_contiguous} — a dense window of a larger buffer qualifies — and
-    the predicate behind the [Array.blit] fast path of {!copy_into}. *)
+    single run [offset, offset + num_elements).  A dense window of a
+    larger buffer qualifies.  The predicate behind the [Array.blit] fast
+    path of {!copy_into}. *)
 
 val get : t -> int list -> Tasklang.Types.value
 (** @raise Bounds on rank mismatch or out-of-range indices. *)
@@ -43,7 +39,6 @@ val set : t -> int list -> Tasklang.Types.value -> unit
 val get_linear : t -> int -> Tasklang.Types.value
 val set_linear : t -> int -> Tasklang.Types.value -> unit
 val get_scalar : t -> Tasklang.Types.value
-val set_scalar : t -> Tasklang.Types.value -> unit
 
 val iter_offsets : t -> (int -> unit) -> unit
 (** Walk the view's buffer offsets in logical row-major order (a rank-0
@@ -111,5 +106,3 @@ val approx_equal : ?rtol:float -> ?atol:float -> t -> t -> bool
     order may legally differ between graphs; exact {!equal} with
     [eps = 0.0] stays the default everywhere else.  Defaults:
     [rtol = 1e-9], [atol = 1e-12]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,7 +35,6 @@ val refresh : t -> int array -> unit
     @raise Tensor.Bounds exactly where [Tensor.view_subset] would. *)
 
 val lin_get : Tensor.t -> int -> Tasklang.Types.value
-val lin_set : Tensor.t -> int -> Tasklang.Types.value -> unit
 
 val get : t -> int array -> Tasklang.Types.value
 (** Read through the refreshed view; an empty index reads its origin.

@@ -77,7 +77,7 @@ let timing_on c = c.c_level <> Off
 let should_time c ~flag =
   match c.c_level with Off -> false | All -> true | Marked -> flag
 
-let now () = Unix.gettimeofday ()
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let parent c =
   match c.c_stack with [] -> c.c_root | (sp, _) :: _ -> sp

@@ -42,7 +42,10 @@ val should_time : t -> flag:bool -> bool
 (** Whether a construct carrying IR flag [flag] is timed at this level. *)
 
 val now : unit -> float
-(** Wall-clock seconds (gettimeofday). *)
+(** Seconds on the monotonic clock ([CLOCK_MONOTONIC]), from an
+    arbitrary origin: the one clock every timing in the library reads.
+    Only differences are meaningful; a wall-clock step cannot make one
+    negative. *)
 
 val enter : t -> kind -> string -> span
 (** Find-or-create the (kind, name) child of the innermost open span and

@@ -149,7 +149,7 @@ let optimize ?(name = "sdfg") (cfg : config) (build : unit -> Sdfg_ir.Sdfg.t)
       Interp.Profile.run ~config:cfg.c_exec ~warmup:cfg.c_warmup
         ~repeat:cfg.c_repeat ~symbols:cfg.c_measure_symbols g
     in
-    Interp.Profile.wall_median res
+    res.Interp.Profile.p_run.s_median
   in
   let base = build () in
   let base_model =

@@ -15,7 +15,7 @@
 
 type objective =
   | Model_only  (** score by {!Machine.Cost} alone; deterministic *)
-  | Measured    (** confirm the beam with profiled medians per step *)
+  | Measured    (** confirm the beam with profiled run-only medians per step *)
 
 val objective_name : objective -> string
 val target_name : Machine.Cost.target -> string

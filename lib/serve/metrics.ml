@@ -27,7 +27,7 @@ type t = {
 let create () =
   { lock = Mutex.create (); requests = 0; errors = 0; shed = 0; batched = 0;
     queue_depth = 0; max_queue_depth = 0; lats = Array.make lat_window 0.;
-    lat_count = 0; started = Unix.gettimeofday () }
+    lat_count = 0; started = Obs.Collect.now () }
 
 let locked m f =
   Mutex.lock m.lock;
@@ -86,7 +86,7 @@ let snapshot m =
           s_batched = m.batched;
           s_queue_depth = m.queue_depth;
           s_max_queue_depth = m.max_queue_depth;
-          s_uptime_s = Unix.gettimeofday () -. m.started;
+          s_uptime_s = Obs.Collect.now () -. m.started;
           s_p50_s = p50;
           s_p95_s = p95;
           s_p99_s = p99 }

@@ -178,7 +178,7 @@ let finish srv job ~batched (result : (Protocol.response, string) result) =
   Metrics.record_request srv.srv_metrics
     ~ok:(match result with Ok _ -> true | Error _ -> false)
     ~batched
-    ~latency_s:(Unix.gettimeofday () -. job.jb_enqueued);
+    ~latency_s:(Obs.Collect.now () -. job.jb_enqueued);
   try job.jb_reply resp with _ -> ()
 
 (* Unknown argument names must error even when they are not output
@@ -374,7 +374,7 @@ let submit srv (rq : Protocol.run_request) ~id ~send =
       { jb_id = id; jb_key = key; jb_text = text; jb_symbols = rq.rq_symbols;
         jb_config = rq.rq_config; jb_work = Wrun rq.rq_args;
         jb_reply = (fun r -> send id r);
-        jb_enqueued = Unix.gettimeofday () }
+        jb_enqueued = Obs.Collect.now () }
     in
     reject_verdict srv ~send ~id (enqueue srv job)
 
@@ -402,7 +402,7 @@ let submit_stream srv (sq : Protocol.stream_request) ~id ~send =
             { sw_args = sq.sq_args; sw_input = sq.sq_input;
               sw_output = sq.sq_output; sw_session = session };
         jb_reply = (fun r -> send id r);
-        jb_enqueued = Unix.gettimeofday () }
+        jb_enqueued = Obs.Collect.now () }
     in
     (match enqueue srv job with
     | `Queued ->

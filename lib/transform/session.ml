@@ -29,13 +29,13 @@ let create ?measure build =
     s_measure = measure }
 
 (* The default measure for sessions that tune against real executions:
-   the profiler's median wall-clock over [repeat] runs (DIODE's "run and
-   compare historical performance" loop, §4.2). *)
+   the profiler's median run-only wall over [repeat] runs (DIODE's "run
+   and compare historical performance" loop, §4.2). *)
 let create_profiled ?(exec = Interp.Exec.Config.default) ?(warmup = 1)
     ?(repeat = 3) ?(symbols = []) build =
   let measure g =
-    Interp.Profile.wall_median
-      (Interp.Profile.run ~config:exec ~warmup ~repeat ~symbols g)
+    (Interp.Profile.run ~config:exec ~warmup ~repeat ~symbols g)
+      .Interp.Profile.p_run.s_median
   in
   create ~measure build
 

@@ -30,9 +30,9 @@ val create_profiled :
   ?symbols:(string * int) list ->
   (unit -> Sdfg_ir.Sdfg.t) ->
   t
-(** A session whose measure is the profiler's median wall-clock over
-    [repeat] runs (default 3, after [warmup] unmeasured runs) of the
-    current graph under the [exec] config (default
+(** A session whose measure is the profiler's median run-only wall
+    (set-up excluded) over [repeat] runs (default 3, after [warmup]
+    unmeasured runs) of the current graph under the [exec] config (default
     {!Interp.Exec.Config.default}) — the DIODE "run and compare" loop
     backed by {!Interp.Profile}. *)
 

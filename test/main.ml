@@ -19,6 +19,7 @@ let () =
       ("kernels", Test_kernels.suite);
       ("session", Test_session.suite);
       ("report", Test_report.suite);
+      ("profile", Test_profile.suite);
       ("opt", Test_opt.suite);
       ("fuzz", Test_fuzz.suite);
       ("serve", Test_serve.suite);
