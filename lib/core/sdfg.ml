@@ -201,9 +201,7 @@ let clone (g : t) : t = State.clone_sdfg g
 
 (* The hash is computed over the canonical serialized form, which lives
    in {!Serialize} — a module that depends on this one.  Serialize
-   registers the implementation here at load time (the same pattern
-   {!Interp.Plan} uses to register the compiled engine with
-   {!Interp.Exec}). *)
+   registers the implementation here at load time. *)
 let hash_impl : (t -> string) ref =
   ref (fun _ ->
       failwith

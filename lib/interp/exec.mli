@@ -1,88 +1,23 @@
-(** Reference interpreter for SDFGs — an executable rendition of the
-    operational semantics of Appendix A.
-
-    Execution follows the state machine: run the current state's dataflow
-    to quiescence in topological order, evaluate outgoing transitions,
-    apply assignments, repeat until no condition holds.  Map scopes
-    expand their symbolic ranges (Fig. 6b); consume scopes process
-    streams dynamically until quiescence (Fig. 8); WCR memlets combine
-    values with their resolution function; nested SDFGs run on aliased
-    views of the outer memory.
-
-    The interpreter is the semantic oracle of the test suite: every
-    transformation and device offload is checked to preserve its
-    results.
-
-    Run state keeps one representation per concept.  A stream container
-    is an array of {!Stream.t}: unbounded in batch runs, bounded
-    channels in a streaming pipeline.  The counters and per-map policy
-    decisions the engines update are {!Obs.Report}'s own records, which
-    a report copies when it is built.  {!run}, {!Instance} and nested
-    SDFG invocations share one environment constructor, one container
-    allocator and one report builder. *)
+(** Running SDFGs: the execution configuration, one-shot {!run} and
+    reusable {!Instance}s.  This is the top of the engine modules, which
+    depend one way: {!Reference} (the oracle of Appendix A and the run
+    state every engine shares), {!Kernels}, {!Plan} (the compiled
+    engine), {!Pipeline} (streaming), then this module.  {!run},
+    {!Instance} and nested SDFG invocations share one environment
+    constructor, which picks the state executor from the config's
+    engine, one container allocator and one report builder. *)
 
 exception Runtime_error of string
 
-(** A stream container: a flattened array of {!Stream.t}s of shape
-    [q_shape] (paper Fig. 3).  Batch runs allocate them unbounded; a
-    pipeline worker's container table binds each stream to its bounded
-    channel, a single one with [q_shape = [||]]. *)
-type stream_rt = {
-  qs : Tasklang.Types.value Stream.t array;
-  q_shape : int array;
-}
-
-type container = Tens of Tensor.t | Strm of stream_rt
-
-(** How the compiled engine picks a worker count for each
-    [Cpu_multicore] map: [Fixed d] dispatches every Parallel-verdict map
-    on [min d trips] workers; [Predictive cap] prices each map with
-    {!Machine.Cost.Parallel} per invocation and uses the predicted
-    profitable count, up to [cap] — a map that will not profit runs
-    sequential by prediction, at sequential cost. *)
-type domain_policy = Fixed of int | Predictive of int
-
-(** Multicore bookkeeping (compiled engine); shared down through nested
-    SDFGs like the counters.  [par_chunks] depends on the domain count —
-    determinism checks across domain counts compare the counters. *)
-type par_stats = {
-  mutable par_maps : int;        (** parallel map-scope invocations *)
-  mutable par_chunks : int;      (** chunks dispatched to the pool *)
-  mutable par_forced_seq : int;  (** Cpu_multicore maps forced sequential *)
-  mutable par_decisions : Obs.Report.map_decision list;
-      (** one standing policy record per planned Cpu_multicore map,
-          registered when the map is planned and updated on every
-          invocation; registration order reversed *)
-}
-
-val fresh_par : unit -> par_stats
-
-val register_decision :
-  par_stats ->
-  state:string ->
-  node:int ->
-  map:string ->
-  kind:string ->
-  verdict:string ->
-  forced:bool ->
-  Obs.Report.map_decision
-(** Add (or replace, keyed by [(state, node)] — recompiles must not
-    duplicate, and one state may hold two maps over the same span) the
-    decision record for one map; called by {!Plan} at plan time. *)
+type domain_policy = Reference.domain_policy =
+  | Fixed of int
+  | Predictive of int  (** {!Reference.domain_policy} *)
 
 val register_external :
   string -> ((string * Tasklang.Eval.binding) list -> unit) -> unit
-(** Provide the native implementation for an [External] tasklet (paper
-    Fig. 5), keyed by tasklet name.  The bindings give the connector
-    accessors; the implementation must not touch anything else. *)
+(** {!Reference.register_external}. *)
 
-type engine = [ `Reference | `Compiled ]
-(** Which execution engine drives each state's dataflow.  [`Reference]
-    interprets the graph directly and is the semantic oracle;
-    [`Compiled] runs plans lowered once per state by {!Plan}
-    (closure-compiled tasklets, slot-indexed symbol frames, compiled
-    memlet offset arithmetic).  Both produce bit-identical results and
-    instrumentation counters. *)
+type engine = Reference.engine  (** {!Reference.engine} *)
 
 val engine_name : engine -> string
 (** ["reference"] / ["compiled"] — the [r_engine] field of reports. *)
@@ -96,7 +31,6 @@ module Config : sig
     | Invalid_domains of int          (** [domains < 1] *)
     | Invalid_max_states of int       (** [max_states < 1] *)
     | Invalid_stream_chunk of int     (** [stream_chunk < 1] *)
-    | Invalid_stream_capacity of int  (** [stream_capacity < 1] *)
     | Parse of string                 (** malformed JSON field *)
 
   val error_message : error -> string
@@ -121,10 +55,6 @@ module Config : sig
     stream_chunk : int;
         (** streaming mode: output elements buffered per sink flush;
             default 64 *)
-    stream_capacity : int option;
-        (** streaming mode: overrides every channel's capacity; [None]
-            (the default) uses each stream's declared [s_buffer], with
-            256 standing in for unbounded or unevaluable buffers *)
   }
 
   val default : t
@@ -146,11 +76,10 @@ module Config : sig
 
   val with_kernels : bool -> t -> t
   val with_stream_chunk : int -> t -> t
-  val with_stream_capacity : int -> t -> t
 
   val validate : t -> (t, error) result
-  (** Typed validation: [domains < 1], [max_states < 1],
-      [stream_chunk < 1] and [stream_capacity < 1] are {!error}s here
+  (** Typed validation: [domains < 1], [max_states < 1] and
+      [stream_chunk < 1] are {!error}s here
       rather than raises downstream — the CLI and the serve protocol
       report them without exception handling.  Values above the pool
       maximum (64) are not errors; they clamp. *)
@@ -171,7 +100,7 @@ module Config : sig
   val of_json : Obs.Json.t -> (t, error) result
   (** Missing fields keep their defaults; present fields must be
       well-typed ([engine]/[instrument] as names, [max_states]/
-      [stream_chunk]/[stream_capacity] integers, [kernels] boolean;
+      [stream_chunk] integers, [kernels] boolean;
       [domains] an integer pin, [null] for the environment default, or
       the strings ["auto"] / ["auto:N"] for the predictive policy).
       Runs {!validate}. *)
@@ -245,17 +174,18 @@ module Instance : sig
     source:(unit -> Tasklang.Types.value array option) ->
     t ->
     Obs.Report.t
-  (** Continuous-query execution: poll [source] for input chunks
-      ([None] = end of stream) fed into the [input] stream, deliver
-      [output]'s elements to [sink] in chunks of the config's
+  (** Continuous-query execution ({!Pipeline.run}): poll [source] for
+      input chunks ([None] = end of stream) fed into the [input] stream,
+      deliver [output]'s elements to [sink] in chunks of the config's
       [stream_chunk].  When {!Analysis.Races.analyze_pipeline} proves
       the graph a pipeline (single state; every stream single-producer,
       single-consumer; acyclic stages with disjoint non-stream
       footprints), consume scopes run as long-lived workers connected
-      by bounded channels — producers block on full channels
-      (backpressure), consumers on empty ones — and the report's
-      parallel section carries per-channel depth/blocked-time and
-      per-worker utilization.  Otherwise the source is drained fully
+      by channels as deep as each stream's declared buffer (256 when
+      unbounded) — producers block on full channels (backpressure),
+      consumers on empty ones — and the report's parallel section
+      carries per-channel depth/blocked-time and per-worker
+      utilization.  Otherwise the source is drained fully
       and the graph runs once, batch-style, the sink receiving one
       final chunk.  Both paths are bit-identical to
       [run ~stream_args:[(input, elements)]] followed by
@@ -274,72 +204,3 @@ module Instance : sig
   val symbols : t -> (string * int) list
   val graph : t -> Sdfg_ir.Sdfg.t
 end
-
-(** {1 Engine internals}
-
-    The pieces below are the shared substrate of both engines: the
-    compiled engine ({!Plan}) builds its plans over the same runtime
-    environment and falls back to the reference executors for constructs
-    it does not compile (multi-queue streams, nested or uncompilable
-    consume scopes, nested SDFGs, external tasklets, data-dependent
-    symbols), so instrumentation counters stay identical.  Not intended
-    for general use. *)
-
-type cached_plan = { pl_version : int; pl_run : unit -> unit }
-(** A state lowered by the compiled engine, tagged with the structural
-    version ([st_version]) it was compiled at. *)
-
-type env = {
-  g : Sdfg_ir.Defs.sdfg;
-  containers : (string, container) Hashtbl.t;
-  symbols : (string, int) Hashtbl.t;
-  stats : Obs.Report.counters;  (** the run's live counters *)
-  collector : Obs.Collect.t;  (** wall-clock spans + plan coverage *)
-  max_states : int;
-  engine : engine;
-  plans : (int, cached_plan) Hashtbl.t;  (** state id -> cached plan *)
-  domains : int;  (** domains the compiled engine may use (>= 1) *)
-  policy : domain_policy;  (** how each parallel map picks its workers *)
-  par : par_stats;
-  kernels : bool;  (** allow bulk-kernel lowering of affine map bodies *)
-}
-
-val map_span_name : Sdfg_ir.Defs.map_info -> string
-(** Span name of a map scope — shared by both engines so timing trees
-    match shape-for-shape. *)
-
-val runtime_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** @raise Runtime_error always. *)
-
-val scope_body : Sdfg_ir.Defs.state -> int -> int list
-(** The direct children of the scope opened by the given entry node, in
-    the state's topological order — the body schedule shared by the
-    reference executors, compiled plans and pipeline stages. *)
-
-val exec_nodes :
-  env ->
-  Sdfg_ir.Defs.state ->
-  params:(string * int) list ->
-  popped:(string * Tasklang.Types.value) list ->
-  int list ->
-  unit
-(** Execute the given nodes of one scope level in the supplied order with
-    the reference engine — the fallback path of compiled plans. *)
-
-val set_compiled_state_exec : (env -> Sdfg_ir.Defs.state -> unit) -> unit
-(** Register the compiled engine's state executor; called by {!Plan} at
-    load time. *)
-
-val set_stage_compiler :
-  (env ->
-  Sdfg_ir.Defs.state ->
-  int ->
-  Sdfg_ir.Defs.consume_info ->
-  (int -> Tasklang.Types.value -> unit) option) ->
-  unit
-(** Register the streaming stage compiler; called by {!Plan} at load
-    time.  Invoked once per pipeline worker with the worker's private
-    environment, the state, the consume entry's node id and its info;
-    [Some f] means [f pe v] runs the stage body for one popped element
-    (kernel-lowered map bodies included), [None] keeps the worker on
-    the reference body loop. *)

@@ -586,9 +586,9 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   if (conn_rank tk.t_outputs oconn <> 0) <> scatter then
     reject "connector-rank";
   let tens_of name =
-    match Hashtbl.find_opt env.Exec.containers name with
-    | Some (Exec.Tens t) -> t
-    | Some (Exec.Strm _) -> reject "stream"
+    match Hashtbl.find_opt env.Reference.containers name with
+    | Some (Reference.Tens t) -> t
+    | Some (Reference.Strm _) -> reject "stream"
     | None -> reject "container"
   in
   let wcr =
@@ -1199,7 +1199,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
     Array.append (Array.map fst in_wins)
       (match out_win with Some w -> [| w |] | None -> [||])
   in
-  let stats = env.Exec.stats in
+  let stats = env.Reference.stats in
   let has_wcr = wcr <> None in
   (* outer dimensions advance the shared offsets; [row] runs the
      innermost dimension *)
@@ -1342,7 +1342,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
     match tk.t_code with Code c -> c | External _ -> reject "external"
   in
   (* a timed tasklet must keep its per-execution span *)
-  if Obs.Collect.should_time env.Exec.collector ~flag:tk.t_instrument then
+  if Obs.Collect.should_time env.Reference.collector ~flag:tk.t_instrument then
     reject "instrumented";
   (* connected memlets, in the closure engine's binding order *)
   let ins =

@@ -63,7 +63,7 @@ val block : int
     iteration, keeping the closure nest's read-write interleaving. *)
 
 val recognize :
-  env:Exec.env ->
+  env:Reference.env ->
   st:Sdfg_ir.Defs.state ->
   entry:int ->
   info:Sdfg_ir.Defs.map_info ->

@@ -1,11 +1,11 @@
 (* Compiled execution engine: plan once, run many.
 
-   The reference interpreter ({!Exec}) re-derives everything on every map
-   iteration: scope bodies are recomputed per invocation, symbol frames
-   are assoc lists rebuilt per iteration, memlet subsets are concretized
-   through the symbolic evaluator per tasklet execution, and tasklet
-   bodies are re-walked ASTs.  This module lowers each state once into a
-   plan of OCaml closures:
+   The reference interpreter ({!Reference}) re-derives everything on
+   every map iteration: scope bodies are recomputed per invocation,
+   symbol frames are assoc lists rebuilt per iteration, memlet subsets
+   are concretized through the symbolic evaluator per tasklet execution,
+   and tasklet bodies are re-walked ASTs.  This module lowers each state
+   once into a plan of OCaml closures:
 
    - map scopes become native loop nests over a flat [int array] symbol
      frame, with range endpoints compiled by {!Symbolic.Expr.compile} to
@@ -17,10 +17,11 @@
    - top-level consume scopes over single-queue streams become the
      reference's pop-until-empty loop around a body compiled once — the
      same body compiler streaming pipeline workers use;
+   - access nodes that are pure wiring compile to nothing;
    - everything the plan does not compile — multi-queue streams, consume
      scopes nested in other scopes or whose bodies do not compile in
-     full, nested SDFGs, external tasklets, reductions, access-node
-     copies and any expression over data-dependent symbols (rank-0
+     full, nested SDFGs, external tasklets, reductions, copies that move
+     data and any expression over data-dependent symbols (rank-0
      containers, stream lengths) — falls back to the reference executors
      node by node, so semantics and instrumentation counters stay
      identical.
@@ -43,7 +44,7 @@ open Tasklang.Types
 exception Fallback
 
 type ctx = {
-  env : Exec.env;
+  env : Reference.env;
   st : state;
   mutable frame : int array;   (* allocated once slot count is known *)
   mutable n_slots : int;
@@ -93,8 +94,8 @@ let slot_fn ctx scope_env name =
   match List.assoc_opt name scope_env with
   | Some i -> i
   | None ->
-    if Hashtbl.mem ctx.env.Exec.containers name then raise Fallback
-    else if Hashtbl.mem ctx.env.Exec.symbols name then sym_slot ctx name
+    if Hashtbl.mem ctx.env.Reference.containers name then raise Fallback
+    else if Hashtbl.mem ctx.env.Reference.symbols name then sym_slot ctx name
     else raise Fallback
 
 let comp_expr ctx scope_env e : int array -> int =
@@ -109,7 +110,7 @@ let symbol_refresh ctx =
       (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) ctx.sym_slots
          [])
   in
-  let symbols = ctx.env.Exec.symbols in
+  let symbols = ctx.env.Reference.symbols in
   fun () ->
     let fr = ctx.frame in
     Array.iter
@@ -138,7 +139,7 @@ let eval_bounds ctx dims bounds =
       bounds.((3 * k) + 1) <- hi_f fr;
       let s = step_f fr in
       if s <= 0 then
-        Exec.runtime_error
+        Reference.runtime_error
           "map over parameter %S in state %S: non-positive stride %d" p
           ctx.st.st_label s;
       bounds.((3 * k) + 2) <- s)
@@ -148,7 +149,7 @@ let eval_bounds ctx dims bounds =
    parameter's frame slot from [bounds], and the innermost level counts
    one map iteration before running the body steps. *)
 let loop_nest ctx ~from pslots bounds steps =
-  let stats = ctx.env.Exec.stats in
+  let stats = ctx.env.Reference.stats in
   let run_body () =
     stats.map_iterations <- stats.map_iterations + 1;
     for i = 0 to Array.length steps - 1 do
@@ -181,7 +182,7 @@ let loop_nest ctx ~from pslots bounds steps =
    and re-entered thereafter (a plan closure always runs under the same
    static scope chain, so its span's parent is stable). *)
 let spanned ctx kind name ~flag (f : unit -> unit) : unit -> unit =
-  let c = ctx.env.Exec.collector in
+  let c = ctx.env.Reference.collector in
   if not (Obs.Collect.should_time c ~flag) then f
   else
     let memo = ref None in
@@ -210,7 +211,7 @@ let spanned ctx kind name ~flag (f : unit -> unit) : unit -> unit =
    recognition only ever changes how fast the common case runs.  The
    outcome is tallied in plan coverage either way. *)
 let try_kernel ctx scope_env entry (info : map_info) : Kernels.t option =
-  if not ctx.env.Exec.kernels then None
+  if not ctx.env.Reference.kernels then None
   else begin
     let collector = ctx.cov in
     let result =
@@ -237,10 +238,10 @@ let try_kernel ctx scope_env entry (info : map_info) : Kernels.t option =
 
 (* [strict] compilation admits no reference fallback: any node the plan
    cannot lower raises {!Fallback} instead of building a closure over
-   [Exec.exec_nodes].  The parallel map compiler uses it — worker domains
-   must only ever run compiled closures (the reference executors walk
-   shared mutable engine state: symbol tables, scope caches, the symbolic
-   evaluator's memo tables). *)
+   [Reference.exec_nodes].  The parallel map compiler uses it — worker
+   domains must only ever run compiled closures (the reference executors
+   walk shared mutable engine state: symbol tables, scope caches, the
+   symbolic evaluator's memo tables). *)
 let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
   let collector = ctx.cov in
   let fallback () =
@@ -248,7 +249,8 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
     Obs.Collect.note_fallback_node collector;
     let env = ctx.env and st = ctx.st in
     match scope_env with
-    | [] -> fun () -> Exec.exec_nodes env st ~params:[] ~popped:[] [ nid ]
+    | [] ->
+      fun () -> Reference.exec_nodes env st ~params:[] ~popped:[] [ nid ]
     | _ ->
       let se = Array.of_list scope_env in
       fun () ->
@@ -256,7 +258,7 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
         let params =
           Array.to_list (Array.map (fun (p, slot) -> (p, fr.(slot))) se)
         in
-        Exec.exec_nodes env st ~params ~popped:[] [ nid ]
+        Reference.exec_nodes env st ~params ~popped:[] [ nid ]
   in
   match State.node ctx.st nid with
   | Map_entry info -> (
@@ -270,7 +272,7 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
         | None -> comp_map ~strict ctx scope_env nid info
       in
       Obs.Collect.note_compiled_node collector;
-      spanned ctx Obs.Collect.Map (Exec.map_span_name info)
+      spanned ctx Obs.Collect.Map (Reference.map_span_name info)
         ~flag:info.mp_instrument f
     with Fallback -> fallback ())
   | Tasklet t -> (
@@ -280,12 +282,12 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
       spanned ctx Obs.Collect.Tasklet t.t_name ~flag:t.t_instrument f
     with Fallback -> fallback ())
   | Map_exit | Consume_exit -> fun () -> ()
-  | Access d when strict ->
-    (* Inside a compiled pipeline stage an access node is admissible only
-       when every incident edge is one the reference executor treats as a
-       semantic no-op (same-container commit wiring, connector-less value
-       flow): scope-entry copy-ins and copies to other containers would
-       need the interpreter, so they fall back. *)
+  | Access d ->
+    (* An access node is wiring — compiled to nothing and tallied in
+       neither coverage count, like a scope exit — when no incident edge
+       makes the reference's access executor move data: no scope-entry
+       copy-in or commit naming another container, and no memlet to an
+       adjacent access node.  Real copies fall back. *)
     let passthrough =
       List.for_all
         (fun (e : edge) ->
@@ -314,7 +316,7 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
       Obs.Collect.note_compiled_node collector;
       spanned ctx Obs.Collect.Consume info.cs_stream ~flag:info.cs_instrument f
     with Fallback -> fallback ())
-  | Access _ | Consume_entry _ | Reduce _ | Nested_sdfg _ -> fallback ()
+  | Consume_entry _ | Reduce _ | Nested_sdfg _ -> fallback ()
 
 (* A map scope compiles to a loop nest: ranges are evaluated once per
    invocation into a bounds scratch (as the reference does), each level
@@ -329,7 +331,7 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
     Array.of_list
       (List.map
          (comp_node ~strict ctx scope_env')
-         (Exec.scope_body ctx.st entry))
+         (Reference.scope_body ctx.st entry))
   in
   let bounds = Array.make (max 1 (Array.length dims * 3)) 0 in
   let nest = loop_nest ctx ~from:0 pslots bounds steps in
@@ -361,27 +363,27 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
 and comp_parallel_map ctx nid (info : map_info) : (unit -> unit) option =
   let env = ctx.env in
   if info.mp_schedule <> Cpu_multicore then None
-  else if (match env.Exec.policy with
-          | Exec.Fixed d -> d <= 1
-          | Exec.Predictive _ -> false)
+  else if (match env.Reference.policy with
+          | Reference.Fixed d -> d <= 1
+          | Reference.Predictive _ -> false)
   then None
   else
-    let par = env.Exec.par in
+    let par = env.Reference.par in
     let forced verdict =
       let seq = comp_map ctx [] nid info in
       let md =
-        Exec.register_decision par ~state:ctx.st.st_label ~node:nid
-          ~map:(Exec.map_span_name info) ~kind:"closure" ~verdict
+        Reference.register_decision par ~state:ctx.st.st_label ~node:nid
+          ~map:(Reference.map_span_name info) ~kind:"closure" ~verdict
           ~forced:true
       in
       md.pm_reason <- "forced-serial";
       Some
         (fun () ->
-          par.Exec.par_forced_seq <- par.Exec.par_forced_seq + 1;
+          par.Reference.par_forced_seq <- par.Reference.par_forced_seq + 1;
           md.pm_invocations <- md.pm_invocations + 1;
           seq ())
     in
-    match Analysis.Races.analyze_map env.Exec.g ctx.st nid with
+    match Analysis.Races.analyze_map env.Reference.g ctx.st nid with
     (* the analysis must never abort execution: any failure to analyze is
        a failure to prove safety *)
     | exception _ -> forced "analysis-error"
@@ -401,11 +403,11 @@ and comp_parallel_map ctx nid (info : map_info) : (unit -> unit) option =
 and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     ~containers ~verdict : unit -> unit =
   let env = ctx.env in
-  let d = env.Exec.domains in
-  let policy = env.Exec.policy in
+  let d = env.Reference.domains in
+  let policy = env.Reference.policy in
   let tens name =
-    match Hashtbl.find_opt env.Exec.containers name with
-    | Some (Exec.Tens t) -> t
+    match Hashtbl.find_opt env.Reference.containers name with
+    | Some (Reference.Tens t) -> t
     | _ -> raise Fallback
   in
   (* The race analysis reasons about container *names*; at runtime two
@@ -434,7 +436,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let nd = Array.length dims in
   if nd = 0 then raise Fallback;
   let bounds = Array.make (nd * 3) 0 in
-  let body_ids = Exec.scope_body ctx.st entry in
+  let body_ids = Reference.scope_body ctx.st entry in
   let acc_shared =
     Array.of_list
       (List.map
@@ -457,9 +459,9 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let make_replica ~solo _ =
     let rcontainers =
       if solo || (n_acc = 0 && Array.length priv_names = 0) then
-        env.Exec.containers
+        env.Reference.containers
       else begin
-        let tbl = Hashtbl.copy env.Exec.containers in
+        let tbl = Hashtbl.copy env.Reference.containers in
         Array.iteri
           (fun a name ->
             let _, t, idv = acc_shared.(a) in
@@ -467,13 +469,13 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
               Tensor.create (Tensor.dtype t) (Array.copy (Tensor.shape t))
             in
             Tensor.fill p idv;
-            Hashtbl.replace tbl name (Exec.Tens p))
+            Hashtbl.replace tbl name (Reference.Tens p))
           acc_names;
         Array.iter
           (fun name ->
             let t = tens name in
             Hashtbl.replace tbl name
-              (Exec.Tens
+              (Reference.Tens
                  (Tensor.create (Tensor.dtype t)
                     (Array.copy (Tensor.shape t)))))
           priv_names;
@@ -482,14 +484,15 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     in
     let renv =
       { env with
-        Exec.stats = Obs.Report.zero_counters ();
-        collector = Obs.Collect.create (Obs.Collect.level env.Exec.collector);
+        Reference.stats = Obs.Report.zero_counters ();
+        collector =
+          Obs.Collect.create (Obs.Collect.level env.Reference.collector);
         containers = rcontainers }
     in
     let rctx =
       { env = renv; st = ctx.st; frame = [||]; n_slots = 0;
         sym_slots = Hashtbl.create 8; popped = None;
-        cov = renv.Exec.collector }
+        cov = renv.Reference.collector }
     in
     let pslots = Array.map (fun (p, _, _, _) -> (p, alloc_slot rctx)) dims in
     let scope_env = Array.to_list pslots in
@@ -528,17 +531,19 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         Array.map
           (fun name ->
             match Hashtbl.find rcontainers name with
-            | Exec.Tens p -> p
+            | Reference.Tens p -> p
             | _ -> assert false)
           acc_names
     in
-    { rp_stats = renv.Exec.stats; rp_collector = renv.Exec.collector;
+    { rp_stats = renv.Reference.stats; rp_collector = renv.Reference.collector;
       rp_refresh = symbol_refresh rctx; rp_acc;
       rp_kind = Option.map (fun k -> k.Kernels.k_name) kernel;
       rp_run = run_range }
   in
   let predictive =
-    match policy with Exec.Predictive _ -> true | Exec.Fixed _ -> false
+    match policy with
+    | Reference.Predictive _ -> true
+    | Reference.Fixed _ -> false
   in
   let replicas =
     if d > 1 then Array.init d (make_replica ~solo:false) else [||]
@@ -563,8 +568,8 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   Obs.Collect.merge_coverage ctx.cov coverage_replica.rp_collector;
   let kind = coverage_replica.rp_kind in
   let md =
-    Exec.register_decision env.Exec.par ~state:ctx.st.st_label ~node:entry
-      ~map:(Exec.map_span_name info)
+    Reference.register_decision env.Reference.par ~state:ctx.st.st_label
+      ~node:entry ~map:(Reference.map_span_name info)
       ~kind:(match kind with Some k -> k | None -> "closure")
       ~verdict ~forced:false
   in
@@ -580,12 +585,12 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
      bounces between domains the way a shared counter bump would. *)
   let pad = 16 in
   let chunk_tally = Array.make (max 1 (d * pad)) 0 in
-  let par = env.Exec.par in
-  let collector = env.Exec.collector in
+  let par = env.Reference.par in
+  let collector = env.Reference.collector in
   (* merge one worker's counters into the run's; totals stay bit-equal
      to sequential because every iteration is counted exactly once *)
   let publish (r : replica) =
-    Obs.Report.add_counters ~into:env.Exec.stats r.rp_stats;
+    Obs.Report.add_counters ~into:env.Reference.stats r.rp_stats;
     Obs.Report.reset_counters r.rp_stats
   in
   (* interstate symbols may have changed since the last invocation:
@@ -599,18 +604,18 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
       md.pm_domains <- 1;
       md.pm_reason <-
         (match policy with
-        | Exec.Fixed _ -> "pinned"
-        | Exec.Predictive _ -> "zero-trip");
+        | Reference.Fixed _ -> "pinned"
+        | Reference.Predictive _ -> "zero-trip");
       md.pm_invocations <- md.pm_invocations + 1
     end
     else begin
       let trips = ((hi - lo) / step) + 1 in
       let workers =
         match policy with
-        | Exec.Fixed _ ->
+        | Reference.Fixed _ ->
           md.pm_reason <- "pinned";
           if trips < d then trips else d
-        | Exec.Predictive cap ->
+        | Reference.Predictive cap ->
           (* price the whole nest: outer trips x inner iterations *)
           let inner =
             let p = ref 1 in
@@ -644,7 +649,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         if Obs.Collect.timing_on collector then
           Obs.Collect.absorb collector s.rp_collector
       | _ ->
-        par.Exec.par_maps <- par.Exec.par_maps + 1;
+        par.Reference.par_maps <- par.Reference.par_maps + 1;
         for w = 0 to workers - 1 do
           refresh replicas.(w)
         done;
@@ -656,7 +661,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
              bodies it means one kernel launch per worker — [workers]
              flat strided loops with no shared chunk cursor to contend
              on *)
-          par.Exec.par_chunks <- par.Exec.par_chunks + workers;
+          par.Reference.par_chunks <- par.Reference.par_chunks + workers;
           Pool.run ~domains:workers (fun w ->
               let t0 = w * trips / workers
               and t1 = (w + 1) * trips / workers in
@@ -694,7 +699,8 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
               done;
               chunk_tally.(w * pad) <- !mine);
           for w = 0 to workers - 1 do
-            par.Exec.par_chunks <- par.Exec.par_chunks + chunk_tally.(w * pad);
+            par.Reference.par_chunks <-
+              par.Reference.par_chunks + chunk_tally.(w * pad);
             chunk_tally.(w * pad) <- 0
           done
         end;
@@ -731,7 +737,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     end
 
 (* A top-level consume scope over a single-queue batch stream compiles to
-   the reference's quiescence loop ([Exec.exec_consume]) around a body
+   the reference's quiescence loop ([Reference.exec_consume]) around a body
    compiled once: drain the stream (one lock-free pop per element),
    count one pop and one iteration per element, bind the PE parameter to
    [pe mod num_pes], and stop with the reference's error past 100M
@@ -740,23 +746,23 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
    reference path. *)
 and comp_consume ctx entry (info : consume_info) : unit -> unit =
   let q =
-    match Hashtbl.find_opt ctx.env.Exec.containers info.cs_stream with
-    | Some (Exec.Strm { Exec.qs = [| q |]; _ }) -> q
+    match Hashtbl.find_opt ctx.env.Reference.containers info.cs_stream with
+    | Some (Reference.Strm { Reference.qs = [| q |]; _ }) -> q
     | _ -> raise Fallback
   in
   let num_pes = comp_expr ctx [] info.cs_num_pes in
   let refresh, step =
     comp_consume_body ~cov:ctx.cov ctx.env ctx.st entry info
   in
-  let stats = ctx.env.Exec.stats in
+  let stats = ctx.env.Reference.stats in
   fun () ->
     let num_pes = max 1 (num_pes ctx.frame) in
     refresh ();
     let pe = ref 0 in
     Stream.drain q (fun v ->
         if !pe >= 100_000_000 then
-          Exec.runtime_error "consume scope on %S exceeded iteration budget"
-            info.cs_stream;
+          Reference.runtime_error
+            "consume scope on %S exceeded iteration budget" info.cs_stream;
         stats.stream_pops <- stats.stream_pops + 1;
         stats.map_iterations <- stats.map_iterations + 1;
         step (!pe mod num_pes) v;
@@ -785,7 +791,7 @@ and comp_consume_body ~cov env st entry (info : consume_info) :
     Array.of_list
       (List.map
          (comp_node ~strict:true ctx [ (info.cs_pe_param, pe_slot) ])
-         (Exec.scope_body st entry))
+         (Reference.scope_body st entry))
   in
   Obs.Collect.merge_coverage cov ctx.cov;
   ctx.frame <- Array.make (max 1 ctx.n_slots) 0;
@@ -802,16 +808,16 @@ and comp_consume_body ~cov env st entry (info : consume_info) :
    targets an array container or a scalar stream, and all subset
    expressions compile.
    Binding order, counter updates and error behavior mirror
-   [Exec.exec_tasklet] / [bind_input] / [bind_output]. *)
+   [Reference.exec_tasklet] / [bind_input] / [bind_output]. *)
 and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
   let env = ctx.env and st = ctx.st in
   let code = match t.t_code with Code c -> c | External _ -> raise Fallback in
   let tens_of name =
-    match Hashtbl.find_opt env.Exec.containers name with
-    | Some (Exec.Tens tt) -> tt
+    match Hashtbl.find_opt env.Reference.containers name with
+    | Some (Reference.Tens tt) -> tt
     | _ -> raise Fallback  (* streams keep reference pop/push semantics *)
   in
-  let stats = env.Exec.stats in
+  let stats = env.Reference.stats in
   let prologues = ref [] and resolutions = ref [] in
   let add_in (e : edge) =
     match e.e_dst_conn, e.e_memlet with
@@ -820,7 +826,7 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
            | Some (sname, _) -> String.equal sname m.m_data
            | None -> false) ->
       (* the stage's popped stream element: bound as a scalar, no stats
-         counted — mirrors [Exec.exec_tasklet]'s short-circuit *)
+         counted — mirrors [Reference.exec_tasklet]'s short-circuit *)
       let cell =
         match ctx.popped with Some (_, c) -> c | None -> assert false
       in
@@ -860,7 +866,7 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
               stats.elements_moved + (if dyn then 1 else v.View.v_vol))
           :: !prologues;
         let set _ _ =
-          Exec.runtime_error "tasklet %S: writing input connector %S"
+          Reference.runtime_error "tasklet %S: writing input connector %S"
             t.t_name conn
         in
         resolutions :=
@@ -877,9 +883,9 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         | Some c -> c
         | None -> raise Fallback
       in
-      match Hashtbl.find_opt env.Exec.containers m.m_data with
-      | Some (Exec.Strm { Exec.q_shape = [||]; qs }) ->
-        (* a scalar stream, as [Exec.bind_output]: one counted push per
+      match Hashtbl.find_opt env.Reference.containers m.m_data with
+      | Some (Reference.Strm { Reference.q_shape = [||]; qs }) ->
+        (* a scalar stream, as [Reference.bind_output]: one counted push per
            write (blocking while a pipeline channel is full), reads
            rejected *)
         let q = qs.(0) in
@@ -887,7 +893,8 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
           (conn,
            Tasklang.Compile.Buffer_src
              ((fun _ ->
-                Exec.runtime_error "reading output stream connector %S" conn),
+                Reference.runtime_error "reading output stream connector %S"
+                  conn),
               fun _ v ->
                 stats.stream_pushes <- stats.stream_pushes + 1;
                 Stream.push q v))
@@ -919,10 +926,10 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
       | Some slot ->
         Some (Tasklang.Compile.Scalar_src (fun () -> I ctx.frame.(slot)))
       | None ->
-        if Hashtbl.mem env.Exec.symbols name then
+        if Hashtbl.mem env.Reference.symbols name then
           Some
             (Tasklang.Compile.Scalar_src
-               (fun () -> I (Hashtbl.find env.Exec.symbols name)))
+               (fun () -> I (Hashtbl.find env.Reference.symbols name)))
         else None)
   in
   let body = Tasklang.Compile.compile ~resolve code in
@@ -936,11 +943,11 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
 
 (* --- per-state plans ----------------------------------------------------- *)
 
-let prepare (env : Exec.env) (st : state) : Exec.cached_plan =
-  Obs.Collect.note_planned_state env.Exec.collector;
+let prepare (env : Reference.env) (st : state) : Reference.cached_plan =
+  Obs.Collect.note_planned_state env.Reference.collector;
   let ctx =
     { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
-      popped = None; cov = env.Exec.collector }
+      popped = None; cov = env.Reference.collector }
   in
   let top =
     let parents = State.scope_parents st in
@@ -957,21 +964,20 @@ let prepare (env : Exec.env) (st : state) : Exec.cached_plan =
       (Array.unsafe_get steps i) ()
     done
   in
-  { Exec.pl_version = st.st_version; pl_run = run }
+  { Reference.pl_version = st.st_version; pl_run = run }
 
-let exec_state (env : Exec.env) (st : state) =
-  env.Exec.stats.states_executed <- env.Exec.stats.states_executed + 1;
+let exec_state (env : Reference.env) (st : state) =
+  let stats = env.Reference.stats in
+  stats.states_executed <- stats.states_executed + 1;
   let plan =
-    match Hashtbl.find_opt env.Exec.plans st.st_id with
-    | Some p when p.Exec.pl_version = st.st_version -> p
+    match Hashtbl.find_opt env.Reference.plans st.st_id with
+    | Some p when p.Reference.pl_version = st.st_version -> p
     | _ ->
       let p = prepare env st in
-      Hashtbl.replace env.Exec.plans st.st_id p;
+      Hashtbl.replace env.Reference.plans st.st_id p;
       p
   in
-  plan.Exec.pl_run ()
-
-let () = Exec.set_compiled_state_exec exec_state
+  plan.Reference.pl_run ()
 
 (* --- streaming stage bodies ---------------------------------------------- *)
 
@@ -980,9 +986,9 @@ let () = Exec.set_compiled_state_exec exec_state
    the streams are its bounded channels.  [None] keeps the worker on the
    reference body loop.  Called from the main domain before the pipeline
    starts. *)
-let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :
-    (int -> value -> unit) option =
-  match comp_consume_body ~cov:env.Exec.collector env st entry info with
+let compile_stage (env : Reference.env) (st : state) entry
+    (info : consume_info) : (int -> value -> unit) option =
+  match comp_consume_body ~cov:env.Reference.collector env st entry info with
   | exception Fallback -> None
   | refresh, step ->
     Some
@@ -990,11 +996,5 @@ let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :
         refresh ();
         step pe v)
 
-let () = Exec.set_stage_compiler compile_stage
-
-(* Referencing these values from a program forces this module to be
-   linked (and thus the engine to be registered); plain
-   [Exec.run ~engine:`Compiled] in a program that never mentions [Plan]
-   could otherwise drop this compilation unit at link time. *)
-let compiled : Exec.engine = `Compiled
-let reference : Exec.engine = `Reference
+let compiled : Reference.engine = `Compiled
+let reference : Reference.engine = `Reference

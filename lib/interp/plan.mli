@@ -6,23 +6,37 @@
     connectors resolved to strided offset arithmetic, and range/subset
     endpoints compiled by {!Symbolic.Expr.compile}.  Top-level consume
     scopes over single-queue streams run the reference's pop-until-empty
-    loop around a body compiled once.  Constructs the plan does not
-    compile (multi-queue streams, nested or partly uncompilable consume
-    scopes, nested SDFGs, external tasklets, reductions, copies,
-    data-dependent symbols) fall back to the reference executors of
-    {!Exec} node by node, so results and instrumentation counters are
-    bit-identical to the reference engine.
+    loop around a body compiled once.  Access nodes that are pure wiring
+    compile to nothing.  Constructs the plan does not compile
+    (multi-queue streams, nested or partly uncompilable consume scopes,
+    nested SDFGs, external tasklets, reductions, copies that move data,
+    data-dependent symbols) fall back to {!Reference.exec_nodes} node by
+    node, so results and instrumentation counters are bit-identical to
+    the reference engine.
 
-    Selected via [Exec.run ~engine:`Compiled]; this module registers
-    itself with {!Exec} at load time. *)
+    Selected with [Exec.Config.with_engine `Compiled]: the env
+    constructor installs {!exec_state} as the run's state executor. *)
 
-val exec_state : Exec.env -> Sdfg_ir.Defs.state -> unit
+val exec_state : Reference.env -> Sdfg_ir.Defs.state -> unit
 (** Execute a state under the compiled engine, preparing (or reusing)
     its cached plan from [env.plans]. *)
 
-val compiled : Exec.engine
-(** [`Compiled].  Referencing this constant also guarantees the module
-    is linked and the engine registered. *)
+val compile_stage :
+  Reference.env ->
+  Sdfg_ir.Defs.state ->
+  int ->
+  Sdfg_ir.Defs.consume_info ->
+  (int -> Tasklang.Types.value -> unit) option
+(** Compile a pipeline stage body — the batch consume loop's body
+    compiler, run on the worker's private environment (its streams bound
+    to the worker's channels), with the consume entry's node id and info.
+    [Some f] means [f pe v] runs the body for one popped element [v],
+    kernel-lowered map bodies included; [None] keeps the worker on the
+    reference body loop.  Call on the main domain: planning records
+    coverage into the shared collector. *)
 
-val reference : Exec.engine
+val compiled : Reference.engine
+(** [`Compiled]. *)
+
+val reference : Reference.engine
 (** [`Reference]. *)

@@ -2,14 +2,13 @@
 
    A batch run allocates each stream unbounded: a plain queue with no
    lock and no metrics, touched by one domain only (the race analysis
-   keeps every map that accesses a stream serial).  A pipeline under
-   [Exec.Instance.run_streaming] connects its stages by bounded
-   channels: a fixed-capacity ring buffer with mutex/condvar blocking
-   semantics.  Producers block on a full channel (backpressure — this is
-   what bounds memory when a producer outruns its consumer), consumers
-   block on an empty one, and [close] marks end-of-stream: once a closed
-   channel drains, [pop] returns [None] and consume-scope workers shut
-   down.
+   keeps every map that accesses a stream serial).  A pipeline
+   ([Pipeline.run]) connects its stages by bounded channels: a
+   fixed-capacity ring buffer with mutex/condvar blocking semantics.
+   Producers block on a full channel (backpressure — this is what bounds
+   memory when a producer outruns its consumer), consumers block on an
+   empty one, and [close] marks end-of-stream: once a closed channel
+   drains, [pop] returns [None] and consume-scope workers shut down.
 
    Channels keep their sustained-load counters (pushes, pops, depth
    high-water mark, accumulated blocked time on either side) in the

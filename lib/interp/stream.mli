@@ -3,12 +3,11 @@
     A stream is either unbounded or a bounded channel, fixed when it is
     created.  Batch runs allocate unbounded streams: a plain queue that
     takes no lock, keeps no metrics and never blocks, because only one
-    domain touches it.  Streaming execution
-    ([Exec.Instance.run_streaming]) connects its pipeline stages by
-    bounded channels: a fixed-capacity ring buffer where [push] blocks
-    while the channel is full (backpressure), [pop] blocks while it is
-    empty, and [close] marks end-of-stream — after a closed channel
-    drains, [pop] returns [None].
+    domain touches it.  Streaming execution ({!Pipeline.run}) connects
+    its pipeline stages by bounded channels: a fixed-capacity ring buffer
+    where [push] blocks while the channel is full (backpressure), [pop]
+    blocks while it is empty, and [close] marks end-of-stream — after a
+    closed channel drains, [pop] returns [None].
 
     Channel operations are thread-safe (one mutex, two condition
     variables per channel) and may be called from any domain.  A

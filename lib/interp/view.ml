@@ -129,7 +129,7 @@ let set (stats : Obs.Report.counters) v wcr =
   fun (idx : int array) value ->
     stats.elements_moved <- stats.elements_moved + 1;
     (* the reference counts a conflict resolution before its bounds
-       check ([Exec.apply_wcr]) *)
+       check ([Reference.apply_wcr]) *)
     if wcr <> None then stats.wcr_writes <- stats.wcr_writes + 1;
     let off =
       if Array.length idx = 0 then begin

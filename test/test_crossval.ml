@@ -288,6 +288,63 @@ let test_nonpositive_stride_raises () =
         [ 0; -2 ])
     [ Plan.reference; Plan.compiled ]
 
+(* --- plan coverage -------------------------------------------------------
+
+   Access nodes that only wire the graph compile to nothing, so "on the
+   reference fallback" counts only work the reference really does. *)
+
+(* Run [build ()] once per engine on one domain, check tensors bit for
+   bit and counters, and return the compiled run's plan coverage. *)
+let compiled_coverage ~name ~build ~args ~symbols =
+  let run engine =
+    let a = args () in
+    let config =
+      Exec.Config.(default |> with_engine engine |> with_domains 1)
+    in
+    (a, Exec.run (build ()) ~config ~symbols ~args:a)
+  in
+  let ra, rs = run Plan.reference and ca, cs = run Plan.compiled in
+  List.iter2
+    (fun (n, t1) (_, t2) ->
+      Alcotest.(check (list int64))
+        (Fmt.str "%s: %S bit-identical across engines" name n)
+        (tensor_bits t1) (tensor_bits t2))
+    ra ca;
+  check_stats_equal name rs cs;
+  match cs.R.r_coverage with
+  | Some c -> c
+  | None -> Alcotest.failf "%s: compiled run without plan coverage" name
+
+let test_coverage_gemm () =
+  let k = Workloads.Polybench.find "gemm" in
+  let c =
+    compiled_coverage ~name:"gemm" ~build:k.k_build
+      ~args:(fun () -> Test_polybench.alloc_args (k.k_build ()) k.k_mini)
+      ~symbols:k.k_mini
+  in
+  Alcotest.(check int) "no node on the reference fallback" 0 c.R.cov_fallback;
+  Alcotest.(check int) "compiled nodes" 4 c.R.cov_compiled
+
+let test_coverage_stream_copy () =
+  let build () = Serialize.load "corpus/stream_into_array_column.sdfg" in
+  let c =
+    compiled_coverage ~name:"stream_into_array_column" ~build
+      ~args:(fun () -> Profile.make_args (build ()))
+      ~symbols:[]
+  in
+  Alcotest.(check int) "the stream-to-array copy is the one fallback node" 1
+    c.R.cov_fallback
+
+(* The executor rides the environment into nested SDFGs ([enter]), so
+   the inner state machine is planned by the compiled engine too. *)
+let test_coverage_nested_engine () =
+  let name, build, symbols, args =
+    List.find (fun (n, _, _, _) -> n = "nested_loop") fixture_cases
+  in
+  let c = compiled_coverage ~name ~build ~args ~symbols in
+  Alcotest.(check bool) "the nested SDFG's states are planned" true
+    (c.R.cov_states > 1)
+
 let suite =
   [ ("model vs interpreter: GEMM counts", `Quick, test_matmul_counts);
     ("model vs interpreter: stencil counts", `Quick, test_stencil_counts);
@@ -307,3 +364,9 @@ let suite =
         ( Fmt.str "engines agree: polybench %s" name, `Quick,
           test_engines_polybench name ))
       Workloads.Polybench.names
+  @ [ ("plan coverage: gemm leaves nothing on the reference fallback",
+       `Quick, test_coverage_gemm);
+      ("plan coverage: a stream-to-array copy is the one fallback node",
+       `Quick, test_coverage_stream_copy);
+      ("plan coverage: a nested SDFG keeps the compiled engine", `Quick,
+       test_coverage_nested_engine) ]

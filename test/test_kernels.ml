@@ -385,32 +385,27 @@ let indirect_args ~n ~m ~targets =
    compiled plan with kernels on or off. *)
 let run_env ~engine ~kernels g symbols args =
   let containers = Hashtbl.create 8 and syms = Hashtbl.create 8 in
-  List.iter (fun (k, t) -> Hashtbl.replace containers k (Exec.Tens t)) args;
+  List.iter
+    (fun (k, t) -> Hashtbl.replace containers k (Reference.Tens t))
+    args;
   List.iter (fun (k, v) -> Hashtbl.replace syms k v) symbols;
   let env =
-    { Exec.g; containers; symbols = syms; stats = Obs.Report.zero_counters ();
+    { Reference.g; containers; symbols = syms;
+      stats = Obs.Report.zero_counters ();
       collector = Obs.Collect.create Obs.Collect.Off; max_states = 1000;
-      engine; plans = Hashtbl.create 4; domains = 1; policy = Exec.Fixed 1;
-      par = Exec.fresh_par (); kernels }
+      engine;
+      exec_state =
+        (if engine = Plan.compiled then Plan.exec_state
+         else Reference.exec_state);
+      plans = Hashtbl.create 4; domains = 1; policy = Reference.Fixed 1;
+      par = Reference.fresh_par (); kernels }
   in
-  let st = List.hd (Sdfg.states g) in
   let outcome =
-    match
-      if engine = Plan.compiled then Plan.exec_state env st
-      else begin
-        (* the state machine's count, which [Plan.exec_state] keeps too *)
-        env.Exec.stats.Obs.Report.states_executed <- 1;
-        let parents = State.scope_parents st in
-        Exec.exec_nodes env st ~params:[] ~popped:[]
-          (List.filter
-             (fun n -> Hashtbl.find parents n = None)
-             (State.topological_order st))
-      end
-    with
+    match env.exec_state env (List.hd (Sdfg.states g)) with
     | () -> "no error"
     | exception e -> Printexc.to_string e
   in
-  (outcome, counter_list env.Exec.stats)
+  (outcome, counter_list env.stats)
 
 let test_indirect_oob_same_error () =
   let n = 9 and m = 6 in

@@ -101,7 +101,7 @@ let test_config_json () =
    their defaults (so pre-streaming configs still parse). *)
 let test_config_stream_knobs () =
   let open Exec.Config in
-  let c = default |> with_stream_chunk 17 |> with_stream_capacity 5 in
+  let c = default |> with_stream_chunk 17 in
   (match validate c with
   | Ok c' ->
     Alcotest.(check int) "chunk survives validate" 17 c'.stream_chunk
@@ -109,17 +109,11 @@ let test_config_stream_knobs () =
   (match validate (default |> with_stream_chunk 0) with
   | Error (Invalid_stream_chunk 0) -> ()
   | _ -> Alcotest.fail "stream_chunk 0 must be Invalid_stream_chunk");
-  (match validate (default |> with_stream_capacity (-3)) with
-  | Error (Invalid_stream_capacity -3) -> ()
-  | _ -> Alcotest.fail "stream_capacity -3 must be Invalid_stream_capacity");
   (match of_json (to_json c) with
   | Ok c' -> Alcotest.(check bool) "round-trip" true (c' = c)
   | Error e -> Alcotest.fail (error_message e));
   match of_json (Json.Obj [ ("engine", Json.Str "compiled") ]) with
-  | Ok c' ->
-    Alcotest.(check int) "missing chunk defaults" 64 c'.stream_chunk;
-    Alcotest.(check bool) "missing capacity defaults" true
-      (c'.stream_capacity = None)
+  | Ok c' -> Alcotest.(check int) "missing chunk defaults" 64 c'.stream_chunk
   | Error e -> Alcotest.fail (error_message e)
 
 (* --- protocol ------------------------------------------------------------ *)
