@@ -989,7 +989,9 @@ let calibrate () =
       ("ebinop", Workloads.Kernels.eadd, [ ("N", 1 lsl 22) ]);
       ("axpy", Workloads.Kernels.axpy, [ ("N", 1 lsl 22) ]);
       ("contract", Workloads.Kernels.matmul,
-       [ ("M", 128); ("N", 128); ("K", 128) ]) ]
+       [ ("M", 128); ("N", 128); ("K", 128) ]);
+      (* the row evaluator, on jacobi-2d's two five-point stencils *)
+      ("expr", Workloads.Kernels.jacobi, [ ("N", 128); ("T", 10) ]) ]
   in
   let measured =
     List.map

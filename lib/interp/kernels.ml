@@ -11,24 +11,28 @@
    reduce to corner checks (affine functions attain extrema at box
    corners).  So the scope runs as flat loops over the raw buffers.
 
-   Shape-specialized bodies (fill, copy, scale, axpy, elementwise binop,
-   contraction, scaled sum) get a dedicated strided loop.  Every other
-   body runs on the row evaluator: compiled once into unboxed rows, it
-   evaluates a block of up to [block] innermost iterations — every read
-   of the block first — then applies the block's writes in iteration
-   order.  Gather bodies ([o = f(c[e...])]) and scatter bodies ([o[e...]
-   = f(...)]) run there too: a subscripted connector binds a window
-   whose ranges do not move with the map's parameters, evaluated once
-   per launch, and its subscripts come from index rows.
+   Shape-specialized bodies (fill, copy, axpy, elementwise binop,
+   contraction) get a dedicated strided loop.  Every other body runs on
+   the row evaluator: compiled once into unboxed rows, it evaluates a
+   block of up to [block] innermost iterations — every read of the block
+   first, unit-stride float operands straight from their buffers — then
+   applies the block's writes in iteration order by pointer bump.
+   Gather bodies ([o = f(c[e...])]) and scatter bodies ([o[e...] =
+   f(...)]) run there too: a subscripted connector binds a window whose
+   ranges do not move with the map's parameters, evaluated once per
+   launch, and its subscripts come from index rows.
 
    Correctness strategy: results are bit-identical to the closure nest
    by construction.  The specialized loops execute the same reads and
    writes in the same order; the rows reorder only reads before writes
    within a block, which is the closure nest's order unless an input
-   shares the output's buffer — then [expr] runs with blocks of one
-   iteration and gather/scatter bodies stay on the closure path.  The
-   other reorderings (the copy blit, the register accumulators) are
-   gated the same way.  Error behavior is preserved by deferring to the
+   shares the output's buffer.  [expr] then keeps full blocks only when
+   every such input sits at the output's base and element strides and
+   the output moves along the row — each iteration reads just the
+   element it alone writes — and runs blocks of one iteration
+   otherwise; gather/scatter bodies stay on the closure path.  The other
+   reorderings (the copy blit, the register accumulators) are gated the
+   same way.  Error behavior is preserved by deferring to the
    closure nest ([slow]) whenever a launch-time check fails — corners,
    windows, or the pre-pass evaluating every index row over the whole
    box: the nest then raises the reference engine's exact error at the
@@ -148,39 +152,49 @@ let affine_plan ~params ~comp (tens : Tensor.t) (sub : Subset.t) : arg_plan =
    {!Tasklang.Eval} exactly.  Each node owns a fixed-size unboxed row (a
    float, int or bool array); its filler fills its children's rows, then
    computes the node's value for the first [n] iterations of the current
-   block — up to [block] consecutive innermost iterations.  Leaves
-   (operands, parameters, launch constants) are filled by the kernel's
-   block prologue, literal rows once here.  Every loop applies its
-   operator in place: an operator passed as a closure would box each
-   float it touches. *)
+   block — up to [block] consecutive innermost iterations.  A float row
+   is a slice: iteration [k]'s value is [fa.(fo + k)].  A computed row
+   owns its array at offset 0; a float operand whose innermost element
+   stride is 1 points its slice at the operand's buffer, so the block is
+   read in place.  Leaves (operands, parameters, launch constants) are
+   set by the kernel's block prologue, literal rows once here.  Every
+   loop applies its operator in place: an operator passed as a closure
+   would box each float it touches. *)
 
 let block = 32
 
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
+type fslice = { mutable fa : float array; mutable fo : int }
+
 type row =
-  | Rf of float array * (int -> unit)
+  | Rf of fslice * (int -> unit)
   | Ri of int array * (int -> unit)
   | Rb of bool array * (int -> unit)
 
 let nofill (_ : int) = ()
+let own fa = { fa; fo = 0 }
 
 (* Representation changes, as [Types.to_float] / [to_int] / [to_bool]. *)
 let frow size = function
   | Rf (x, fx) -> (x, fx)
   | Ri (x, fx) ->
     let r = Array.make size 0. in
-    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- float_of_int x.!(k) done)
+    (own r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- float_of_int x.!(k) done)
   | Rb (x, fx) ->
     let r = Array.make size 0. in
-    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1. else 0. done)
+    (own r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1. else 0. done)
 
 let irow size = function
   | Ri (x, fx) -> (x, fx)
   | Rf (x, fx) ->
     let r = Array.make size 0 in
-    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- int_of_float x.!(k) done)
+    ( r,
+      fun n ->
+        fx n;
+        let a = x.fa and o = x.fo in
+        for k = 0 to n - 1 do r.!(k) <- int_of_float a.!(o + k) done )
   | Rb (x, fx) ->
     let r = Array.make size 0 in
     (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1 else 0 done)
@@ -192,7 +206,11 @@ let brow size = function
     (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- x.!(k) <> 0 done)
   | Rf (x, fx) ->
     let r = Array.make size false in
-    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- x.!(k) <> 0. done)
+    ( r,
+      fun n ->
+        fx n;
+        let a = x.fa and o = x.fo in
+        for k = 0 to n - 1 do r.!(k) <- a.!(o + k) <> 0. done )
 
 (* [rows ~size ~leaf ~site ~top e]: [leaf x] is the row of a name read
    whole, [site ~top c subs] the row of a subscripted read [c[subs]]
@@ -206,7 +224,7 @@ let rows ~size ~(leaf : string -> row)
   let fr = frow size and br = brow size in
   let mk_f deps loop =
     let r = Array.make size 0. in
-    Rf (r, fun n -> deps n; loop r n)
+    Rf (own r, fun n -> deps n; loop r n)
   in
   let mk_i deps loop =
     let r = Array.make size 0 in
@@ -217,9 +235,19 @@ let rows ~size ~(leaf : string -> row)
     Rb (r, fun n -> deps n; loop r n)
   in
   let both fx fy n = fx n; fy n in
+  (* float operands reach [loop] as each slice's array and offset for
+     the current block *)
+  let f1 mk ta loop =
+    let x, fx = fr ta in
+    mk fx (fun r n -> loop r n x.fa x.fo)
+  in
+  let f2 mk ta tb loop =
+    let x, fx = fr ta and y, fy = fr tb in
+    mk (both fx fy) (fun r n -> loop r n x.fa x.fo y.fa y.fo)
+  in
   let rec go ~top (e : Ast.expr) : row =
     match e with
-    | Ast.Float_lit c -> Rf (Array.make size c, nofill)
+    | Ast.Float_lit c -> Rf (own (Array.make size c), nofill)
     | Ast.Int_lit c -> Ri (Array.make size c, nofill)
     | Ast.Bool_lit c -> Rb (Array.make size c, nofill)
     | Ast.Var x -> leaf x
@@ -232,7 +260,8 @@ let rows ~size ~(leaf : string -> row)
       match go ~top t, go ~top f with
       | Rf (x, fx), Rf (y, fy) ->
         mk_f (sel fx fy) (fun r n ->
-            for k = 0 to n - 1 do r.!(k) <- if c.!(k) then x.!(k) else y.!(k) done)
+            let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
+            for k = 0 to n - 1 do r.!(k) <- if c.!(k) then a.!(i + k) else b.!(j + k) done)
       | Ri (x, fx), Ri (y, fy) ->
         mk_i (sel fx fy) (fun r n ->
             for k = 0 to n - 1 do r.!(k) <- if c.!(k) then x.!(k) else y.!(k) done)
@@ -250,21 +279,20 @@ let rows ~size ~(leaf : string -> row)
       let x, fx = br a in
       mk_b fx (fun r n -> for k = 0 to n - 1 do r.!(k) <- not x.!(k) done)
     | Ast.Floor, _ ->
-      let x, fx = fr a in
-      mk_i fx (fun r n ->
-          for k = 0 to n - 1 do r.!(k) <- int_of_float (floor x.!(k)) done)
+      f1 mk_i a (fun r n x i ->
+          for k = 0 to n - 1 do r.!(k) <- int_of_float (floor x.!(i + k)) done)
     | (Ast.Neg | Ast.Abs | Ast.Sqrt | Ast.Exp | Ast.Log | Ast.Sin | Ast.Cos), _
       -> (
-      let x, fx = fr a in
-      let f = mk_f fx in
+      let f = f1 mk_f a in
       match op with
-      | Ast.Neg -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- -.x.!(k) done)
-      | Ast.Abs -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.abs x.!(k) done)
-      | Ast.Sqrt -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- sqrt x.!(k) done)
-      | Ast.Exp -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- exp x.!(k) done)
-      | Ast.Log -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- log x.!(k) done)
-      | Ast.Sin -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- sin x.!(k) done)
-      | _ -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- cos x.!(k) done))
+      | Ast.Neg -> f (fun r n x i -> for k = 0 to n - 1 do r.!(k) <- -.x.!(i + k) done)
+      | Ast.Abs ->
+        f (fun r n x i -> for k = 0 to n - 1 do r.!(k) <- Float.abs x.!(i + k) done)
+      | Ast.Sqrt -> f (fun r n x i -> for k = 0 to n - 1 do r.!(k) <- sqrt x.!(i + k) done)
+      | Ast.Exp -> f (fun r n x i -> for k = 0 to n - 1 do r.!(k) <- exp x.!(i + k) done)
+      | Ast.Log -> f (fun r n x i -> for k = 0 to n - 1 do r.!(k) <- log x.!(i + k) done)
+      | Ast.Sin -> f (fun r n x i -> for k = 0 to n - 1 do r.!(k) <- sin x.!(i + k) done)
+      | _ -> f (fun r n x i -> for k = 0 to n - 1 do r.!(k) <- cos x.!(i + k) done))
   (* [b] is the right operand's syntax: integer division, modulo and
      power kernelize only over a literal right operand *)
   and binop op b ta tb =
@@ -317,28 +345,38 @@ let rows ~size ~(leaf : string -> row)
       | _ -> reject "body-expr")
     | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Pow | Ast.Min
       | Ast.Max), _, _ -> (
-      let x, fx = fr ta and y, fy = fr tb in
-      let f = mk_f (both fx fy) in
+      let f = f2 mk_f ta tb in
       match op with
-      | Ast.Add -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) +. y.!(k) done)
-      | Ast.Sub -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) -. y.!(k) done)
-      | Ast.Mul -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) *. y.!(k) done)
-      | Ast.Div -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) /. y.!(k) done)
+      | Ast.Add ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) +. y.!(j + k) done)
+      | Ast.Sub ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) -. y.!(j + k) done)
+      | Ast.Mul ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) *. y.!(j + k) done)
+      | Ast.Div ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) /. y.!(j + k) done)
       | Ast.Mod ->
-        f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.rem x.!(k) y.!(k) done)
-      | Ast.Pow -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) ** y.!(k) done)
+        f (fun r n x i y j ->
+            for k = 0 to n - 1 do r.!(k) <- Float.rem x.!(i + k) y.!(j + k) done)
+      | Ast.Pow ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) ** y.!(j + k) done)
       | Ast.Min ->
-        f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.min x.!(k) y.!(k) done)
+        f (fun r n x i y j ->
+            for k = 0 to n - 1 do r.!(k) <- Float.min x.!(i + k) y.!(j + k) done)
       | _ ->
-        f (fun r n -> for k = 0 to n - 1 do r.!(k) <- Float.max x.!(k) y.!(k) done))
+        f (fun r n x i y j ->
+            for k = 0 to n - 1 do r.!(k) <- Float.max x.!(i + k) y.!(j + k) done))
     | (Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _ -> (
-      let x, fx = fr ta and y, fy = fr tb in
-      let f = mk_b (both fx fy) in
+      let f = f2 mk_b ta tb in
       match op with
-      | Ast.Lt -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) < y.!(k) done)
-      | Ast.Le -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) <= y.!(k) done)
-      | Ast.Gt -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) > y.!(k) done)
-      | _ -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) >= y.!(k) done))
+      | Ast.Lt ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) < y.!(j + k) done)
+      | Ast.Le ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) <= y.!(j + k) done)
+      | Ast.Gt ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) > y.!(j + k) done)
+      | _ ->
+        f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) >= y.!(j + k) done))
     | Ast.Ne, _, _ -> unop Ast.Not (binop Ast.Eq b ta tb)
     | Ast.Eq, Ri (x, fx), Ri (y, fy) ->
       mk_b (both fx fy) (fun r n ->
@@ -347,9 +385,8 @@ let rows ~size ~(leaf : string -> row)
       mk_b (both fx fy) (fun r n ->
           for k = 0 to n - 1 do r.!(k) <- Bool.equal x.!(k) y.!(k) done)
     | Ast.Eq, _, _ ->
-      let x, fx = fr ta and y, fy = fr tb in
-      mk_b (both fx fy) (fun r n ->
-          for k = 0 to n - 1 do r.!(k) <- Float.equal x.!(k) y.!(k) done)
+      f2 mk_b ta tb (fun r n x i y j ->
+          for k = 0 to n - 1 do r.!(k) <- Float.equal x.!(i + k) y.!(j + k) done)
     | (Ast.And | Ast.Or), _, _ ->
       (* both operands evaluate before combining, as in [apply_binop] *)
       let x, fx = br ta and y, fy = br tb in
@@ -363,106 +400,130 @@ let rows ~size ~(leaf : string -> row)
   go ~top e
 
 (* The output write of one block, applied in iteration order as
-   [View.set] + [Wcr.apply] would: element [k] of the value row goes to
-   buffer offset [off.(k)].  [uniform] promises every offset of the block
-   is [off.(0)]; a float WCR-sum then accumulates in a register, which
+   [View.set] + [Wcr.apply] would.  [store] returns [at off n], which
+   writes element [k] of the value row to buffer offset [off.(k)], and
+   [bump o e n], which writes it to [o + k*e] by pointer bump.  Under a
+   float WCR-sum with [e = 0] the bump accumulates in a register, which
    changes no addition order.  Mixed representations under WCR resolve
-   through floats and narrow on store. *)
-let store ~size (out : Tensor.t) wcr (v : row) : int array -> bool -> int -> unit
-    =
+   through floats and narrow on store; those cases, integer outputs and
+   the other WCRs bump through an offsets row. *)
+let store ~size (out : Tensor.t) wcr (v : row) =
+  let with_off at =
+    let off = Array.make size 0 in
+    (at, fun o e n -> for k = 0 to n - 1 do off.!(k) <- o + (k * e) done; at off n)
+  in
   match out.Tensor.buf, wcr, v with
   | _, Some (Wcr_custom _), _ -> assert false
   | Tensor.Fbuf ob, _, _ -> (
     let x, fx = frow size v in
+    (* [f]'s loop sees the value slice as of the current block *)
+    let at f off n = fx n; f x.fa x.fo off n in
     match wcr with
-    | None -> fun off _ n -> fx n; for k = 0 to n - 1 do ob.!(off.!(k)) <- x.!(k) done
-    | Some Wcr_sum ->
-      fun off uniform n ->
-        fx n;
-        if uniform then begin
-          let o = off.!(0) in
-          let acc = ref ob.!(o) in
-          for k = 0 to n - 1 do acc := !acc +. x.!(k) done;
-          ob.!(o) <- !acc
-        end
-        else
+    | None ->
+      ( at (fun a i off n -> for k = 0 to n - 1 do ob.!(off.!(k)) <- a.!(i + k) done),
+        fun o e n ->
+          fx n;
+          let a = x.fa and i = x.fo in
+          let p = ref o in
           for k = 0 to n - 1 do
-            let o = off.!(k) in ob.!(o) <- ob.!(o) +. x.!(k)
-          done
+            ob.!(!p) <- a.!(i + k);
+            p := !p + e
+          done )
+    | Some Wcr_sum ->
+      ( at (fun a i off n ->
+            for k = 0 to n - 1 do
+              let o = off.!(k) in ob.!(o) <- ob.!(o) +. a.!(i + k)
+            done),
+        fun o e n ->
+          fx n;
+          let a = x.fa and i = x.fo in
+          if e = 0 then begin
+            let acc = ref ob.!(o) in
+            for k = 0 to n - 1 do acc := !acc +. a.!(i + k) done;
+            ob.!(o) <- !acc
+          end
+          else begin
+            let p = ref o in
+            for k = 0 to n - 1 do
+              ob.!(!p) <- ob.!(!p) +. a.!(i + k);
+              p := !p + e
+            done
+          end )
     | Some Wcr_prod ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) *. x.!(k) done
+      with_off
+        (at (fun a i off n ->
+             for k = 0 to n - 1 do
+               let o = off.!(k) in ob.!(o) <- ob.!(o) *. a.!(i + k)
+             done))
     | Some Wcr_min ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in ob.!(o) <- Float.min ob.!(o) x.!(k)
-        done
+      with_off
+        (at (fun a i off n ->
+             for k = 0 to n - 1 do
+               let o = off.!(k) in ob.!(o) <- Float.min ob.!(o) a.!(i + k)
+             done))
     | Some _ ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in ob.!(o) <- Float.max ob.!(o) x.!(k)
-        done)
+      with_off
+        (at (fun a i off n ->
+             for k = 0 to n - 1 do
+               let o = off.!(k) in ob.!(o) <- Float.max ob.!(o) a.!(i + k)
+             done)))
   | Tensor.Ibuf ob, None, _ ->
     let x, fx = irow size v in
-    fun off _ n -> fx n; for k = 0 to n - 1 do ob.!(off.!(k)) <- x.!(k) done
-  | Tensor.Ibuf ob, Some w, Ri (x, fx) -> (
-    match w with
-    | Wcr_sum ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) + x.!(k) done
-    | Wcr_prod ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) * x.!(k) done
-    | Wcr_min ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in
-          ob.!(o) <- (if ob.!(o) <= x.!(k) then ob.!(o) else x.!(k))
-        done
-    | _ ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in
-          ob.!(o) <- (if ob.!(o) >= x.!(k) then ob.!(o) else x.!(k))
-        done)
-  | Tensor.Ibuf ob, Some w, _ -> (
+    with_off (fun off n -> fx n; for k = 0 to n - 1 do ob.!(off.!(k)) <- x.!(k) done)
+  | Tensor.Ibuf ob, Some w, Ri (x, fx) ->
+    with_off
+      (match w with
+      | Wcr_sum ->
+        fun off n ->
+          fx n;
+          for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) + x.!(k) done
+      | Wcr_prod ->
+        fun off n ->
+          fx n;
+          for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) * x.!(k) done
+      | Wcr_min ->
+        fun off n ->
+          fx n;
+          for k = 0 to n - 1 do
+            let o = off.!(k) in
+            ob.!(o) <- (if ob.!(o) <= x.!(k) then ob.!(o) else x.!(k))
+          done
+      | _ ->
+        fun off n ->
+          fx n;
+          for k = 0 to n - 1 do
+            let o = off.!(k) in
+            ob.!(o) <- (if ob.!(o) >= x.!(k) then ob.!(o) else x.!(k))
+          done)
+  | Tensor.Ibuf ob, Some w, _ ->
     let x, fx = frow size v in
-    match w with
-    | Wcr_sum ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in
-          ob.!(o) <- int_of_float (float_of_int ob.!(o) +. x.!(k))
-        done
-    | Wcr_prod ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in
-          ob.!(o) <- int_of_float (float_of_int ob.!(o) *. x.!(k))
-        done
-    | Wcr_min ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in
-          ob.!(o) <- int_of_float (Float.min (float_of_int ob.!(o)) x.!(k))
-        done
-    | _ ->
-      fun off _ n ->
-        fx n;
-        for k = 0 to n - 1 do
-          let o = off.!(k) in
-          ob.!(o) <- int_of_float (Float.max (float_of_int ob.!(o)) x.!(k))
-        done)
+    let at f off n = fx n; f x.fa x.fo off n in
+    with_off
+      (match w with
+      | Wcr_sum ->
+        at (fun a i off n ->
+            for k = 0 to n - 1 do
+              let o = off.!(k) in
+              ob.!(o) <- int_of_float (float_of_int ob.!(o) +. a.!(i + k))
+            done)
+      | Wcr_prod ->
+        at (fun a i off n ->
+            for k = 0 to n - 1 do
+              let o = off.!(k) in
+              ob.!(o) <- int_of_float (float_of_int ob.!(o) *. a.!(i + k))
+            done)
+      | Wcr_min ->
+        at (fun a i off n ->
+            for k = 0 to n - 1 do
+              let o = off.!(k) in
+              ob.!(o) <- int_of_float (Float.min (float_of_int ob.!(o)) a.!(i + k))
+            done)
+      | _ ->
+        at (fun a i off n ->
+            for k = 0 to n - 1 do
+              let o = off.!(k) in
+              ob.!(o) <- int_of_float (Float.max (float_of_int ob.!(o)) a.!(i + k))
+            done))
 
 (* --- recognition --------------------------------------------------------- *)
 
@@ -474,12 +535,10 @@ type leaf = Lten of int | Lpar of int | Lcon of int
 type kind =
   | Kfill                                   (* launch-constant store *)
   | Kcopy of int                            (* same-representation move *)
-  | Kscale of bool * float * int            (* lit-first?, c, x *)
   | Kaxpy of int * float * int * int        (* shape, a, x, y *)
   | Kebinop of Ast.binop * int * int        (* float x op y *)
   | Kebinop_i of Ast.binop * int * int      (* int x op y *)
   | Kcontract of int * int                  (* WCR-sum  c += a*b *)
-  | Kssum of float option * bool * int list (* scale, lit-first?, leaves *)
   | Kexpr
   | Kgather                                 (* o = f(c[e...]) *)
   | Kscatter                                (* o[e...] = f(...) *)
@@ -487,11 +546,9 @@ type kind =
 let kind_name = function
   | Kfill -> "fill"
   | Kcopy _ -> "copy"
-  | Kscale _ -> "scale"
   | Kaxpy _ -> "axpy"
   | Kebinop _ | Kebinop_i _ -> "ebinop"
   | Kcontract _ -> "contract"
-  | Kssum _ -> "ssum"
   | Kexpr -> "expr"
   | Kgather -> "gather"
   | Kscatter -> "scatter"
@@ -634,7 +691,9 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
     else (None, [ affine_plan ~params ~comp out_t om.m_subset ])
   in
   (* within a block every read precedes every write, which is only the
-     closure nest's order when no input shares the output's buffer *)
+     closure nest's order when no input shares the output's buffer:
+     aliased gather and scatter bodies stay on the closure path, and
+     [expr] picks its block size per launch ([bsize]) *)
   let aliased =
     Array.exists (fun (_, ap) -> Tensor.shares_buffer out_t ap.ap_tens) in_args
     || List.exists (fun (_, (w, _)) -> Tensor.shares_buffer out_t w.View.v_tens) wins
@@ -712,16 +771,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   let all_const =
     List.for_all (fun (_, l) -> match l with Lcon _ -> true | _ -> false) leaves
   in
-  let rec flat e acc =
-    match e with Ast.Binop (Ast.Add, a, b) -> flat a (b :: acc) | e -> e :: acc
-  in
-  let chain_leaves es =
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | e :: tl -> ( match fleaf e with Some j -> go (j :: acc) tl | None -> None)
-    in
-    go [] es
-  in
   let bexpr = body.Tasklang.Bodyclass.b_expr in
   let kind =
     if scatter then Kscatter
@@ -744,20 +793,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
           | Some j, _ when out_float -> Kcopy j
           | _, Some j when not out_float -> Kcopy j
           | _ -> Kexpr)
-        | Ast.Binop (Ast.Mul, Ast.Float_lit c, x) when out_float -> (
-          match fleaf x with
-          | Some j -> Kscale (true, c, j)
-          | None -> (
-            match chain_leaves (flat x []) with
-            | Some js when List.length js >= 3 -> Kssum (Some c, true, js)
-            | _ -> Kexpr))
-        | Ast.Binop (Ast.Mul, x, Ast.Float_lit c) when out_float -> (
-          match fleaf x with
-          | Some j -> Kscale (false, c, j)
-          | None -> (
-            match chain_leaves (flat x []) with
-            | Some js when List.length js >= 3 -> Kssum (Some c, false, js)
-            | _ -> Kexpr))
         | Ast.Binop (Ast.Add, Ast.Binop (Ast.Mul, Ast.Float_lit a, x), y)
           when out_float -> (
           match fleaf x, fleaf y with
@@ -786,10 +821,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
           when (not out_float)
                && ileaf x <> None && ileaf y <> None ->
           Kebinop_i (op, Option.get (ileaf x), Option.get (ileaf y))
-        | Ast.Binop (Ast.Add, _, _) when out_float -> (
-          match chain_leaves (flat bexpr []) with
-          | Some js when List.length js >= 3 -> Kssum (None, true, js)
-          | _ -> Kexpr)
         | _ -> Kexpr)
   in
   (* ---- detection above never rejects; build the launch entry ----------- *)
@@ -824,17 +855,25 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
         | Lten j -> (
           match arg_plans.(j).ap_tens.Tensor.buf with
           | Tensor.Fbuf b ->
+            (* unit stride: read the block in place *)
             let r = Array.make size 0. in
-            ( name, Rf (r, nofill),
+            let x = own r in
+            ( name, Rf (x, nofill),
               fun n ->
-                let o = boff.(j) and e = es.(j).(last) in
-                for k = 0 to n - 1 do r.!(k) <- b.!(o + (k * e)) done )
+                let e = es.(j).(last) in
+                if e = 1 then begin x.fa <- b; x.fo <- boff.(j) end
+                else begin
+                  x.fa <- r;
+                  x.fo <- 0;
+                  let p = ref boff.(j) in
+                  for k = 0 to n - 1 do r.!(k) <- b.!(!p); p := !p + e done
+                end )
           | Tensor.Ibuf b ->
             let r = Array.make size 0 in
             ( name, Ri (r, nofill),
               fun n ->
-                let o = boff.(j) and e = es.(j).(last) in
-                for k = 0 to n - 1 do r.!(k) <- b.!(o + (k * e)) done ))
+                let p = ref boff.(j) and e = es.(j).(last) in
+                for k = 0 to n - 1 do r.!(k) <- b.!(!p); p := !p + e done ))
         | Lpar d ->
           let r = Array.make size 0 in
           ( name, Ri (r, nofill),
@@ -883,7 +922,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
       match w.View.v_tens.Tensor.buf with
       | Tensor.Fbuf b ->
         let r = Array.make size 0. in
-        Rf (r, fun n -> index n; for k = 0 to n - 1 do r.!(k) <- b.!(off.!(k)) done)
+        Rf (own r, fun n -> index n; for k = 0 to n - 1 do r.!(k) <- b.!(off.!(k)) done)
       | Tensor.Ibuf b ->
         let r = Array.make size 0 in
         Ri (r, fun n -> index n; for k = 0 to n - 1 do r.!(k) <- b.!(off.!(k)) done))
@@ -907,22 +946,19 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   let pass =
     match kind, body.Tasklang.Bodyclass.b_write, out_win with
     | (Kexpr | Kgather), _, _ ->
-      let st = store ~size out_t wcr (value ()) in
-      let ooff = Array.make size 0 in
+      let _, bump = store ~size out_t wcr (value ()) in
       fun n ->
         prologue n;
-        let o = boff.(nin) and e = es.(nin).(last) in
-        for k = 0 to n - 1 do ooff.!(k) <- o + (k * e) done;
-        st ooff (e = 0) n
+        bump boff.(nin) es.(nin).(last) n
     | Kscatter, Some subs, Some w ->
-      let st = store ~size out_t wcr (value ()) in
+      let at, _ = store ~size out_t wcr (value ()) in
       let woff, windex =
         index ~top:true w (List.map (rows ~size ~leaf ~site ~top:false) subs)
       in
       fun n ->
         prologue n;
         windex n;
-        st woff false n
+        at woff n
     | _ -> nofill
   in
   let top_sites = Array.of_list !top_sites in
@@ -934,15 +970,15 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
       top_sites.(i) n
     done
   in
-  (* aliasing only reaches [Kexpr]: one iteration per block keeps the
-     closure nest's read-write interleaving *)
-  let bsize = if aliased then 1 else block in
+  (* aliasing only reaches [Kexpr]; [bsize] is set per launch *)
+  let alias_ix = List.filter shares (List.init nin Fun.id) in
+  let bsize = ref block in
   let blocks pass () =
     let total = trips.(last) in
     let k0 = ref 0 in
     while !k0 < total do
       let k = !k0 in
-      let n = if total - k < bsize then total - k else bsize in
+      let n = if total - k < !bsize then total - k else !bsize in
       for j = 0 to na - 1 do
         boff.(j) <- offs.(j) + (k * es.(j).(last))
       done;
@@ -965,7 +1001,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
         fun () ->
           prologue 1;
           fx 1;
-          let v = x.!(0) in
+          let v = x.fa.!(x.fo) in
           let o = ref offs.(nin) and e = es.(nin).(last) in
           for _ = 1 to trips.(last) do
             Array.unsafe_set ob !o v;
@@ -1017,23 +1053,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
               s := !s + ei
             done
           end)
-    | Kscale (lit_first, c, j) ->
-      let ob = fbuf nin and xb = fbuf j in
-      fun () ->
-        let eo = es.(nin).(last) and ex = es.(j).(last) in
-        let o = ref offs.(nin) and x = ref offs.(j) in
-        if lit_first then
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o (c *. Array.unsafe_get xb !x);
-            o := !o + eo;
-            x := !x + ex
-          done
-        else
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o (Array.unsafe_get xb !x *. c);
-            o := !o + eo;
-            x := !x + ex
-          done
     | Kaxpy (shape, a, jx, jy) ->
       let ob = fbuf nin and xb = fbuf jx and yb = fbuf jy in
       fun () ->
@@ -1160,35 +1179,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
             ob_ := !ob_ + eb
           done
         end
-    | Kssum (scale, lit_first, js) ->
-      let js = Array.of_list js in
-      let nl = Array.length js in
-      let bufs = Array.map fbuf js in
-      let ob = fbuf nin in
-      let lofs = Array.make nl 0 and les = Array.make nl 0 in
-      let has_scale, c =
-        match scale with None -> (false, 0.) | Some c -> (true, c)
-      in
-      fun () ->
-        for i = 0 to nl - 1 do
-          lofs.(i) <- offs.(js.(i));
-          les.(i) <- es.(js.(i)).(last)
-        done;
-        let o = ref offs.(nin) and eo = es.(nin).(last) in
-        for _ = 1 to trips.(last) do
-          let s = ref (Array.unsafe_get bufs.(0) lofs.(0)) in
-          for i = 1 to nl - 1 do
-            s := !s +. Array.unsafe_get bufs.(i) lofs.(i)
-          done;
-          let v =
-            if has_scale then if lit_first then c *. !s else !s *. c else !s
-          in
-          Array.unsafe_set ob !o v;
-          o := !o + eo;
-          for i = 0 to nl - 1 do
-            lofs.(i) <- lofs.(i) + les.(i)
-          done
-        done
     | Kexpr | Kgather | Kscatter -> blocks pass
   in
   let track_params =
@@ -1273,6 +1263,21 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
             ap.ap_dims;
           offs.(j) <- !base
         done;
+        (* an input at the output's base and element strides reads in
+           each iteration only the element that iteration writes, which
+           no other iteration of the block touches when the output moves
+           along the row: reading the block first changes nothing.  Any
+           other alias runs one iteration per block, keeping the closure
+           nest's read-write interleaving. *)
+        bsize :=
+          if
+            alias_ix = []
+            || es.(nin).(last) <> 0
+               && List.for_all
+                    (fun j -> offs.(j) = offs.(nin) && es.(j) = es.(nin))
+                    alias_ix
+          then block
+          else 1;
         (* windows: evaluated and checked once, as [View.refresh] checks
            them per iteration; then each subscript count against the
            window's rank *)

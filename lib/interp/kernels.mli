@@ -24,11 +24,13 @@
       element per scalar input, one or — for a non-dynamic memlet — the
       window's volume per windowed input, one for the output, one WCR
       write under WCR);
-    - dispatches a shape-specialized loop (fill / copy / scale / axpy /
-      elementwise binop / WCR-sum contraction / scaled sum) or the row
-      evaluator: the body compiled once into unboxed rows of up to
-      {!block} innermost iterations, each block read in full before its
-      writes apply in iteration order ([expr], [gather], [scatter]).
+    - dispatches a shape-specialized loop (fill / copy / axpy /
+      elementwise binop / WCR-sum contraction) or the row evaluator: the
+      body compiled once into unboxed rows of up to {!block} innermost
+      iterations, each block read in full — unit-stride float operands
+      in place, from their buffers — before its writes apply in
+      iteration order, by pointer bump along an affine output ([expr],
+      [gather], [scatter]).
 
     Anything the launch cannot prove safe — a bounds violation anywhere
     in the box — defers to the [slow] closure (the ordinary nest), which
@@ -39,8 +41,8 @@
 type t = {
   k_name : string;
     (** kernel kind, tallied in plan coverage: ["fill"], ["copy"],
-        ["scale"], ["axpy"], ["ebinop"], ["contract"], ["ssum"],
-        ["expr"], ["gather"], ["scatter"] *)
+        ["axpy"], ["ebinop"], ["contract"], ["expr"], ["gather"],
+        ["scatter"] *)
   k_run :
     frame:int array ->
     bounds:int array ->
@@ -59,8 +61,13 @@ type t = {
 
 val block : int
 (** Innermost iterations per row of the row evaluator (a constant).  A
-    body reading a buffer its output shares runs with blocks of one
-    iteration, keeping the closure nest's read-write interleaving. *)
+    body reading a buffer its output shares keeps full blocks when, at
+    launch, every such input has the output's base offset and element
+    strides and the output's innermost stride is non-zero: each
+    iteration then reads only the element it writes, which no other
+    iteration of the block touches.  Any other shared buffer runs with
+    blocks of one iteration, keeping the closure nest's read-write
+    interleaving. *)
 
 val recognize :
   env:Reference.env ->

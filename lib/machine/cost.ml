@@ -1002,8 +1002,12 @@ module Parallel = struct
       cal_chunk_s = 0.4e-6;
       cal_merge_s_per_elem = 6e-9;
       cal_kernel_iter_ns =
-        [ ("fill", 0.8); ("copy", 1.0); ("scale", 1.1); ("axpy", 1.5);
-          ("ebinop", 1.6); ("contract", 1.9); ("ssum", 1.4); ("expr", 7.0);
+        [ ("fill", 0.8); ("copy", 1.0); ("axpy", 1.5); ("ebinop", 1.6);
+          ("contract", 1.9);
+          (* the calibrate experiment's row-evaluator case: run-only
+             wall over the map iterations of jacobi-2d N=128 T=10,
+             7.4-7.9 ns on a 2-core x86-64 container *)
+          ("expr", 7.7);
           (* best of 7 x 50 launches of a 65,536-iteration 1-D gather
              ([o = a[ix]]) and WCR-sum scatter ([o[ix] = v]) through
              a 4,096-element window, compiled engine at 1 domain, on a

@@ -50,11 +50,17 @@ let locked c f =
 let index_path dir = Filename.concat dir "index.json"
 let graph_path dir key = Filename.concat dir (key ^ ".sdfg")
 
+(* Write [<path>.tmp] beside [path], close it, then rename it over
+   [path]: a rename within one directory replaces the file in one step,
+   so a crash mid-write leaves at worst a stray [.tmp] file (which
+   nothing reads) and never a truncated index or graph. *)
 let write_file path contents =
-  let oc = open_out path in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+    (fun () -> output_string oc contents);
+  Unix.rename tmp path
 
 let read_file path =
   let ic = open_in path in

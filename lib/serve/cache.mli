@@ -6,7 +6,9 @@
     With [~dir], an on-disk index ([index.json] + one [<key>.sdfg] per
     entry) mirrors the table and instances are rebuilt from it on
     {!create} — a restarted daemon comes up warm (plans recompile
-    lazily on first run; parse and validation are skipped). *)
+    lazily on first run; parse and validation are skipped).  Each file
+    is written to [<file>.tmp] and renamed over the old one, so a crash
+    mid-write cannot truncate the index. *)
 
 type t
 

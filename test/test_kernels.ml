@@ -124,7 +124,7 @@ let test_recognized_kinds () =
         [ ("contract", 1); ("fill", 1) ], [] );
       ( "jacobi", Workloads.Kernels.jacobi,
         [ ("N", 16); ("T", 2) ],
-        [ ("ssum", 2) ], [] );
+        [ ("expr", 2) ], [] );
       ( "histogram", Workloads.Kernels.histogram,
         [ ("H", 8); ("W", 8) ],
         (* the scatter's computed bin is input-derived indirection *)
@@ -499,6 +499,99 @@ let test_windowed_counters () =
   Alcotest.(check int) "elements moved"
     (n * (1 + m + 1)) r.R.r_counters.R.elements_moved
 
+(* --- row evaluator: aliasing and strides ---------------------------------- *)
+
+(* Reference, closure path and kernel path on identical inputs: output
+   bits and counters identical across all three. *)
+let check_three_way tag build symbols =
+  let run config =
+    let args = Profile.make_args ~symbols (build ()) in
+    let r = Exec.run (build ()) ~config ~symbols ~args in
+    ( List.map (fun (n, t) -> (n, tensor_bits t)) args,
+      counter_list r.R.r_counters )
+  in
+  let reference =
+    run Exec.Config.(default |> with_engine Plan.reference |> with_domains 1)
+  in
+  List.iter
+    (fun (path, kernels) ->
+      Alcotest.(check (pair (list (pair string (list int64))) (list int)))
+        (Fmt.str "%s: %s path == reference" tag path)
+        reference
+        (run (compiled_cfg ~kernels ~domains:1 ())))
+    [ ("closure", false); ("kernel", true) ]
+
+(* One map over [params] x [ranges] (the innermost running [T] trips)
+   whose single tasklet runs [code]; the arrays are [2T+2] long in every
+   dimension so each shifted or strided subscript stays in range. *)
+let alias_graph ~arrays ~params ~ranges ~ins ~out ~code () =
+  let g, st = Build.single_state ~symbols:[ "T" ] "alias" in
+  let ext = E.add (E.mul (E.int 2) (E.sym "T")) (E.int 2) in
+  List.iter
+    (fun (name, rank) ->
+      Sdfg.add_array g name ~shape:(List.init rank (fun _ -> ext)) ~dtype:T.F64)
+    arrays;
+  ignore
+    (Build.mapped_tasklet g st ~name:"w" ~params ~ranges ~ins ~outs:[ out ]
+       ~code:(`Src code) ());
+  Build.finalize g
+
+let test_alias_rows () =
+  let i = E.sym "i" and j = E.sym "j" and t = E.sym "T" in
+  let last = E.sub t E.one in
+  let ij = [ S.range E.zero E.one; S.range E.zero last ] in
+  (* the innermost parameter steps by 2 *)
+  let ij2 =
+    [ S.range E.zero E.one;
+      S.range ~stride:(E.int 2) E.zero (E.mul (E.int 2) last) ]
+  in
+  let cases =
+    [ (* exact alias: each iteration reads only the element it writes *)
+      ( "in-place x[i,j] = 2.5 * x[i,j]", "expr", [ ("X", 2) ], ij,
+        [ Build.in_elem "x" "X" [ i; j ] ], Build.out_elem "o" "X" [ i; j ],
+        "o = 2.5 * x" );
+      (* each iteration reads what the previous one wrote *)
+      ( "shifted alias a[i+1] = 2.0 * a[i]", "expr", [ ("A", 1) ],
+        [ S.range E.zero last ], [ Build.in_elem "x" "A" [ i ] ],
+        Build.out_elem "o" "A" [ E.add i E.one ], "o = 2.0 * x" );
+      (* the output does not move along the row: every iteration reads
+         the element all of them accumulate into *)
+      ( "stride-0 self-read under WCR-sum", "expr", [ ("S", 1); ("X", 2) ], ij,
+        [ Build.in_elem "c" "S" [ i ]; Build.in_elem "x" "X" [ i; j ] ],
+        Build.out_elem ~wcr:Wcr.sum "o" "S" [ i ], "o = c * x + 1.0" );
+      (* the bare product is a contraction, kept in closure order by
+         its own aliasing gate *)
+      ( "stride-0 self-read under WCR-sum, bare product", "contract",
+        [ ("S", 1); ("X", 2) ], ij,
+        [ Build.in_elem "c" "S" [ i ]; Build.in_elem "x" "X" [ i; j ] ],
+        Build.out_elem ~wcr:Wcr.sum "o" "S" [ i ], "o = c * x" ) ]
+    (* an in-place operand beside a copied one; [a + b] alone is an
+       [ebinop], scaled it runs on the rows *)
+    @ List.concat_map
+        (fun (step, ranges) ->
+          List.map
+            (fun (kind, code) ->
+              ( Fmt.str "mixed strides o[i,j] = a[i,j] + b[j,i], step %d: %s" step code,
+                kind, [ ("A", 2); ("B", 2); ("O", 2) ], ranges,
+                [ Build.in_elem "a" "A" [ i; j ]; Build.in_elem "b" "B" [ j; i ] ],
+                Build.out_elem "o" "O" [ i; j ], code ))
+            [ ("ebinop", "o = a + b"); ("expr", "o = (a + b) * 0.5") ])
+        [ (1, ij); (2, ij2) ]
+  in
+  List.iter
+    (fun (tag, kind, arrays, ranges, ins, out, code) ->
+      let params = if List.length ranges = 1 then [ "i" ] else [ "i"; "j" ] in
+      let build = alias_graph ~arrays ~params ~ranges ~ins ~out ~code in
+      List.iter
+        (fun trips ->
+          let symbols = [ ("T", trips) ] in
+          Alcotest.(check (list (pair string int)))
+            (Fmt.str "%s: lowers as %s" tag kind) [ (kind, 1) ]
+            (fst (coverage build symbols));
+          check_three_way (Fmt.str "%s at %d trips" tag trips) build symbols)
+        [ 0; 1; Kernels.block - 1; Kernels.block; Kernels.block + 1 ])
+    cases
+
 let suite =
   [ ("Tensor.fill: dense and strided", `Quick, test_tensor_fill);
     ("Tensor.scale: dense and strided", `Quick, test_tensor_scale);
@@ -533,4 +626,6 @@ let suite =
       ("scatter WCR over duplicate targets at 1/2/4 domains", `Quick,
         test_scatter_duplicates_domains);
       ("windowed input counters match the closure path", `Quick,
-        test_windowed_counters) ]
+        test_windowed_counters);
+      ("aliased and mixed-stride rows: kernel == closure == reference",
+        `Quick, test_alias_rows) ]

@@ -329,6 +329,71 @@ let test_cache_persistence () =
   let c'' = Serve.Cache.create ~capacity:8 ~dir () in
   Alcotest.(check int) "corrupt entry skipped" 2 (Serve.Cache.size c'')
 
+(* Keys [index.json] lists, sorted. *)
+let index_keys dir =
+  let idx =
+    Json.parse
+      (In_channel.with_open_bin (Filename.concat dir "index.json")
+         In_channel.input_all)
+  in
+  match Json.member "entries" idx with
+  | Some (Json.Arr es) ->
+    List.sort compare
+      (List.filter_map
+         (fun e -> Option.bind (Json.member "key" e) Json.to_string_opt)
+         es)
+  | _ -> Alcotest.fail "index.json has no entries array"
+
+let test_cache_atomic_writes () =
+  let dir = tmp_name "sdfg-cache-atomic" in
+  let c = Serve.Cache.create ~capacity:2 ~dir () in
+  let entries = List.map mk_instance [ 0; 1; 2; 3 ] in
+  List.iter
+    (fun (k, t, i) -> ignore (Serve.Cache.add c ~key:k ~text:t i))
+    entries;
+  let files = Array.to_list (Sys.readdir dir) in
+  Alcotest.(check (list string))
+    "no temporary file left behind" []
+    (List.filter (fun f -> Filename.check_suffix f ".tmp") files);
+  let live =
+    List.sort compare
+      (List.filter_map
+         (fun (k, _, _) ->
+           if Serve.Cache.find c k <> None then Some k else None)
+         entries)
+  in
+  Alcotest.(check int) "evictions left the capacity" 2 (List.length live);
+  Alcotest.(check (list string))
+    "index lists exactly the in-memory keys" live (index_keys dir);
+  Alcotest.(check (list string))
+    "one graph file per in-memory key"
+    (List.map (fun k -> k ^ ".sdfg") live)
+    (List.sort compare
+       (List.filter (fun f -> Filename.check_suffix f ".sdfg") files))
+
+let test_cache_stray_tmp_files () =
+  (* what a crash mid-write leaves behind: the previous complete files
+     plus partial temporaries, which the loader must ignore *)
+  let dir = tmp_name "sdfg-cache-stray" in
+  let c = Serve.Cache.create ~capacity:8 ~dir () in
+  let entries = List.map mk_instance [ 0; 1; 2 ] in
+  List.iter
+    (fun (k, t, i) -> ignore (Serve.Cache.add c ~key:k ~text:t i))
+    entries;
+  let write name contents =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc contents)
+  in
+  write "index.json.tmp" "{\"entries\": [{\"key\": \"garb";
+  let k0, t0, _ = List.hd entries in
+  write (k0 ^ ".sdfg.tmp") (String.sub t0 0 (String.length t0 / 2));
+  let c' = Serve.Cache.create ~capacity:8 ~dir () in
+  Alcotest.(check int) "every listed entry loads" 3 (Serve.Cache.size c');
+  List.iter
+    (fun (k, _, _) ->
+      Alcotest.(check bool) "entry present" true (Serve.Cache.find c' k <> None))
+    entries
+
 (* Shared cache, concurrent lookups from several domains: every domain's
    runs must be bit-identical to an uncached direct run.  Instances pin
    domains = 1 — the compiled engine's domain pool may only be driven
@@ -957,4 +1022,8 @@ let suite =
     Alcotest.test_case "server: key-only leader of an evicted key" `Quick
       test_server_batch_key_only_leader;
     Alcotest.test_case "server: shutdown request" `Quick
-      test_server_shutdown_request ]
+      test_server_shutdown_request;
+    Alcotest.test_case "cache writes by rename, index mirrors memory" `Quick
+      test_cache_atomic_writes;
+    Alcotest.test_case "cache ignores partial temporary files" `Quick
+      test_cache_stray_tmp_files ]
