@@ -11,9 +11,11 @@
    reduce to corner checks (affine functions attain extrema at box
    corners).  So the scope runs as flat loops over the raw buffers.
 
-   Shape-specialized bodies (fill, copy, axpy, elementwise binop,
-   contraction) get a dedicated strided loop.  Every other body runs on
-   the row evaluator: compiled once into unboxed rows, it evaluates a
+   Shape-specialized bodies (fill, copy, axpy, float [+] / [*] and
+   integer elementwise binops, the WCR-sum contraction [x * y] or
+   [(c * x) * y] — four output rows per reduction sweep where the launch
+   allows) get a dedicated strided loop.  Every other body runs on the
+   row evaluator: compiled once into unboxed rows, it evaluates a
    block of up to [block] innermost iterations — every read of the block
    first, unit-stride float operands straight from their buffers — then
    applies the block's writes in iteration order by pointer bump.
@@ -31,13 +33,14 @@
    the output moves along the row — each iteration reads just the
    element it alone writes — and runs blocks of one iteration
    otherwise; gather/scatter bodies stay on the closure path.  The other
-   reorderings (the copy blit, the register accumulators) are gated the
-   same way.  Error behavior is preserved by deferring to the
-   closure nest ([slow]) whenever a launch-time check fails — corners,
-   windows, or the pre-pass evaluating every index row over the whole
-   box: the nest then raises the reference engine's exact error at the
-   exact iteration with the exact partial counters, because the kernel
-   has not touched memory or counters yet.  Runtime-type-dependent
+   reorderings (the copy blit, the register accumulators, the
+   contraction's four-row groups) are gated the same way.  Error
+   behavior is preserved by deferring to the closure nest ([slow])
+   whenever a launch-time check fails — corners, windows, or the
+   pre-pass evaluating every index row over the whole box: the nest
+   then raises the reference engine's exact error at the exact
+   iteration with the exact partial counters, because the kernel has
+   not touched memory or counters yet.  Runtime-type-dependent
    operations the static compiler cannot mirror (integer [Div] / [Mod]
    without a nonzero literal divisor, [Pow] without a literal exponent,
    mixed-type conditionals) reject recognition instead.
@@ -536,9 +539,9 @@ type kind =
   | Kfill                                   (* launch-constant store *)
   | Kcopy of int                            (* same-representation move *)
   | Kaxpy of int * float * int * int        (* shape, a, x, y *)
-  | Kebinop of Ast.binop * int * int        (* float x op y *)
+  | Kebinop of Ast.binop * int * int        (* float x op y, op + or * *)
   | Kebinop_i of Ast.binop * int * int      (* int x op y *)
-  | Kcontract of int * int                  (* WCR-sum  c += a*b *)
+  | Kcontract of float option * int * int   (* WCR-sum  o += (c*x)*y | x*y *)
   | Kexpr
   | Kgather                                 (* o = f(c[e...]) *)
   | Kscatter                                (* o[e...] = f(...) *)
@@ -779,11 +782,18 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
     else
       match wcr with
       | Some Wcr_sum when out_float -> (
+        let contract lit x y =
+          match fleaf x, fleaf y with
+          | Some jx, Some jy -> Kcontract (lit, jx, jy)
+          | _ -> Kexpr
+        in
         match bexpr with
-        | Ast.Binop (Ast.Mul, a, b) -> (
-          match fleaf a, fleaf b with
-          | Some ja, Some jb -> Kcontract (ja, jb)
-          | _ -> Kexpr)
+        | Ast.Binop (Ast.Mul, Ast.Binop (Ast.Mul, Ast.Float_lit c, x), y)
+        | Ast.Binop (Ast.Mul, Ast.Binop (Ast.Mul, x, Ast.Float_lit c), y) ->
+          (* a literal that is not NaN commutes exactly: [(x * c) * y]
+             runs as [(c * x) * y] *)
+          if Float.is_nan c then Kexpr else contract (Some c) x y
+        | Ast.Binop (Ast.Mul, x, y) -> contract None x y
         | _ -> Kexpr)
       | Some _ -> Kexpr
       | None -> (
@@ -813,7 +823,9 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
           match fleaf x, fleaf y with
           | Some jx, Some jy -> Kaxpy (3, a, jx, jy)
           | _ -> Kexpr)
-        | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Min | Ast.Max) as op, x, y)
+        (* other float operators run on the rows, which apply them in
+           place; a closure here would box every element *)
+        | Ast.Binop ((Ast.Add | Ast.Mul) as op, x, y)
           when out_float
                && fleaf x <> None && fleaf y <> None ->
           Kebinop (op, Option.get (fleaf x), Option.get (fleaf y))
@@ -987,6 +999,112 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
       k0 := k + n
     done
   in
+  (* The contraction's rows: [one] accumulates one output cell's row,
+     [four] the rows of four consecutive counters of dimension [last - 1]
+     at once.  [grouped ()] admits [four] at launch when the output cell
+     stays put along the row but moves along [last - 1] (four distinct
+     cells), no input shares its buffer (nothing reads a cell mid-sweep)
+     and one factor does not move along [last - 1]: that factor is read
+     — and scaled — once per reduction step.  Each cell still receives
+     its products, each in the body's grouping, in the closure nest's
+     order; only the interleaving between cells changes. *)
+  let one, four, grouped =
+    match kind with
+    | Kcontract (lit, jx, jy) ->
+      let cb = fbuf nin and xb = fbuf jx and yb = fbuf jy in
+      let scaled = lit <> None and c = Option.value lit ~default:1. in
+      (* accumulating in a register changes no addition order, but it
+         delays the store — only safe when the output cell cannot be
+         read back through an input alias mid-row *)
+      let reg_ok = (not (shares jx)) && not (shares jy) in
+      let one () =
+        let ec = es.(nin).(last)
+        and ex = es.(jx).(last)
+        and ey = es.(jy).(last) in
+        let ox = ref offs.(jx) and oy = ref offs.(jy) in
+        if ec = 0 && reg_ok then begin
+          let oc = offs.(nin) in
+          let acc = ref cb.!(oc) in
+          for _ = 1 to trips.(last) do
+            let x = xb.!(!ox) in
+            let x = if scaled then c *. x else x in
+            acc := !acc +. (x *. yb.!(!oy));
+            ox := !ox + ex;
+            oy := !oy + ey
+          done;
+          cb.!(oc) <- !acc
+        end
+        else begin
+          let oc = ref offs.(nin) in
+          for _ = 1 to trips.(last) do
+            let x = xb.!(!ox) in
+            let x = if scaled then c *. x else x in
+            cb.!(!oc) <- cb.!(!oc) +. (x *. yb.!(!oy));
+            oc := !oc + ec;
+            ox := !ox + ex;
+            oy := !oy + ey
+          done
+        end
+      in
+      let four () =
+        let jd = last - 1 in
+        let l = es.(nin).(jd) and c0 = offs.(nin) in
+        let c1 = c0 + l and c2 = c0 + (2 * l) and c3 = c0 + (3 * l) in
+        let a0 = ref cb.!(c0) and a1 = ref cb.!(c1)
+        and a2 = ref cb.!(c2) and a3 = ref cb.!(c3) in
+        let ex = es.(jx).(last) and ey = es.(jy).(last) in
+        let ox = ref offs.(jx) and oy = ref offs.(jy) in
+        if es.(jx).(jd) = 0 then begin
+          (* the lanes' [y] elements sit [l1] apart *)
+          let l1 = es.(jy).(jd) in
+          let l2 = 2 * l1 and l3 = 3 * l1 in
+          for _ = 1 to trips.(last) do
+            let x = xb.!(!ox) and o = !oy in
+            let x = if scaled then c *. x else x in
+            a0 := !a0 +. (x *. yb.!(o));
+            a1 := !a1 +. (x *. yb.!(o + l1));
+            a2 := !a2 +. (x *. yb.!(o + l2));
+            a3 := !a3 +. (x *. yb.!(o + l3));
+            ox := !ox + ex;
+            oy := o + ey
+          done
+        end
+        else begin
+          let l1 = es.(jx).(jd) in
+          let l2 = 2 * l1 and l3 = 3 * l1 in
+          for _ = 1 to trips.(last) do
+            let y = yb.!(!oy) and o = !ox in
+            if scaled then begin
+              a0 := !a0 +. (c *. xb.!(o) *. y);
+              a1 := !a1 +. (c *. xb.!(o + l1) *. y);
+              a2 := !a2 +. (c *. xb.!(o + l2) *. y);
+              a3 := !a3 +. (c *. xb.!(o + l3) *. y)
+            end
+            else begin
+              a0 := !a0 +. (xb.!(o) *. y);
+              a1 := !a1 +. (xb.!(o + l1) *. y);
+              a2 := !a2 +. (xb.!(o + l2) *. y);
+              a3 := !a3 +. (xb.!(o + l3) *. y)
+            end;
+            ox := o + ex;
+            oy := !oy + ey
+          done
+        end;
+        cb.!(c0) <- !a0;
+        cb.!(c1) <- !a1;
+        cb.!(c2) <- !a2;
+        cb.!(c3) <- !a3
+      in
+      let grouped () =
+        let jd = last - 1 in
+        jd >= 0 && reg_ok
+        && es.(nin).(last) = 0
+        && es.(nin).(jd) <> 0
+        && (es.(jx).(jd) = 0 || es.(jy).(jd) = 0)
+      in
+      (one, four, grouped)
+    | _ -> (ignore, ignore, fun () -> false)
+  in
   (* per-kind innermost row; reads the launch state, must leave [offs]
      untouched.  Buffer accesses are unchecked — the launch pre-checks
      proved the whole box in range. *)
@@ -1085,20 +1203,9 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
               (Array.unsafe_get yb !y +. (Array.unsafe_get xb !x *. a));
             o := !o + eo; x := !x + ex; y := !y + ey
           done)
-    | Kebinop (op, jx, jy) ->
+    | Kebinop (op, jx, jy) -> (
       let ob = fbuf nin and xb = fbuf jx and yb = fbuf jy in
-      let loop f () =
-        let eo = es.(nin).(last)
-        and ex = es.(jx).(last)
-        and ey = es.(jy).(last) in
-        let o = ref offs.(nin) and x = ref offs.(jx) and y = ref offs.(jy) in
-        for _ = 1 to trips.(last) do
-          Array.unsafe_set ob !o
-            (f (Array.unsafe_get xb !x) (Array.unsafe_get yb !y));
-          o := !o + eo; x := !x + ex; y := !y + ey
-        done
-      in
-      (match op with
+      match op with
       | Ast.Add ->
         fun () ->
           let eo = es.(nin).(last)
@@ -1121,10 +1228,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
               (Array.unsafe_get xb !x *. Array.unsafe_get yb !y);
             o := !o + eo; x := !x + ex; y := !y + ey
           done
-      | Ast.Sub -> loop ( -. )
-      | Ast.Div -> loop ( /. )
-      | Ast.Min -> loop Float.min
-      | Ast.Max -> loop Float.max
       | _ -> assert false)
     | Kebinop_i (op, jx, jy) ->
       let ob = ibuf nin and xb = ibuf jx and yb = ibuf jy in
@@ -1147,38 +1250,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
             (f (Array.unsafe_get xb !x) (Array.unsafe_get yb !y));
           o := !o + eo; x := !x + ex; y := !y + ey
         done
-    | Kcontract (ja, jb) ->
-      let cb = fbuf nin and ab = fbuf ja and bb = fbuf jb in
-      (* accumulating in a register changes no addition order, but it
-         delays the store — only safe when the output cell cannot be
-         read back through an input alias mid-row *)
-      let reg_ok = (not (shares ja)) && not (shares jb) in
-      fun () ->
-        let ec = es.(nin).(last)
-        and ea = es.(ja).(last)
-        and eb = es.(jb).(last) in
-        let oa = ref offs.(ja) and ob_ = ref offs.(jb) in
-        if ec = 0 && reg_ok then begin
-          let oc = offs.(nin) in
-          let acc = ref (Array.unsafe_get cb oc) in
-          for _ = 1 to trips.(last) do
-            acc := !acc +. (Array.unsafe_get ab !oa *. Array.unsafe_get bb !ob_);
-            oa := !oa + ea;
-            ob_ := !ob_ + eb
-          done;
-          Array.unsafe_set cb oc !acc
-        end
-        else begin
-          let oc = ref offs.(nin) in
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set cb !oc
-              (Array.unsafe_get cb !oc
-              +. (Array.unsafe_get ab !oa *. Array.unsafe_get bb !ob_));
-            oc := !oc + ec;
-            oa := !oa + ea;
-            ob_ := !ob_ + eb
-          done
-        end
+    | Kcontract _ -> one
     | Kexpr | Kgather | Kscatter -> blocks pass
   in
   let track_params =
@@ -1193,12 +1265,21 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   let has_wcr = wcr <> None in
   (* outer dimensions advance the shared offsets; [row] runs the
      innermost dimension *)
+  let quad = ref false in
   let rec go row d =
     if d = last then row ()
     else begin
       let n = trips.(d) in
       let lo_d = los.(d) and st_d = steps.(d) in
-      for k = 0 to n - 1 do
+      (* a grouped launch sweeps [last - 1] four rows at a time *)
+      let k0 = if !quad && d = last - 1 then n - (n mod 4) else 0 in
+      for _ = 1 to k0 / 4 do
+        four ();
+        for j = 0 to na - 1 do
+          offs.(j) <- offs.(j) + (4 * es.(j).(d))
+        done
+      done;
+      for k = k0 to n - 1 do
         if track_params then pcell.(d) <- lo_d + (k * st_d);
         go row (d + 1);
         for j = 0 to na - 1 do
@@ -1232,7 +1313,9 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
       done;
       if not !empty then begin
         (* operand bases, element strides, and the corner bounds check:
-           min/max of [const + sum coef_d * i_d] over the box *)
+           min/max of [const + sum coef_d * i_d] over the box — in plain
+           loops, as closures capturing the refs would allocate per
+           launch *)
         let ok = ref true in
         for j = 0 to na - 1 do
           let ap = arg_plans.(j) in
@@ -1241,26 +1324,25 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
           let esj = es.(j) in
           Array.fill esj 0 nd 0;
           let base = ref t.Tensor.offset in
-          Array.iteri
-            (fun dim dp ->
-              let v0 = ref (dp.dp_const frame) in
-              let dmin = ref 0 and dmax = ref 0 in
-              Array.iteri
-                (fun d cf ->
-                  match cf with
-                  | None -> ()
-                  | Some f ->
-                    let k = f frame in
-                    v0 := !v0 + (k * los.(d));
-                    let delta = k * steps.(d) * (trips.(d) - 1) in
-                    if delta < 0 then dmin := !dmin + delta
-                    else dmax := !dmax + delta;
-                    esj.(d) <- esj.(d) + (k * steps.(d) * str.(dim)))
-                dp.dp_coefs;
-              if !v0 + !dmin < 0 || !v0 + !dmax >= t.Tensor.shape.(dim) then
-                ok := false;
-              base := !base + (!v0 * str.(dim)))
-            ap.ap_dims;
+          for dim = 0 to Array.length ap.ap_dims - 1 do
+            let dp = ap.ap_dims.(dim) in
+            let v0 = ref (dp.dp_const frame) in
+            let dmin = ref 0 and dmax = ref 0 in
+            for d = 0 to nd - 1 do
+              match dp.dp_coefs.(d) with
+              | None -> ()
+              | Some f ->
+                let k = f frame in
+                v0 := !v0 + (k * los.(d));
+                let delta = k * steps.(d) * (trips.(d) - 1) in
+                if delta < 0 then dmin := !dmin + delta
+                else dmax := !dmax + delta;
+                esj.(d) <- esj.(d) + (k * steps.(d) * str.(dim))
+            done;
+            if !v0 + !dmin < 0 || !v0 + !dmax >= t.Tensor.shape.(dim) then
+              ok := false;
+            base := !base + (!v0 * str.(dim))
+          done;
           offs.(j) <- !base
         done;
         (* an input at the output's base and element strides reads in
@@ -1308,6 +1390,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
             let w, dyn = in_wins.(i) in
             moved := !moved + if dyn then 1 else w.View.v_vol
           done;
+          quad := grouped ();
           stats.Obs.Report.map_iterations <- stats.map_iterations + !total;
           stats.tasklet_execs <- stats.tasklet_execs + !total;
           stats.elements_moved <- stats.elements_moved + (!total * !moved);

@@ -24,8 +24,12 @@
       element per scalar input, one or — for a non-dynamic memlet — the
       window's volume per windowed input, one for the output, one WCR
       write under WCR);
-    - dispatches a shape-specialized loop (fill / copy / axpy /
-      elementwise binop / WCR-sum contraction) or the row evaluator: the
+    - dispatches a shape-specialized loop (fill / copy / axpy / float
+      [+] and [*] or integer elementwise binop / WCR-sum contraction
+      [x * y] or [(c * x) * y] for a float literal [c], four output
+      cells per reduction sweep when the reduction is innermost, the
+      output moves along the next dimension out, one factor does not
+      and no input shares the output's buffer) or the row evaluator: the
       body compiled once into unboxed rows of up to {!block} innermost
       iterations, each block read in full — unit-stride float operands
       in place, from their buffers — before its writes apply in

@@ -1003,7 +1003,12 @@ module Parallel = struct
       cal_merge_s_per_elem = 6e-9;
       cal_kernel_iter_ns =
         [ ("fill", 0.8); ("copy", 1.0); ("axpy", 1.5); ("ebinop", 1.6);
-          ("contract", 1.9);
+          (* the calibrate experiment's contraction case: run-only wall
+             over the map iterations of matmul 128^3 (its fill
+             included), four output cells per reduction sweep,
+             0.70-1.45 ns (median 1.06) over seven runs on a 2-core
+             x86-64 container *)
+          ("contract", 1.1);
           (* the calibrate experiment's row-evaluator case: run-only
              wall over the map iterations of jacobi-2d N=128 T=10,
              7.4-7.9 ns on a 2-core x86-64 container *)

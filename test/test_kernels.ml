@@ -119,7 +119,7 @@ let test_recognized_kinds () =
         (name ^ ": lowered kinds") want_maps kmaps;
       Alcotest.(check (list (pair string int)))
         (name ^ ": fallback reasons") want_falls kfalls)
-    [ ( "matmul", Workloads.Kernels.matmul,
+    ([ ( "matmul", Workloads.Kernels.matmul,
         [ ("M", 8); ("N", 8); ("K", 8) ],
         [ ("contract", 1); ("fill", 1) ], [] );
       ( "jacobi", Workloads.Kernels.jacobi,
@@ -146,6 +146,18 @@ let test_recognized_kinds () =
       ("copy", Workloads.Kernels.copy, [ ("N", 16) ], [ ("copy", 1) ], []);
       ("eadd", Workloads.Kernels.eadd, [ ("N", 16) ], [ ("ebinop", 1) ], []);
       ("axpy", Workloads.Kernels.axpy, [ ("N", 16) ], [ ("axpy", 1) ], []) ]
+    (* literal-scaled products [1.5 * a * b] lower as contractions; float
+       [S - m] and [E / Z] run on the rows *)
+    @ List.map
+        (fun (name, want) ->
+          let k = Workloads.Polybench.find name in
+          (name, k.Workloads.Polybench.k_build, k.Workloads.Polybench.k_mini, want, []))
+        [ ("gemm", [ ("contract", 1); ("expr", 1) ]);
+          ("2mm", [ ("contract", 2); ("expr", 1); ("fill", 1) ]);
+          ("gemver", [ ("contract", 2); ("ebinop", 1); ("expr", 1) ]) ]
+    @ [ ( "attention", Workloads.Attention.base, Workloads.Attention.attention_mini,
+          [ ("contract", 2); ("copy", 2); ("ebinop", 1); ("expr", 4); ("fill", 3) ],
+          [] ) ])
 
 let test_kernels_disabled () =
   (* ~kernels:false must keep every map on the closure path and record
@@ -502,8 +514,9 @@ let test_windowed_counters () =
 (* --- row evaluator: aliasing and strides ---------------------------------- *)
 
 (* Reference, closure path and kernel path on identical inputs: output
-   bits and counters identical across all three. *)
-let check_three_way tag build symbols =
+   bits and counters identical across all three, the compiled paths at
+   each of [domains]. *)
+let check_three_way ?(domains = [ 1 ]) tag build symbols =
   let run config =
     let args = Profile.make_args ~symbols (build ()) in
     let r = Exec.run (build ()) ~config ~symbols ~args in
@@ -514,26 +527,32 @@ let check_three_way tag build symbols =
     run Exec.Config.(default |> with_engine Plan.reference |> with_domains 1)
   in
   List.iter
-    (fun (path, kernels) ->
-      Alcotest.(check (pair (list (pair string (list int64))) (list int)))
-        (Fmt.str "%s: %s path == reference" tag path)
-        reference
-        (run (compiled_cfg ~kernels ~domains:1 ())))
-    [ ("closure", false); ("kernel", true) ]
+    (fun domains ->
+      List.iter
+        (fun (path, kernels) ->
+          Alcotest.(check (pair (list (pair string (list int64))) (list int)))
+            (Fmt.str "%s: %s path at %d domains == reference" tag path domains)
+            reference
+            (run (compiled_cfg ~kernels ~domains ())))
+        [ ("closure", false); ("kernel", true) ])
+    domains
 
 (* One map over [params] x [ranges] (the innermost running [T] trips)
    whose single tasklet runs [code]; the arrays are [2T+2] long in every
-   dimension so each shifted or strided subscript stays in range. *)
-let alias_graph ~arrays ~params ~ranges ~ins ~out ~code () =
-  let g, st = Build.single_state ~symbols:[ "T" ] "alias" in
-  let ext = E.add (E.mul (E.int 2) (E.sym "T")) (E.int 2) in
+   dimension — twice the sum of [symbols], plus 2 — so each shifted or
+   strided subscript stays in range. *)
+let alias_graph ?(symbols = [ "T" ]) ?schedule ~arrays ~params ~ranges ~ins
+    ~out ~code () =
+  let g, st = Build.single_state ~symbols "alias" in
+  let sum = List.fold_left (fun a x -> E.add a (E.sym x)) E.zero symbols in
+  let ext = E.add (E.mul (E.int 2) sum) (E.int 2) in
   List.iter
     (fun (name, rank) ->
       Sdfg.add_array g name ~shape:(List.init rank (fun _ -> ext)) ~dtype:T.F64)
     arrays;
   ignore
-    (Build.mapped_tasklet g st ~name:"w" ~params ~ranges ~ins ~outs:[ out ]
-       ~code:(`Src code) ());
+    (Build.mapped_tasklet g st ~name:"w" ?schedule ~params ~ranges ~ins
+       ~outs:[ out ] ~code:(`Src code) ());
   Build.finalize g
 
 let test_alias_rows () =
@@ -592,6 +611,103 @@ let test_alias_rows () =
         [ 0; 1; Kernels.block - 1; Kernels.block; Kernels.block + 1 ])
     cases
 
+(* --- contraction: four-row groups and scaled factors ------------------------ *)
+
+let test_contract_groups () =
+  let i = E.sym "i" and j = E.sym "j" and k = E.sym "k" in
+  let mm = [ ("A", 2); ("B", 2); ("C", 2) ] in
+  let cases =
+    [ (* [a] stays put along [j]: read once per step, [b] at four lanes *)
+      ( "c[i,j] += a[i,k] * b[k,j]", "contract", mm, [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ i; k ]; Build.in_elem "b" "B" [ k; j ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; j ], "c = a * b" );
+      (* [b] stays put along [j] *)
+      ( "shared b: c[i,j] += a[j,k] * b[i,k]", "contract", mm, [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ j; k ]; Build.in_elem "b" "B" [ i; k ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; j ], "c = a * b" );
+      ( "negative output step: c[i,J-1-j] += a[i,k] * b[k,j]", "contract", mm,
+        [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ i; k ]; Build.in_elem "b" "B" [ k; j ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; E.sub (E.sub (E.sym "J") E.one) j ],
+        "c = a * b" );
+      (* the grouped dimension is the one parallel chunks split *)
+      ( "two dimensions: c[j] += a[j,k] * b[k]", "contract",
+        [ ("A", 2); ("B", 1); ("C", 1) ], [ "j"; "k" ],
+        [ Build.in_elem "a" "A" [ j; k ]; Build.in_elem "b" "B" [ k ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ j ], "c = a * b" );
+      (* the output does not move along [j]: one cell, never grouped *)
+      ( "c[i] += a[i,j,k] * b[k]", "contract", [ ("A", 3); ("B", 1); ("C", 1) ],
+        [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ i; j; k ]; Build.in_elem "b" "B" [ k ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i ], "c = a * b" );
+      (* the input reads cells the group accumulates into: never grouped *)
+      ( "aliased: c[i,j] += c[i,k] * b[k,j]", "contract", [ ("B", 2); ("C", 2) ],
+        [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "C" [ i; k ]; Build.in_elem "b" "B" [ k; j ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; j ], "c = a * b" );
+      (* literal-scaled left factors, shared and at the lanes *)
+      ( "c[i,j] += 1.5 * a[i,k] * b[k,j]", "contract", mm, [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ i; k ]; Build.in_elem "b" "B" [ k; j ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; j ], "c = 1.5 * a * b" );
+      ( "c[i,j] += b[i,k] * 1.5 * a[j,k]", "contract", mm, [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ j; k ]; Build.in_elem "b" "B" [ i; k ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; j ], "c = b * 1.5 * a" );
+      ( "c[i,j] += 1.5 * a[j,k] * b[i,k]", "contract", mm, [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ j; k ]; Build.in_elem "b" "B" [ i; k ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; j ], "c = 1.5 * a * b" );
+      (* another grouping of the same product is not a contraction *)
+      ( "c[i,j] += 1.5 * (a[i,k] * b[k,j])", "expr", mm, [ "i"; "j"; "k" ],
+        [ Build.in_elem "a" "A" [ i; k ]; Build.in_elem "b" "B" [ k; j ] ],
+        Build.out_elem ~wcr:Wcr.sum "c" "C" [ i; j ], "c = 1.5 * (a * b)" ) ]
+  in
+  (* [i] runs 2 trips, [j] J (the dimension just outside the reduction)
+     and [k] R (the reduction) *)
+  let range p =
+    let upto n = S.range E.zero (E.sub n E.one) in
+    match p with "i" -> upto (E.int 2) | "j" -> upto (E.sym "J") | _ -> upto (E.sym "R")
+  in
+  List.iter
+    (fun (tag, kind, arrays, params, ins, out, code) ->
+      let build =
+        alias_graph ~symbols:[ "J"; "R" ] ~schedule:Defs.Cpu_multicore ~arrays
+          ~params ~ranges:(List.map range params) ~ins ~out ~code
+      in
+      List.iter
+        (fun (jt, rt) ->
+          let symbols = [ ("J", jt); ("R", rt) ] in
+          Alcotest.(check (list (pair string int)))
+            (Fmt.str "%s: lowers as %s" tag kind) [ (kind, 1) ]
+            (fst (coverage build symbols));
+          check_three_way ~domains:[ 1; 2 ]
+            (Fmt.str "%s at J = %d, R = %d" tag jt rt)
+            build symbols)
+        (List.concat_map (fun jt -> [ (jt, 1); (jt, 16) ]) [ 1; 3; 4; 5; 8; 9 ]))
+    cases
+
+let test_float_binops_on_rows () =
+  (* float [-], [/], [min] and [max] are row-evaluator bodies *)
+  let i = E.sym "i" and j = E.sym "j" and t = E.sym "T" in
+  let ij = [ S.range E.zero E.one; S.range E.zero (E.sub t E.one) ] in
+  List.iter
+    (fun code ->
+      let build =
+        alias_graph ~schedule:Defs.Cpu_multicore
+          ~arrays:[ ("A", 2); ("B", 2); ("O", 2) ] ~params:[ "i"; "j" ] ~ranges:ij
+          ~ins:[ Build.in_elem "a" "A" [ i; j ]; Build.in_elem "b" "B" [ j; i ] ]
+          ~out:(Build.out_elem "o" "O" [ i; j ]) ~code
+      in
+      List.iter
+        (fun trips ->
+          let symbols = [ ("T", trips) ] in
+          Alcotest.(check (list (pair string int)))
+            (Fmt.str "%s: lowers as expr" code) [ ("expr", 1) ]
+            (fst (coverage build symbols));
+          check_three_way ~domains:[ 1; 2 ]
+            (Fmt.str "%s at %d trips" code trips)
+            build symbols)
+        [ 0; 1; Kernels.block - 1; Kernels.block; Kernels.block + 1 ])
+    [ "o = a - b"; "o = a / b"; "o = min(a, b)"; "o = max(a, b)" ]
+
 let suite =
   [ ("Tensor.fill: dense and strided", `Quick, test_tensor_fill);
     ("Tensor.scale: dense and strided", `Quick, test_tensor_scale);
@@ -628,4 +744,8 @@ let suite =
       ("windowed input counters match the closure path", `Quick,
         test_windowed_counters);
       ("aliased and mixed-stride rows: kernel == closure == reference",
-        `Quick, test_alias_rows) ]
+        `Quick, test_alias_rows);
+      ("contraction groups and scaled factors: kernel == closure == \
+        reference at 1/2 domains", `Quick, test_contract_groups);
+      ("float -, /, min, max bodies on the rows: kernel == closure == \
+        reference at 1/2 domains", `Quick, test_float_binops_on_rows) ]
