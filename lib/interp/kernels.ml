@@ -3,54 +3,59 @@
    The closure nest built by {!Plan.comp_map} executes one tasklet at a
    time: per iteration it refreshes every memlet's compiled subset view
    (bounds checks included), snapshots scalar inputs, runs the compiled
-   body and writes through [View.set].  When the body is a single
-   assignment whose scalar subscripts are affine in the map parameters,
-   all of that collapses: each operand's offset is [base + dot(es,
-   counters)] for a base and per-dimension element strides computable
-   once per launch, and the bounds checks over the whole iteration box
-   reduce to corner checks (affine functions attain extrema at box
-   corners).  So the scope runs as flat loops over the raw buffers.
+   body and writes through [View.set].  When the body reduces to stores
+   whose scalar subscripts are affine in the map parameters, all of that
+   collapses: each operand's offset is [base + dot(es, counters)] for a
+   base and per-dimension element strides computable once per launch,
+   and the bounds checks over the whole iteration box reduce to corner
+   checks (affine functions attain extrema at box corners).  So the
+   scope runs as flat loops over the raw buffers.
 
-   Shape-specialized bodies (fill, copy, axpy, float [+] / [*] and
-   integer elementwise binops, the WCR-sum contraction [x * y] or
+   Shape-specialized one-store bodies (fill, copy, axpy, float [+] / [*]
+   and integer elementwise binops, the WCR-sum contraction [x * y] or
    [(c * x) * y] — four output rows per reduction sweep where the launch
    allows) get a dedicated strided loop.  Every other body runs on the
-   row evaluator: compiled once into unboxed rows, it evaluates a
-   block of up to [block] innermost iterations — every read of the block
-   first, unit-stride float operands straight from their buffers — then
-   applies the block's writes in iteration order by pointer bump.
-   Gather bodies ([o = f(c[e...])]) and scatter bodies ([o[e...] =
-   f(...)]) run there too: a subscripted connector binds a window whose
-   ranges do not move with the map's parameters, evaluated once per
-   launch, and its subscripts come from index rows.
+   row evaluator: its stores ({!Tasklang.Bodyclass}: straight-line
+   assignments with their locals substituted, one value per output) are
+   compiled once into unboxed rows.  A block of up to [block] innermost
+   iterations fills every value row — one call per computed node,
+   unit-stride float operands read in place — then stores the outputs in
+   statement order by pointer bump; a plain float store computes its top
+   [+ - * /] inside the store loop.  Gather bodies ([o = f(c[e...])]) and
+   scatter bodies ([o[e...] = f(...)]) run there too, as one store: a
+   subscripted connector binds a window whose ranges do not move with
+   the map's parameters, evaluated once per launch, and its subscripts
+   come from index rows.
 
    Correctness strategy: results are bit-identical to the closure nest
    by construction.  The specialized loops execute the same reads and
    writes in the same order; the rows reorder only reads before writes
    within a block, which is the closure nest's order unless an input
-   shares the output's buffer.  [expr] then keeps full blocks only when
-   every such input sits at the output's base and element strides and
-   the output moves along the row — each iteration reads just the
-   element it alone writes — and runs blocks of one iteration
-   otherwise; gather/scatter bodies stay on the closure path.  The other
-   reorderings (the copy blit, the register accumulators, the
-   contraction's four-row groups) are gated the same way.  Error
-   behavior is preserved by deferring to the closure nest ([slow])
-   whenever a launch-time check fails — corners, windows, or the
-   pre-pass evaluating every index row over the whole box: the nest
-   then raises the reference engine's exact error at the exact
-   iteration with the exact partial counters, because the kernel has
-   not touched memory or counters yet.  Runtime-type-dependent
-   operations the static compiler cannot mirror (integer [Div] / [Mod]
-   without a nonzero literal divisor, [Pow] without a literal exponent,
-   mixed-type conditionals) reject recognition instead.
+   shares an output's buffer.  One-output [expr] then keeps full blocks
+   only when every such input sits at the output's base and element
+   strides and the output moves along the row — each iteration reads
+   just the element it alone writes — and runs blocks of one iteration
+   otherwise; gather/scatter bodies, and bodies with several outputs
+   where any buffer is shared (the nest's later stores read after its
+   earlier writes), stay on the closure path.  The other reorderings
+   (the copy blit, the register accumulators, the contraction's four-row
+   groups) are gated the same way.  Error behavior is preserved by
+   deferring to the closure nest ([slow]) whenever a launch-time check
+   fails — corners, windows, or the pre-pass evaluating every index row
+   over the whole box: the nest then raises the reference engine's exact
+   error at the exact iteration with the exact partial counters, because
+   the kernel has not touched memory or counters yet.
+   Runtime-type-dependent operations the static compiler cannot mirror
+   (integer [Div] / [Mod] without a nonzero literal divisor, [Pow]
+   without a literal exponent, mixed-type conditionals) reject
+   recognition instead.
 
    Instrumentation counters are bumped in bulk: a launch of [T] trips
    counts [T] map iterations, [T] tasklet executions, [T] times the
-   elements one iteration moves (one per scalar input and for the
-   output; per windowed input one if its memlet is dynamic, the window's
-   volume otherwise) and — under WCR — [T] conflict resolutions, exactly
-   what the per-iteration path totals. *)
+   elements one iteration moves (one per scalar input and per output;
+   per windowed input one if its memlet is dynamic, the window's volume
+   otherwise) and [T] conflict resolutions per WCR output, exactly what
+   the per-iteration path totals. *)
 
 module Expr = Symbolic.Expr
 module Subset = Symbolic.Subset
@@ -153,18 +158,19 @@ let affine_plan ~params ~comp (tens : Tensor.t) (sub : Subset.t) : arg_plan =
 
 (* The body compiles once into a tree of row fillers mirroring
    {!Tasklang.Eval} exactly.  Each node owns a fixed-size unboxed row (a
-   float, int or bool array); its filler fills its children's rows, then
-   computes the node's value for the first [n] iterations of the current
-   block — up to [block] consecutive innermost iterations.  A float row
-   is a slice: iteration [k]'s value is [fa.(fo + k)].  A computed row
-   owns its array at offset 0; a float operand whose innermost element
-   stride is 1 points its slice at the operand's buffer, so the block is
-   read in place.  Leaves (operands, parameters, launch constants) are
-   set by the kernel's block prologue, literal rows once here.  Every
-   loop applies its operator in place: an operator passed as a closure
-   would box each float it touches. *)
+   float, int or bool array); its filler runs its computed children's
+   fillers, then calls its own operator loop over the first [n]
+   iterations of the current block — up to [block] consecutive innermost
+   iterations.  A float row is a slice: iteration [k]'s value is
+   [fa.(fo + k)].  A computed row owns its array at offset 0; a float
+   operand whose innermost element stride is 1 points its slice at the
+   operand's buffer, so the block is read in place.  Leaves (operands,
+   parameters, launch constants) have no filler ([nofill]): the kernel's
+   block prologue sets them, literal rows are set once here.  Every loop
+   applies its operator in place: an operator passed as a closure would
+   box each float it touches. *)
 
-let block = 32
+let block = 64
 
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
@@ -179,74 +185,88 @@ type row =
 let nofill (_ : int) = ()
 let own fa = { fa; fo = 0 }
 
+(* The fillers [fs] in order as one call; leaf rows' [nofill] drop out. *)
+let seq fs =
+  match List.filter (fun f -> f != nofill) fs with
+  | [] -> nofill
+  | [ f ] -> f
+  | [ f; g ] -> fun n -> f n; g n
+  | fs ->
+    let fs = Array.of_list fs in
+    fun n -> for i = 0 to Array.length fs - 1 do fs.!(i) n done
+
 (* Representation changes, as [Types.to_float] / [to_int] / [to_bool]. *)
 let frow size = function
   | Rf (x, fx) -> (x, fx)
   | Ri (x, fx) ->
     let r = Array.make size 0. in
-    (own r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- float_of_int x.!(k) done)
+    (own r, seq [ fx; (fun n -> for k = 0 to n - 1 do r.!(k) <- float_of_int x.!(k) done) ])
   | Rb (x, fx) ->
     let r = Array.make size 0. in
-    (own r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1. else 0. done)
+    (own r, seq [ fx; (fun n -> for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1. else 0. done) ])
 
 let irow size = function
   | Ri (x, fx) -> (x, fx)
   | Rf (x, fx) ->
     let r = Array.make size 0 in
     ( r,
-      fun n ->
-        fx n;
-        let a = x.fa and o = x.fo in
-        for k = 0 to n - 1 do r.!(k) <- int_of_float a.!(o + k) done )
+      seq [ fx; (fun n -> let a = x.fa and o = x.fo in
+                  for k = 0 to n - 1 do r.!(k) <- int_of_float a.!(o + k) done) ] )
   | Rb (x, fx) ->
     let r = Array.make size 0 in
-    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1 else 0 done)
+    (r, seq [ fx; (fun n -> for k = 0 to n - 1 do r.!(k) <- if x.!(k) then 1 else 0 done) ])
 
 let brow size = function
   | Rb (x, fx) -> (x, fx)
   | Ri (x, fx) ->
     let r = Array.make size false in
-    (r, fun n -> fx n; for k = 0 to n - 1 do r.!(k) <- x.!(k) <> 0 done)
+    (r, seq [ fx; (fun n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) <> 0 done) ])
   | Rf (x, fx) ->
     let r = Array.make size false in
     ( r,
-      fun n ->
-        fx n;
-        let a = x.fa and o = x.fo in
-        for k = 0 to n - 1 do r.!(k) <- a.!(o + k) <> 0. done )
+      seq [ fx; (fun n -> let a = x.fa and o = x.fo in
+                  for k = 0 to n - 1 do r.!(k) <- a.!(o + k) <> 0. done) ] )
 
-(* [rows ~size ~leaf ~site ~top e]: [leaf x] is the row of a name read
-   whole, [site ~top c subs] the row of a subscripted read [c[subs]]
-   ([top]: not itself inside a subscript).  Coercions follow
+(* [rows ~size ~leaf ~site] is [(go, binop)]: [go ~top e] builds the row
+   of [e], where [leaf x] is the row of a name read whole and [site ~top
+   c subs] the row of a subscripted read [c[subs]] ([top]: not itself
+   inside a subscript); [binop op b ta tb] the node of [op] over built
+   operand rows, [b] the right operand's syntax.  Coercions follow
    {!Tasklang.Eval}; runtime-type-dependent operations the static
    compiler cannot mirror reject: integer [Div] / [Mod] without a
    nonzero literal divisor, [Pow] without a literal exponent, and
    conditionals whose branches differ in representation. *)
 let rows ~size ~(leaf : string -> row)
-    ~(site : top:bool -> string -> row list -> row) ~top (e : Ast.expr) : row =
+    ~(site : top:bool -> string -> row list -> row) =
   let fr = frow size and br = brow size in
-  let mk_f deps loop =
+  (* a computed node: [build r] is its loop over its own row [r], run
+     after the computed children in [deps] *)
+  let mk_f deps build =
     let r = Array.make size 0. in
-    Rf (own r, fun n -> deps n; loop r n)
+    Rf (own r, seq (deps @ [ build r ]))
   in
-  let mk_i deps loop =
+  let mk_i deps build =
     let r = Array.make size 0 in
-    Ri (r, fun n -> deps n; loop r n)
+    Ri (r, seq (deps @ [ build r ]))
   in
-  let mk_b deps loop =
+  let mk_b deps build =
     let r = Array.make size false in
-    Rb (r, fun n -> deps n; loop r n)
+    Rb (r, seq (deps @ [ build r ]))
   in
-  let both fx fy n = fx n; fy n in
   (* float operands reach [loop] as each slice's array and offset for
-     the current block *)
+     the current block; the node's filler calls it directly *)
   let f1 mk ta loop =
     let x, fx = fr ta in
-    mk fx (fun r n -> loop r n x.fa x.fo)
+    mk [] (fun r ->
+        if fx == nofill then fun n -> loop r n x.fa x.fo
+        else fun n -> fx n; loop r n x.fa x.fo)
   in
   let f2 mk ta tb loop =
     let x, fx = fr ta and y, fy = fr tb in
-    mk (both fx fy) (fun r n -> loop r n x.fa x.fo y.fa y.fo)
+    mk [] (fun r ->
+        let deps = seq [ fx; fy ] in
+        if deps == nofill then fun n -> loop r n x.fa x.fo y.fa y.fo
+        else fun n -> deps n; loop r n x.fa x.fo y.fa y.fo)
   in
   let rec go ~top (e : Ast.expr) : row =
     match e with
@@ -259,28 +279,27 @@ let rows ~size ~(leaf : string -> row)
     | Ast.Binop (op, a, b) -> binop op b (go ~top a) (go ~top b)
     | Ast.Cond (c, t, f) -> (
       let c, fc = br (go ~top c) in
-      let sel fx fy n = fc n; both fx fy n in
       match go ~top t, go ~top f with
       | Rf (x, fx), Rf (y, fy) ->
-        mk_f (sel fx fy) (fun r n ->
+        mk_f [ fc; fx; fy ] (fun r n ->
             let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
             for k = 0 to n - 1 do r.!(k) <- if c.!(k) then a.!(i + k) else b.!(j + k) done)
       | Ri (x, fx), Ri (y, fy) ->
-        mk_i (sel fx fy) (fun r n ->
+        mk_i [ fc; fx; fy ] (fun r n ->
             for k = 0 to n - 1 do r.!(k) <- if c.!(k) then x.!(k) else y.!(k) done)
       | Rb (x, fx), Rb (y, fy) ->
-        mk_b (sel fx fy) (fun r n ->
+        mk_b [ fc; fx; fy ] (fun r n ->
             for k = 0 to n - 1 do r.!(k) <- if c.!(k) then x.!(k) else y.!(k) done)
       | _ -> reject "body-expr")
   and unop op a =
     match op, a with
     | Ast.Neg, Ri (x, fx) ->
-      mk_i fx (fun r n -> for k = 0 to n - 1 do r.!(k) <- - x.!(k) done)
+      mk_i [ fx ] (fun r n -> for k = 0 to n - 1 do r.!(k) <- - x.!(k) done)
     | Ast.Abs, Ri (x, fx) ->
-      mk_i fx (fun r n -> for k = 0 to n - 1 do r.!(k) <- abs x.!(k) done)
+      mk_i [ fx ] (fun r n -> for k = 0 to n - 1 do r.!(k) <- abs x.!(k) done)
     | Ast.Not, _ ->
       let x, fx = br a in
-      mk_b fx (fun r n -> for k = 0 to n - 1 do r.!(k) <- not x.!(k) done)
+      mk_b [ fx ] (fun r n -> for k = 0 to n - 1 do r.!(k) <- not x.!(k) done)
     | Ast.Floor, _ ->
       f1 mk_i a (fun r n x i ->
           for k = 0 to n - 1 do r.!(k) <- int_of_float (floor x.!(i + k)) done)
@@ -302,7 +321,7 @@ let rows ~size ~(leaf : string -> row)
     match op, ta, tb with
     | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Min | Ast.Max), Ri (x, fx), Ri (y, fy)
       -> (
-      let f = mk_i (both fx fy) in
+      let f = mk_i [ fx; fy ] in
       match op with
       | Ast.Add -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) + y.!(k) done)
       | Ast.Sub -> f (fun r n -> for k = 0 to n - 1 do r.!(k) <- x.!(k) - y.!(k) done)
@@ -322,19 +341,19 @@ let rows ~size ~(leaf : string -> row)
       | Ast.Div, Ast.Int_lit d when d <> 0 ->
         (* integer floor division; the divisor's sign and zero test are
            runtime properties, so only literal divisors kernelize *)
-        mk_i fx (fun r n ->
+        mk_i [ fx ] (fun r n ->
             for k = 0 to n - 1 do
               let q = x.!(k) / d and m = x.!(k) mod d in
               r.!(k) <- (if m <> 0 && m < 0 <> (d < 0) then q - 1 else q)
             done)
       | Ast.Mod, Ast.Int_lit d when d <> 0 ->
-        mk_i fx (fun r n ->
+        mk_i [ fx ] (fun r n ->
             for k = 0 to n - 1 do
               let m = x.!(k) mod d in
               r.!(k) <- (if m <> 0 && m < 0 <> (d < 0) then m + d else m)
             done)
       | Ast.Pow, Ast.Int_lit e when e >= 0 ->
-        mk_i fx (fun r n ->
+        mk_i [ fx ] (fun r n ->
             for k = 0 to n - 1 do
               let acc = ref 1 in
               for _ = 1 to e do acc := !acc * x.!(k) done;
@@ -343,7 +362,7 @@ let rows ~size ~(leaf : string -> row)
       | Ast.Pow, Ast.Int_lit e ->
         (* int^int is integral only for non-negative exponents *)
         let fe = float_of_int e in
-        mk_f fx (fun r n ->
+        mk_f [ fx ] (fun r n ->
             for k = 0 to n - 1 do r.!(k) <- float_of_int x.!(k) ** fe done)
       | _ -> reject "body-expr")
     | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Pow | Ast.Min
@@ -382,10 +401,10 @@ let rows ~size ~(leaf : string -> row)
         f (fun r n x i y j -> for k = 0 to n - 1 do r.!(k) <- x.!(i + k) >= y.!(j + k) done))
     | Ast.Ne, _, _ -> unop Ast.Not (binop Ast.Eq b ta tb)
     | Ast.Eq, Ri (x, fx), Ri (y, fy) ->
-      mk_b (both fx fy) (fun r n ->
+      mk_b [ fx; fy ] (fun r n ->
           for k = 0 to n - 1 do r.!(k) <- Int.equal x.!(k) y.!(k) done)
     | Ast.Eq, Rb (x, fx), Rb (y, fy) ->
-      mk_b (both fx fy) (fun r n ->
+      mk_b [ fx; fy ] (fun r n ->
           for k = 0 to n - 1 do r.!(k) <- Bool.equal x.!(k) y.!(k) done)
     | Ast.Eq, _, _ ->
       f2 mk_b ta tb (fun r n x i y j ->
@@ -394,38 +413,39 @@ let rows ~size ~(leaf : string -> row)
       (* both operands evaluate before combining, as in [apply_binop] *)
       let x, fx = br ta and y, fy = br tb in
       if op = Ast.And then
-        mk_b (both fx fy) (fun r n ->
+        mk_b [ fx; fy ] (fun r n ->
             for k = 0 to n - 1 do r.!(k) <- x.!(k) && y.!(k) done)
       else
-        mk_b (both fx fy) (fun r n ->
+        mk_b [ fx; fy ] (fun r n ->
             for k = 0 to n - 1 do r.!(k) <- x.!(k) || y.!(k) done)
   in
-  go ~top e
+  (go, binop)
 
 (* The output write of one block, applied in iteration order as
-   [View.set] + [Wcr.apply] would.  [store] returns [at off n], which
-   writes element [k] of the value row to buffer offset [off.(k)], and
-   [bump o e n], which writes it to [o + k*e] by pointer bump.  Under a
-   float WCR-sum with [e = 0] the bump accumulates in a register, which
-   changes no addition order.  Mixed representations under WCR resolve
-   through floats and narrow on store; those cases, integer outputs and
-   the other WCRs bump through an offsets row. *)
+   [View.set] + [Wcr.apply] would.  [store] returns [(fill, at, bump)]:
+   [fill n] fills the value row; then [at off n] writes element [k] of it
+   to buffer offset [off.(k)], and [bump o e n] writes it to [o + k*e] by
+   pointer bump.  Under a float WCR-sum with [e = 0] the bump accumulates
+   in a register, which changes no addition order.  Mixed
+   representations under WCR resolve through floats and narrow on store;
+   those cases, integer outputs and the other WCRs bump through an
+   offsets row. *)
 let store ~size (out : Tensor.t) wcr (v : row) =
-  let with_off at =
+  let with_off fill at =
     let off = Array.make size 0 in
-    (at, fun o e n -> for k = 0 to n - 1 do off.!(k) <- o + (k * e) done; at off n)
+    (fill, at, fun o e n -> for k = 0 to n - 1 do off.!(k) <- o + (k * e) done; at off n)
   in
   match out.Tensor.buf, wcr, v with
   | _, Some (Wcr_custom _), _ -> assert false
   | Tensor.Fbuf ob, _, _ -> (
     let x, fx = frow size v in
     (* [f]'s loop sees the value slice as of the current block *)
-    let at f off n = fx n; f x.fa x.fo off n in
+    let at f off n = f x.fa x.fo off n in
     match wcr with
     | None ->
-      ( at (fun a i off n -> for k = 0 to n - 1 do ob.!(off.!(k)) <- a.!(i + k) done),
+      ( fx,
+        at (fun a i off n -> for k = 0 to n - 1 do ob.!(off.!(k)) <- a.!(i + k) done),
         fun o e n ->
-          fx n;
           let a = x.fa and i = x.fo in
           let p = ref o in
           for k = 0 to n - 1 do
@@ -433,12 +453,12 @@ let store ~size (out : Tensor.t) wcr (v : row) =
             p := !p + e
           done )
     | Some Wcr_sum ->
-      ( at (fun a i off n ->
+      ( fx,
+        at (fun a i off n ->
             for k = 0 to n - 1 do
               let o = off.!(k) in ob.!(o) <- ob.!(o) +. a.!(i + k)
             done),
         fun o e n ->
-          fx n;
           let a = x.fa and i = x.fo in
           if e = 0 then begin
             let acc = ref ob.!(o) in
@@ -453,55 +473,51 @@ let store ~size (out : Tensor.t) wcr (v : row) =
             done
           end )
     | Some Wcr_prod ->
-      with_off
+      with_off fx
         (at (fun a i off n ->
              for k = 0 to n - 1 do
                let o = off.!(k) in ob.!(o) <- ob.!(o) *. a.!(i + k)
              done))
     | Some Wcr_min ->
-      with_off
+      with_off fx
         (at (fun a i off n ->
              for k = 0 to n - 1 do
                let o = off.!(k) in ob.!(o) <- Float.min ob.!(o) a.!(i + k)
              done))
     | Some _ ->
-      with_off
+      with_off fx
         (at (fun a i off n ->
              for k = 0 to n - 1 do
                let o = off.!(k) in ob.!(o) <- Float.max ob.!(o) a.!(i + k)
              done)))
   | Tensor.Ibuf ob, None, _ ->
     let x, fx = irow size v in
-    with_off (fun off n -> fx n; for k = 0 to n - 1 do ob.!(off.!(k)) <- x.!(k) done)
+    with_off fx (fun off n -> for k = 0 to n - 1 do ob.!(off.!(k)) <- x.!(k) done)
   | Tensor.Ibuf ob, Some w, Ri (x, fx) ->
-    with_off
+    with_off fx
       (match w with
       | Wcr_sum ->
         fun off n ->
-          fx n;
           for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) + x.!(k) done
       | Wcr_prod ->
         fun off n ->
-          fx n;
           for k = 0 to n - 1 do let o = off.!(k) in ob.!(o) <- ob.!(o) * x.!(k) done
       | Wcr_min ->
         fun off n ->
-          fx n;
           for k = 0 to n - 1 do
             let o = off.!(k) in
             ob.!(o) <- (if ob.!(o) <= x.!(k) then ob.!(o) else x.!(k))
           done
       | _ ->
         fun off n ->
-          fx n;
           for k = 0 to n - 1 do
             let o = off.!(k) in
             ob.!(o) <- (if ob.!(o) >= x.!(k) then ob.!(o) else x.!(k))
           done)
   | Tensor.Ibuf ob, Some w, _ ->
     let x, fx = frow size v in
-    let at f off n = fx n; f x.fa x.fo off n in
-    with_off
+    let at f off n = f x.fa x.fo off n in
+    with_off fx
       (match w with
       | Wcr_sum ->
         at (fun a i off n ->
@@ -527,6 +543,21 @@ let store ~size (out : Tensor.t) wcr (v : row) =
               let o = off.!(k) in
               ob.!(o) <- int_of_float (Float.max (float_of_int ob.!(o)) a.!(i + k))
             done))
+
+(* A plain float store of [x op y], [op] one of [+ - * /]: the operator
+   runs inside the pointer-bump loop instead of filling a row of its
+   own.  Returns [(fill, bump)] as {!store} does. *)
+let fused (ob : float array) op ((x, fx), (y, fy)) =
+  ( seq [ fx; fy ],
+    match op with
+    | Ast.Add -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
+      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) +. b.!(j + k) done
+    | Ast.Sub -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
+      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) -. b.!(j + k) done
+    | Ast.Mul -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
+      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) *. b.!(j + k) done
+    | _ -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
+      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) /. b.!(j + k) done )
 
 (* --- recognition --------------------------------------------------------- *)
 
@@ -623,11 +654,18 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
     | (c, _) :: tl -> List.mem_assoc c tl || dup tl
   in
   if dup ins then reject "dup-conn";
-  let oconn, om =
-    match outs with
-    | [ (c, m) ] when c = body.Tasklang.Bodyclass.b_out && not (List.mem_assoc c ins)
-      -> (c, m)
-    | _ -> reject "out-mismatch"
+  (* the stores assign each connected output once, and no output is an
+     input *)
+  let stores = body.Tasklang.Bodyclass.b_stores in
+  if dup stores || List.compare_lengths stores outs <> 0 then
+    reject "out-mismatch";
+  let oms =
+    List.map
+      (fun (c, _) ->
+        match List.assoc_opt c outs with
+        | Some m when not (List.mem_assoc c ins) -> (c, m)
+        | _ -> reject "out-mismatch")
+      stores
   in
   let conn_rank conns name =
     match List.find_opt (fun (k : conn) -> k.k_name = name) conns with
@@ -643,7 +681,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
       if (conn_rank tk.t_inputs c <> 0) <> windowed c then
         reject "connector-rank")
     ins;
-  if (conn_rank tk.t_outputs oconn <> 0) <> scatter then
+  if List.exists (fun (c, _) -> (conn_rank tk.t_outputs c <> 0) <> scatter) oms then
     reject "connector-rank";
   let tens_of name =
     match Hashtbl.find_opt env.Reference.containers name with
@@ -651,11 +689,11 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
     | Some (Reference.Strm _) -> reject "stream"
     | None -> reject "container"
   in
-  let wcr =
-    match om.m_wcr with
-    | None -> None
-    | Some (Wcr_custom _) -> reject "wcr"
-    | Some w -> Some w
+  let wcrs =
+    List.map
+      (fun (_, (m : memlet)) ->
+        match m.m_wcr with Some (Wcr_custom _) -> reject "wcr" | w -> w)
+      oms
   in
   (* a window is one launch-constant view: its ranges may not move with
      the map's own parameters *)
@@ -688,24 +726,34 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
       ins
   in
   let nin = Array.length in_args in
-  let out_t = tens_of om.m_data in
-  let out_win, out_arg =
-    if scatter then (Some (window om (conn_rank tk.t_outputs oconn)), [])
-    else (None, [ affine_plan ~params ~comp out_t om.m_subset ])
+  let out_ts = List.map (fun (_, (m : memlet)) -> tens_of m.m_data) oms in
+  let out_win, out_args =
+    match oms with
+    | [ (c, om) ] when scatter -> (Some (window om (conn_rank tk.t_outputs c)), [])
+    | _ ->
+      (None, List.map2 (fun t (_, (m : memlet)) -> affine_plan ~params ~comp t m.m_subset) out_ts oms)
   in
+  (* the single-output kinds' output; outputs follow the inputs in
+     [arg_plans], the first at [nin] *)
+  let out_t = List.hd out_ts and wcr = List.hd wcrs in
   (* within a block every read precedes every write, which is only the
      closure nest's order when no input shares the output's buffer:
      aliased gather and scatter bodies stay on the closure path, and
-     [expr] picks its block size per launch ([bsize]) *)
-  let aliased =
-    Array.exists (fun (_, ap) -> Tensor.shares_buffer out_t ap.ap_tens) in_args
-    || List.exists (fun (_, (w, _)) -> Tensor.shares_buffer out_t w.View.v_tens) wins
+     [expr] picks its block size per launch ([bsize]).  With several
+     outputs a store's reads follow the earlier stores' writes in the
+     nest, which no block order reproduces over a shared buffer. *)
+  let shared t =
+    Array.exists (fun (_, ap) -> Tensor.shares_buffer t ap.ap_tens) in_args
+    || List.exists (fun (_, (w, _)) -> Tensor.shares_buffer t w.View.v_tens) wins
   in
-  if aliased && (scatter || wins <> []) then reject "aliased";
+  if shared out_t && (scatter || wins <> []) then reject "aliased";
+  let twice t = List.length (List.filter (Tensor.shares_buffer t) out_ts) > 1 in
+  if List.length out_ts > 1 && List.exists (fun t -> shared t || twice t) out_ts then
+    reject "aliased";
   (* launch state the loop drivers keep current: operand offsets (an
      affine output last), map-parameter values, launch-evaluated symbol
      constants *)
-  let arg_plans = Array.append (Array.map snd in_args) (Array.of_list out_arg) in
+  let arg_plans = Array.append (Array.map snd in_args) (Array.of_list out_args) in
   let na = Array.length arg_plans in
   let offs = Array.make na 0 in
   let pcell = Array.make nd 0 in
@@ -774,10 +822,11 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   let all_const =
     List.for_all (fun (_, l) -> match l with Lcon _ -> true | _ -> false) leaves
   in
-  let bexpr = body.Tasklang.Bodyclass.b_expr in
+  let bexpr = snd (List.hd stores) in
   let kind =
     if scatter then Kscatter
     else if wins <> [] then Kgather
+    else if List.compare_length_with stores 1 > 0 then Kexpr
     else if all_const && wcr = None then Kfill
     else
       match wcr with
@@ -859,6 +908,9 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   let boff = Array.make na 0 and bpar = ref 0 in
   let checking = ref false in
   let site_ranks = ref [] and top_sites = ref [] in
+  (* each float operand's slice, pointed at its buffer or its own row
+     once per launch by the unit-stride test *)
+  let binds = ref [] in
   let leaf_rows () =
     let ramp r v s n = for k = 0 to n - 1 do r.!(k) <- v + (k * s) done in
     List.map
@@ -870,13 +922,13 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
             (* unit stride: read the block in place *)
             let r = Array.make size 0. in
             let x = own r in
+            let bind () = if es.(j).(last) = 1 then x.fa <- b else (x.fa <- r; x.fo <- 0) in
+            binds := bind :: !binds;
             ( name, Rf (x, nofill),
               fun n ->
                 let e = es.(j).(last) in
-                if e = 1 then begin x.fa <- b; x.fo <- boff.(j) end
+                if e = 1 then x.fo <- boff.(j)
                 else begin
-                  x.fa <- r;
-                  x.fo <- 0;
                   let p = ref boff.(j) in
                   for k = 0 to n - 1 do r.!(k) <- b.!(!p); p := !p + e done
                 end )
@@ -939,40 +991,58 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
         let r = Array.make size 0 in
         Ri (r, fun n -> index n; for k = 0 to n - 1 do r.!(k) <- b.!(off.!(k)) done))
   in
-  (* [prologue n] fills the leaf rows; [value ()] compiles the body *)
+  (* [prologue n] fills the leaf rows *)
   let prologue, leaf =
     match kind with
     | Kfill | Kexpr | Kgather | Kscatter ->
       let lr = leaf_rows () in
-      let fills = Array.of_list (List.map (fun (_, _, f) -> f) lr) in
-      ( (fun n -> for i = 0 to Array.length fills - 1 do fills.!(i) n done),
+      ( seq (List.map (fun (_, _, f) -> f) lr),
         fun x ->
           match List.find_opt (fun (n, _, _) -> n = x) lr with
           | Some (_, r, _) -> r
           | None -> reject "body-expr" )
     | _ -> (nofill, fun _ -> reject "body-expr")
   in
-  let value () = rows ~size ~leaf ~site ~top:true bexpr in
+  let go, binop = rows ~size ~leaf ~site in
+  (* a bumped store's [(fill, bump)]: a plain float store of a float
+     [+ - * /] runs that operator in its store loop *)
+  let bump_store out wcr e =
+    let bumped v = let fill, _, bump = store ~size out wcr v in (fill, bump) in
+    match out.Tensor.buf, wcr, e with
+    | Tensor.Fbuf ob, None, Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) as op, a, b)
+      -> (
+      match go ~top:true a, go ~top:true b with
+      | (Ri _ as ta), (Ri _ as tb) -> bumped (binop op b ta tb)
+      | ta, tb -> fused ob op (frow size ta, frow size tb))
+    | _ -> bumped (go ~top:true e)
+  in
   (* [pass n] evaluates and applies one block of [n] innermost
-     iterations: every read of the block happens before any write *)
+     iterations: every value row of the block is filled before any
+     write, and the outputs are stored in statement order *)
   let pass =
     match kind, body.Tasklang.Bodyclass.b_write, out_win with
     | (Kexpr | Kgather), _, _ ->
-      let _, bump = store ~size out_t wcr (value ()) in
-      fun n ->
-        prologue n;
-        bump boff.(nin) es.(nin).(last) n
-    | Kscatter, Some subs, Some w ->
-      let at, _ = store ~size out_t wcr (value ()) in
-      let woff, windex =
-        index ~top:true w (List.map (rows ~size ~leaf ~site ~top:false) subs)
+      let ss =
+        Array.of_list
+          (List.map2 (fun (t, w) (_, e) -> bump_store t w e) (List.combine out_ts wcrs) stores)
       in
       fun n ->
         prologue n;
+        for i = 0 to Array.length ss - 1 do (fst ss.(i)) n done;
+        for i = 0 to Array.length ss - 1 do
+          (snd ss.(i)) boff.(nin + i) es.(nin + i).(last) n
+        done
+    | Kscatter, Some subs, Some w ->
+      let fill, at, _ = store ~size out_t wcr (go ~top:true bexpr) in
+      let woff, windex = index ~top:true w (List.map (go ~top:false) subs) in
+      fun n ->
+        prologue n;
         windex n;
+        fill n;
         at woff n
     | _ -> nofill
   in
+  let binds = Array.of_list !binds in
   let top_sites = Array.of_list !top_sites in
   let site_ranks = Array.of_list !site_ranks in
   (* the launch pre-pass: every index row over the whole box *)
@@ -1112,7 +1182,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
     match kind with
     | Kfill -> (
       (* the launch constant, evaluated as a one-element row *)
-      let v = value () in
+      let v = go ~top:true bexpr in
       match out_t.Tensor.buf with
       | Tensor.Fbuf ob ->
         let x, fx = frow size v in
@@ -1262,7 +1332,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
       (match out_win with Some w -> [| w |] | None -> [||])
   in
   let stats = env.Reference.stats in
-  let has_wcr = wcr <> None in
+  let n_wcr = List.length (List.filter Option.is_some wcrs) in
   (* outer dimensions advance the shared offsets; [row] runs the
      innermost dimension *)
   let quad = ref false in
@@ -1345,6 +1415,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
           done;
           offs.(j) <- !base
         done;
+        Array.iter (fun bind -> bind ()) binds;
         (* an input at the output's base and element strides reads in
            each iteration only the element that iteration writes, which
            no other iteration of the block touches when the output moves
@@ -1385,7 +1456,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
         end;
         if not !ok then slow ()
         else begin
-          let moved = ref (nin + 1) in
+          let moved = ref (nin + List.length out_ts) in
           for i = 0 to Array.length in_wins - 1 do
             let w, dyn = in_wins.(i) in
             moved := !moved + if dyn then 1 else w.View.v_vol
@@ -1394,7 +1465,7 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
           stats.Obs.Report.map_iterations <- stats.map_iterations + !total;
           stats.tasklet_execs <- stats.tasklet_execs + !total;
           stats.elements_moved <- stats.elements_moved + (!total * !moved);
-          if has_wcr then stats.wcr_writes <- stats.wcr_writes + !total;
+          stats.wcr_writes <- stats.wcr_writes + (!total * n_wcr);
           go inner 0
         end
       end
@@ -1454,8 +1525,15 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
       "non-affine-indirect"
     else r
   in
+  (* a name the engines resolve — connector, parameter or symbol, in
+     the closure engine's order — is never a tasklet local *)
+  let bound x =
+    List.mem_assoc x ins || List.mem_assoc x outs || List.mem x params
+    || Hashtbl.mem env.Reference.symbols x
+    || comp (Expr.sym x) <> None
+  in
   let body =
-    match Tasklang.Bodyclass.classify code with
+    match Tasklang.Bodyclass.classify ~bound code with
     | Ok b -> b
     | Error r -> reject (shape_reason r)
   in

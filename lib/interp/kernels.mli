@@ -3,9 +3,10 @@
     {!Plan.comp_map} lowers a map scope to a closure nest whose innermost
     level re-resolves every memlet through compiled subset views, one
     tasklet execution at a time.  For the (very common) map whose body is
-    a single assignment with affine single-element subscripts over array
-    containers — optionally reading or writing through launch-constant
-    windows with data-dependent subscripts — that per-iteration machinery
+    straight-line assignments with affine single-element subscripts over
+    array containers — locals substituted away, one store per output —
+    or a single assignment reading or writing through launch-constant
+    windows with data-dependent subscripts, that per-iteration machinery
     computes an affine function of the loop counters, so the whole scope
     can run as flat loops over the raw buffers instead.
 
@@ -22,8 +23,8 @@
       loops;
     - bumps the instrumentation counters in bulk (per iteration: one
       element per scalar input, one or — for a non-dynamic memlet — the
-      window's volume per windowed input, one for the output, one WCR
-      write under WCR);
+      window's volume per windowed input, one per output, one WCR write
+      per output under WCR);
     - dispatches a shape-specialized loop (fill / copy / axpy / float
       [+] and [*] or integer elementwise binop / WCR-sum contraction
       [x * y] or [(c * x) * y] for a float literal [c], four output
@@ -31,10 +32,12 @@
       output moves along the next dimension out, one factor does not
       and no input shares the output's buffer) or the row evaluator: the
       body compiled once into unboxed rows of up to {!block} innermost
-      iterations, each block read in full — unit-stride float operands
-      in place, from their buffers — before its writes apply in
-      iteration order, by pointer bump along an affine output ([expr],
-      [gather], [scatter]).
+      iterations, one call per computed node, each block's value rows
+      filled in full — unit-stride float operands in place, from their
+      buffers — before the outputs are stored in statement order and,
+      within each, in iteration order, by pointer bump along an affine
+      output; a plain float store computes its top [+ - * /] in the store
+      loop ([expr], [gather], [scatter]).
 
     Anything the launch cannot prove safe — a bounds violation anywhere
     in the box — defers to the [slow] closure (the ordinary nest), which
@@ -64,14 +67,15 @@ type t = {
 }
 
 val block : int
-(** Innermost iterations per row of the row evaluator (a constant).  A
-    body reading a buffer its output shares keeps full blocks when, at
-    launch, every such input has the output's base offset and element
-    strides and the output's innermost stride is non-zero: each
-    iteration then reads only the element it writes, which no other
-    iteration of the block touches.  Any other shared buffer runs with
-    blocks of one iteration, keeping the closure nest's read-write
-    interleaving. *)
+(** Innermost iterations per row of the row evaluator, 64 (a constant):
+    a 62-wide stencil row is one block.  A one-output body reading a
+    buffer its output shares keeps full blocks when, at launch, every
+    such input has the output's base offset and element strides and the
+    output's innermost stride is non-zero: each iteration then reads
+    only the element it writes, which no other iteration of the block
+    touches.  Any other shared buffer runs with blocks of one iteration,
+    keeping the closure nest's read-write interleaving.  A body with
+    several outputs does not lower when any buffer is shared. *)
 
 val recognize :
   env:Reference.env ->
@@ -89,7 +93,16 @@ val recognize :
     ["indexed-read"], ["reads-output"], ["dup-conn"], ["out-mismatch"],
     ["connector-rank"], ["stream"], ["container"], ["rank"],
     ["non-affine"], ["non-affine-indirect"], ["symbols"], ["shadowed"],
-    ["wcr"], ["body-expr"].
+    ["wcr"], ["aliased"], ["body-expr"].
+
+    A straight-line body lowers when its stores assign every connected
+    output exactly once; otherwise — an output assigned twice, an
+    assignment to an input connector or a symbol, a local never read —
+    it reports ["out-mismatch"].  ["multi-stmt"] marks several statements
+    with control flow or subscripts, or inlined values over
+    {!Tasklang.Bodyclass.max_nodes}; ["reads-output"] a body reading a
+    connector it stores; ["aliased"] a body with several outputs where
+    an input shares an output's buffer or two outputs share one.
 
     A gather ([out = f(c\[e, ...\])]) or scatter ([out\[e, ...\] = f(...)])
     body lowers when every subscripted connector binds a window whose

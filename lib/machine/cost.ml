@@ -1010,9 +1010,13 @@ module Parallel = struct
              x86-64 container *)
           ("contract", 1.1);
           (* the calibrate experiment's row-evaluator case: run-only
-             wall over the map iterations of jacobi-2d N=128 T=10,
-             7.4-7.9 ns on a 2-core x86-64 container *)
-          ("expr", 7.7);
+             wall over the map iterations of jacobi-2d N=128 T=10 (one
+             call per row node, 64-iteration blocks, the top operator
+             in the store loop), 5.7 ns in the recorded run on a 2-core
+             x86-64 container.  Nineteen runs there read 5.7-12.0 ns
+             (median 10.1) against 7.4-14.5 (median 11.9) for the
+             previous evaluator, alternating *)
+          ("expr", 5.7);
           (* best of 7 x 50 launches of a 65,536-iteration 1-D gather
              ([o = a[ix]]) and WCR-sum scatter ([o[ix] = v]) through
              a 4,096-element window, compiled engine at 1 domain, on a

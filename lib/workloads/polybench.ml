@@ -646,7 +646,7 @@ let durbin () =
            Build.out_elem "a" "alpha" [ E.zero ];
            Build.out_elem "bt" "beta" [ E.zero ] ]
        ~code:(`Src "y0 = -r0\na = -r0\nbt = 1.0") ());
-  let _, body =
+  let pre, body =
     loop_state g ~sym:"k" ~lo:E.one ~hi:n ~label:"kloop" (fun body ->
         smap g body ~name:"durbin_step" ~params:[ "dummy" ]
           ~ranges:[ rng E.zero E.zero ]
@@ -672,6 +672,7 @@ let durbin () =
                ao = a2\n\
                bo = b2"))
   in
+  chain g init pre;
   ignore body;
   Build.finalize g
 

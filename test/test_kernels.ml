@@ -138,8 +138,9 @@ let test_recognized_kinds () =
         (* For loops and locals keep the fused element body indirect *)
         [ ("fill", 1) ], [ ("non-affine-indirect", 1) ] );
       ( "cfd-batched", Workloads.Cfd.batched, Workloads.Cfd.mini,
-        [ ("contract", 2); ("fill", 1); ("gather", 1); ("scatter", 1) ],
-        [ ("multi-stmt", 1) ] );
+        (* the two-output zeroing [t = 0.0; l = 0.0] runs on the rows *)
+        [ ("contract", 2); ("expr", 1); ("fill", 1); ("gather", 1); ("scatter", 1) ],
+        [] );
       ( "conv-im2col", Workloads.Attention.conv_im2col,
         Workloads.Attention.conv_mini,
         [ ("contract", 1); ("fill", 1); ("gather", 1) ], [] );
@@ -149,12 +150,16 @@ let test_recognized_kinds () =
     (* literal-scaled products [1.5 * a * b] lower as contractions; float
        [S - m] and [E / Z] run on the rows *)
     @ List.map
-        (fun (name, want) ->
+        (fun (name, want, falls) ->
           let k = Workloads.Polybench.find name in
-          (name, k.Workloads.Polybench.k_build, k.Workloads.Polybench.k_mini, want, []))
-        [ ("gemm", [ ("contract", 1); ("expr", 1) ]);
-          ("2mm", [ ("contract", 2); ("expr", 1); ("fill", 1) ]);
-          ("gemver", [ ("contract", 2); ("ebinop", 1); ("expr", 1) ]) ]
+          (name, k.Workloads.Polybench.k_build, k.Workloads.Polybench.k_mini, want, falls))
+        [ ("gemm", [ ("contract", 1); ("expr", 1) ], []);
+          ("2mm", [ ("contract", 2); ("expr", 1); ("fill", 1) ], []);
+          ("gemver", [ ("contract", 2); ("ebinop", 1); ("expr", 1) ], []);
+          (* [sd_sqrt]'s local [t], read twice, inlines into an [expr];
+             the guarded triangle store keeps its reason *)
+          ( "correlation", [ ("contract", 1); ("expr", 5); ("fill", 3) ],
+            [ ("control-flow", 1) ] ) ]
     @ [ ( "attention", Workloads.Attention.base, Workloads.Attention.attention_mini,
           [ ("contract", 2); ("copy", 2); ("ebinop", 1); ("expr", 4); ("fill", 3) ],
           [] ) ])
@@ -540,19 +545,20 @@ let check_three_way ?(domains = [ 1 ]) tag build symbols =
 (* One map over [params] x [ranges] (the innermost running [T] trips)
    whose single tasklet runs [code]; the arrays are [2T+2] long in every
    dimension — twice the sum of [symbols], plus 2 — so each shifted or
-   strided subscript stays in range. *)
-let alias_graph ?(symbols = [ "T" ]) ?schedule ~arrays ~params ~ranges ~ins
-    ~out ~code () =
+   strided subscript stays in range.  Arrays named in [ints] hold I64. *)
+let alias_graph ?(symbols = [ "T" ]) ?schedule ?(ints = []) ~arrays ~params
+    ~ranges ~ins ~outs ~code () =
   let g, st = Build.single_state ~symbols "alias" in
   let sum = List.fold_left (fun a x -> E.add a (E.sym x)) E.zero symbols in
   let ext = E.add (E.mul (E.int 2) sum) (E.int 2) in
   List.iter
     (fun (name, rank) ->
-      Sdfg.add_array g name ~shape:(List.init rank (fun _ -> ext)) ~dtype:T.F64)
+      Sdfg.add_array g name ~shape:(List.init rank (fun _ -> ext))
+        ~dtype:(if List.mem name ints then T.I64 else T.F64))
     arrays;
   ignore
-    (Build.mapped_tasklet g st ~name:"w" ?schedule ~params ~ranges ~ins
-       ~outs:[ out ] ~code:(`Src code) ());
+    (Build.mapped_tasklet g st ~name:"w" ?schedule ~params ~ranges ~ins ~outs
+       ~code:(`Src code) ());
   Build.finalize g
 
 let test_alias_rows () =
@@ -600,7 +606,7 @@ let test_alias_rows () =
   List.iter
     (fun (tag, kind, arrays, ranges, ins, out, code) ->
       let params = if List.length ranges = 1 then [ "i" ] else [ "i"; "j" ] in
-      let build = alias_graph ~arrays ~params ~ranges ~ins ~out ~code in
+      let build = alias_graph ~arrays ~params ~ranges ~ins ~outs:[ out ] ~code in
       List.iter
         (fun trips ->
           let symbols = [ ("T", trips) ] in
@@ -670,7 +676,7 @@ let test_contract_groups () =
     (fun (tag, kind, arrays, params, ins, out, code) ->
       let build =
         alias_graph ~symbols:[ "J"; "R" ] ~schedule:Defs.Cpu_multicore ~arrays
-          ~params ~ranges:(List.map range params) ~ins ~out ~code
+          ~params ~ranges:(List.map range params) ~ins ~outs:[ out ] ~code
       in
       List.iter
         (fun (jt, rt) ->
@@ -694,7 +700,7 @@ let test_float_binops_on_rows () =
         alias_graph ~schedule:Defs.Cpu_multicore
           ~arrays:[ ("A", 2); ("B", 2); ("O", 2) ] ~params:[ "i"; "j" ] ~ranges:ij
           ~ins:[ Build.in_elem "a" "A" [ i; j ]; Build.in_elem "b" "B" [ j; i ] ]
-          ~out:(Build.out_elem "o" "O" [ i; j ]) ~code
+          ~outs:[ Build.out_elem "o" "O" [ i; j ] ] ~code
       in
       List.iter
         (fun trips ->
@@ -707,6 +713,146 @@ let test_float_binops_on_rows () =
             build symbols)
         [ 0; 1; Kernels.block - 1; Kernels.block; Kernels.block + 1 ])
     [ "o = a - b"; "o = a / b"; "o = min(a, b)"; "o = max(a, b)" ]
+
+(* --- straight-line bodies: locals, several outputs, fused stores ------------ *)
+
+(* A 2 x T map over float arrays A, B, C, O, L and the I64 array N. *)
+let straight_graph ~ins ~outs ~code =
+  alias_graph ~schedule:Defs.Cpu_multicore ~ints:[ "N" ]
+    ~arrays:[ ("A", 2); ("B", 2); ("C", 2); ("O", 2); ("L", 2); ("N", 2) ]
+    ~params:[ "i"; "j" ]
+    ~ranges:[ S.range E.zero E.one; S.range E.zero (E.sub (E.sym "T") E.one) ]
+    ~ins ~outs ~code
+
+let test_straight_line_rows () =
+  let i = E.sym "i" and j = E.sym "j" in
+  let a = Build.in_elem "a" "A" [ i; j ]
+  and b = Build.in_elem "b" "B" [ j; i ]
+  and c = Build.in_elem "c" "C" [ i; j ]
+  and o = Build.out_elem "o" "O" [ i; j ] in
+  let cases =
+    [ ( "two outputs t = a + b; l = a * c", [ a; b; c ],
+        [ Build.out_elem "t" "O" [ i; j ]; Build.out_elem "l" "L" [ i; j ] ],
+        "t = a + b\nl = a * c" );
+      ( "two outputs, l under WCR-sum", [ a; b; c ],
+        [ Build.out_elem "t" "O" [ i; j ];
+          Build.out_elem ~wcr:Wcr.sum "l" "L" [ i; E.zero ] ],
+        "t = a + b\nl = a * c" );
+      ( "an integer output beside a float one", [ a; b ],
+        [ Build.out_elem "t" "O" [ i; j ]; Build.out_elem "n" "N" [ i; j ] ],
+        "t = a * b\nn = floor(a * 4.0) - i" );
+      ("locals u = a * b; o = u + u", [ a; b ], [ o ], "u = a * b\no = u + u");
+      ("a local redefined", [ a ], [ o ], "u = a\nu = u * 2.0\no = u");
+      (* correlation's [sd_sqrt]: in place, the local read twice *)
+      ( "sd_sqrt in place", [ Build.in_elem "sd" "O" [ i; j ] ], [ o ],
+        "t = sqrt(sd / T)\no = 1.0 if t <= 0.1 else t" ) ]
+    (* the top operator runs in the store loop *)
+    @ List.map
+        (fun code -> ("fused store " ^ code, [ a; b ], [ o ], code))
+        [ "o = (a - b) + b"; "o = a - b * 1.5"; "o = (a + b) * b";
+          "o = a / (b + 1.0)" ]
+    @ [ ( "fused store in place x[i,j] = x[i,j] * 0.5",
+          [ Build.in_elem "x" "O" [ i; j ] ], [ o ], "o = x * 0.5" ) ]
+  in
+  List.iter
+    (fun (tag, ins, outs, code) ->
+      let build = straight_graph ~ins ~outs ~code in
+      List.iter
+        (fun trips ->
+          let symbols = [ ("T", trips) ] in
+          Alcotest.(check (pair (list (pair string int)) (list (pair string int))))
+            (Fmt.str "%s: lowers as expr" tag) ([ ("expr", 1) ], [])
+            (coverage build symbols);
+          check_three_way ~domains:[ 1; 2 ]
+            (Fmt.str "%s at %d trips" tag trips)
+            build symbols)
+        [ 0; 1; Kernels.block - 1; Kernels.block; Kernels.block + 1 ])
+    cases
+
+(* Reference, closure path and kernel path on one hand-built environment
+   each ({!run_env}): the same outcome, counters and output bits, also
+   when the run raises. *)
+let check_same_outcome tag build symbols =
+  let run engine kernels =
+    let g = build () in
+    let args = Profile.make_args ~symbols g in
+    let outcome, counters = run_env ~engine ~kernels g symbols args in
+    (outcome, counters, List.map (fun (_, t) -> tensor_bits t) args)
+  in
+  let want = run Plan.reference false in
+  List.iter
+    (fun (path, kernels) ->
+      Alcotest.(check (triple string (list int) (list (list int64))))
+        (Fmt.str "%s: %s path == reference" tag path)
+        want (run Plan.compiled kernels))
+    [ ("closure", false); ("kernel", true) ];
+  let outcome, _, _ = want in
+  outcome
+
+let test_straight_line_closure () =
+  let i = E.sym "i" and j = E.sym "j" in
+  let a = Build.in_elem "a" "A" [ i; j ] and b = Build.in_elem "b" "B" [ j; i ] in
+  let two = [ Build.out_elem "t" "O" [ i; j ]; Build.out_elem "l" "L" [ i; j ] ] in
+  let doubling =
+    "u = a + a\n" ^ String.concat "" (List.init 6 (fun _ -> "u = u + u\n"))
+    ^ "t = u\nl = b"
+  in
+  List.iter
+    (fun (tag, reason, ins, outs, code) ->
+      let build = straight_graph ~ins ~outs ~code in
+      Alcotest.(check (pair (list (pair string int)) (list (pair string int))))
+        (tag ^ ": closure path") ([], [ (reason, 1) ])
+        (coverage build [ ("T", 0) ]);
+      List.iter
+        (fun trips ->
+          ignore
+            (check_same_outcome (Fmt.str "%s at %d trips" tag trips) build
+               [ ("T", trips) ]))
+        [ 1; Kernels.block + 1 ])
+    [ ( "two outputs into one buffer", "aliased", [ a; b ],
+        [ Build.out_elem "t" "O" [ i; j ];
+          Build.out_elem "l" "O" [ i; E.add j E.one ] ],
+        "t = a + b\nl = a * b" );
+      ( "an input aliasing an output", "aliased",
+        [ Build.in_elem "a" "L" [ i; j ]; b ], two, "t = a + b\nl = a * b" );
+      ("an output read back", "reads-output", [ a ], two, "t = a\nl = t * 2.0");
+      ("an output assigned twice", "out-mismatch", [ a; b ], two, "t = a\nt = b\nl = a");
+      ( "an assignment to an input connector", "out-mismatch", [ a; b ], two,
+        "a = 1.0\nt = b\nl = b" );
+      ("an assignment to a symbol", "out-mismatch", [ a; b ], two, "T = 1.0\nt = a\nl = b");
+      ("an unread local", "out-mismatch", [ a; b ], two, "u = a / b\nt = a\nl = b");
+      ( Fmt.str "inlined values over %d nodes" Tasklang.Bodyclass.max_nodes,
+        "multi-stmt", [ a; b ], two, doubling ) ]
+
+let test_second_output_oob () =
+  (* [l]'s subscript [i + 1] leaves [L] (N elements) at the last
+     iteration: the corner check defers to the closure nest before
+     anything is written *)
+  let build () =
+    let g, st = Build.single_state ~symbols:[ "N" ] "oob2" in
+    let n = E.sym "N" and i = E.sym "i" in
+    List.iter
+      (fun (a, ext) -> Sdfg.add_array g a ~shape:[ ext ] ~dtype:T.F64)
+      [ ("A", E.add n E.one); ("O", E.add n E.one); ("L", n) ];
+    ignore
+      (Build.mapped_tasklet g st ~name:"w" ~params:[ "i" ]
+         ~ranges:[ S.range E.zero (E.sub n E.one) ]
+         ~ins:[ Build.in_elem "a" "A" [ i ] ]
+         ~outs:[ Build.out_elem "t" "O" [ i ]; Build.out_elem "l" "L" [ E.add i E.one ] ]
+         ~code:(`Src "t = a + 1.0\nl = a * 2.0") ());
+    Build.finalize g
+  in
+  Alcotest.(check (list (pair string int)))
+    "lowers" [ ("expr", 1) ] (fst (coverage build [ ("N", 0) ]));
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Fmt.str "the reference's bounds error at N = %d" n)
+        (Fmt.str
+           {|Interp.Tensor.Bounds("view: dimension 0 out of range (start %d count 1)")|}
+           n)
+        (check_same_outcome (Fmt.str "N = %d" n) build [ ("N", n) ]))
+    [ 1; Kernels.block; Kernels.block + 1 ]
 
 let suite =
   [ ("Tensor.fill: dense and strided", `Quick, test_tensor_fill);
@@ -748,4 +894,10 @@ let suite =
       ("contraction groups and scaled factors: kernel == closure == \
         reference at 1/2 domains", `Quick, test_contract_groups);
       ("float -, /, min, max bodies on the rows: kernel == closure == \
-        reference at 1/2 domains", `Quick, test_float_binops_on_rows) ]
+        reference at 1/2 domains", `Quick, test_float_binops_on_rows);
+      ("straight-line bodies, several outputs and fused stores: kernel == \
+        closure == reference at 1/2 domains", `Quick, test_straight_line_rows);
+      ("straight-line bodies the rows refuse keep their reason codes", `Quick,
+        test_straight_line_closure);
+      ("out-of-range second output: the reference's error", `Quick,
+        test_second_output_oob) ]

@@ -182,6 +182,90 @@ let test_jacobi2d_reference () =
     done
   done
 
+(* durbin against a plain Levinson-Durbin recursion, following the
+   builder: [acc] starts from [r[k]] and adds the products in [j]
+   order. *)
+let test_durbin_reference () =
+  let k = Workloads.Polybench.find "durbin" in
+  let n = 8 in
+  let r0 i = 0.5 /. float_of_int (i + 2) in
+  let expect =
+    let r = Array.init n r0 and y = Array.make n 0. and z = Array.make n 0. in
+    y.(0) <- -.r.(0);
+    let alpha = ref (-.r.(0)) and beta = ref 1.0 in
+    for k = 1 to n - 1 do
+      let b2 = (1.0 -. (!alpha *. !alpha)) *. !beta in
+      let acc = ref r.(k) in
+      for j = 0 to k - 1 do acc := !acc +. (r.(k - j - 1) *. y.(j)) done;
+      let a2 = -. !acc /. b2 in
+      for j = 0 to k - 1 do z.(j) <- y.(j) +. (a2 *. y.(k - j - 1)) done;
+      Array.blit z 0 y 0 k;
+      y.(k) <- a2;
+      alpha := a2;
+      beta := b2
+    done;
+    y
+  in
+  List.iter
+    (fun (tag, engine) ->
+      let rv = Tensor.init T.F64 [| n |] (function [ i ] -> T.F (r0 i) | _ -> T.F 0.) in
+      let y = Tensor.create T.F64 [| n |] in
+      ignore
+        (Exec.run (k.k_build ())
+           ~config:Exec.Config.(default |> with_engine engine)
+           ~symbols:[ ("N", n) ]
+           ~args:[ ("rv", rv); ("y", y) ]);
+      Array.iteri
+        (fun i want ->
+          Alcotest.(check (float (1e-9 *. Float.abs want)))
+            (Fmt.str "%s: y[%d]" tag i)
+            want
+            (T.to_float (Tensor.get y [ i ])))
+        expect)
+    [ ("reference", Plan.reference); ("compiled", Plan.compiled) ]
+
+(* Every state of a graph is reachable from its start state along the
+   interstate edges. *)
+let unreachable g =
+  let seen = Hashtbl.create 16 in
+  let rec visit id =
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      List.iter
+        (fun (e : Defs.istate_edge) -> visit e.Defs.is_dst)
+        (Sdfg.out_transitions g id)
+    end
+  in
+  visit (State.id (Sdfg.start_state g));
+  List.filter_map
+    (fun st -> if Hashtbl.mem seen (State.id st) then None else Some (State.label st))
+    (Sdfg.states g)
+
+let test_states_reachable () =
+  let programs =
+    List.map
+      (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_build))
+      Workloads.Polybench.all
+    @ Workloads.
+        [ ("mm", Kernels.matmul); ("mm-mapreduce", Kernels.matmul_mapreduce);
+          ("histogram", Kernels.histogram); ("query", Kernels.query);
+          ("spmv", Kernels.spmv); ("copy", Kernels.copy); ("eadd", Kernels.eadd);
+          ("axpy", Kernels.axpy); ("bfs", Graphs.bfs);
+          ("sse-batched", Sse.batched); ("sse-naive", Sse.naive);
+          ("cfd-batched", Cfd.batched); ("cfd-naive", Cfd.naive);
+          ("attention", Attention.base); ("attention-tiled", Attention.tiled);
+          ("conv-im2col", Attention.conv_im2col);
+          ("conv-direct", Attention.conv_direct) ]
+    @ List.map
+        (fun path -> (path, fun () -> Serialize.load path))
+        (Test_fuzz.corpus_files ())
+  in
+  List.iter
+    (fun (name, build) ->
+      Alcotest.(check (list string))
+        (name ^ ": unreachable states") [] (unreachable (build ())))
+    programs
+
 let suite =
   List.map
     (fun name ->
@@ -193,4 +277,7 @@ let suite =
       Workloads.Polybench.names
   @ [ ("gemm matches reference", `Quick, test_gemm_reference);
       ("floyd-warshall matches reference", `Quick, test_floyd_reference);
-      ("jacobi-2d matches reference", `Quick, test_jacobi2d_reference) ]
+      ("jacobi-2d matches reference", `Quick, test_jacobi2d_reference);
+      ("durbin matches its reference", `Quick, test_durbin_reference);
+      ("every state is reachable from the start state", `Quick,
+        test_states_reachable) ]
