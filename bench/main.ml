@@ -986,8 +986,6 @@ let calibrate () =
      directly; the remaining kinds keep their built-in ratios *)
   let kernel_cases =
     [ ("copy", Workloads.Kernels.copy, [ ("N", 1 lsl 22) ]);
-      ("ebinop", Workloads.Kernels.eadd, [ ("N", 1 lsl 22) ]);
-      ("axpy", Workloads.Kernels.axpy, [ ("N", 1 lsl 22) ]);
       ("contract", Workloads.Kernels.matmul,
        [ ("M", 128); ("N", 128); ("K", 128) ]);
       (* the row evaluator, on jacobi-2d's two five-point stencils *)

@@ -11,17 +11,20 @@
    checks (affine functions attain extrema at box corners).  So the
    scope runs as flat loops over the raw buffers.
 
-   Shape-specialized one-store bodies (fill, copy, axpy, float [+] / [*]
-   and integer elementwise binops, the WCR-sum contraction [x * y] or
-   [(c * x) * y] — four output rows per reduction sweep where the launch
-   allows) get a dedicated strided loop.  Every other body runs on the
-   row evaluator: its stores ({!Tasklang.Bodyclass}: straight-line
-   assignments with their locals substituted, one value per output) are
-   compiled once into unboxed rows.  A block of up to [block] innermost
-   iterations fills every value row — one call per computed node,
-   unit-stride float operands read in place — then stores the outputs in
-   statement order by pointer bump; a plain float store computes its top
-   [+ - * /] inside the store loop.  Gather bodies ([o = f(c[e...])]) and
+   Three one-store body shapes get a dedicated strided loop, each faster
+   than the rows by construction: fill (a launch constant in a
+   register), copy ([Array.blit] where it can) and the WCR-sum
+   contraction [x * y] or [(c * x) * y] (register accumulators, four
+   output rows per reduction sweep where the launch allows).  Every
+   other body runs on the row evaluator: its stores
+   ({!Tasklang.Bodyclass}: straight-line assignments with their locals
+   substituted, one value per output) are compiled once into unboxed
+   rows.  A block of up to [block] innermost iterations fills every
+   value row — one call per computed node, unit-stride float operands
+   read in place — then stores the outputs in statement order by pointer
+   bump; a plain float store computes its top [+ - * /] inside the store
+   loop, and a pass that owns no row runs the whole innermost row as one
+   block.  Gather bodies ([o = f(c[e...])]) and
    scatter bodies ([o[e...] = f(...)]) run there too, as one store: a
    subscripted connector binds a window whose ranges do not move with
    the map's parameters, evaluated once per launch, and its subscripts
@@ -551,13 +554,17 @@ let fused (ob : float array) op ((x, fx), (y, fy)) =
   ( seq [ fx; fy ],
     match op with
     | Ast.Add -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
-      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) +. b.!(j + k) done
+      let p = ref o in
+      for k = 0 to n - 1 do ob.!(!p) <- a.!(i + k) +. b.!(j + k); p := !p + e done
     | Ast.Sub -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
-      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) -. b.!(j + k) done
+      let p = ref o in
+      for k = 0 to n - 1 do ob.!(!p) <- a.!(i + k) -. b.!(j + k); p := !p + e done
     | Ast.Mul -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
-      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) *. b.!(j + k) done
+      let p = ref o in
+      for k = 0 to n - 1 do ob.!(!p) <- a.!(i + k) *. b.!(j + k); p := !p + e done
     | _ -> fun o e n -> let a = x.fa and i = x.fo and b = y.fa and j = y.fo in
-      for k = 0 to n - 1 do ob.!(o + (k * e)) <- a.!(i + k) /. b.!(j + k) done )
+      let p = ref o in
+      for k = 0 to n - 1 do ob.!(!p) <- a.!(i + k) /. b.!(j + k); p := !p + e done )
 
 (* --- recognition --------------------------------------------------------- *)
 
@@ -569,9 +576,6 @@ type leaf = Lten of int | Lpar of int | Lcon of int
 type kind =
   | Kfill                                   (* launch-constant store *)
   | Kcopy of int                            (* same-representation move *)
-  | Kaxpy of int * float * int * int        (* shape, a, x, y *)
-  | Kebinop of Ast.binop * int * int        (* float x op y, op + or * *)
-  | Kebinop_i of Ast.binop * int * int      (* int x op y *)
   | Kcontract of float option * int * int   (* WCR-sum  o += (c*x)*y | x*y *)
   | Kexpr
   | Kgather                                 (* o = f(c[e...]) *)
@@ -580,8 +584,6 @@ type kind =
 let kind_name = function
   | Kfill -> "fill"
   | Kcopy _ -> "copy"
-  | Kaxpy _ -> "axpy"
-  | Kebinop _ | Kebinop_i _ -> "ebinop"
   | Kcontract _ -> "contract"
   | Kexpr -> "expr"
   | Kgather -> "gather"
@@ -852,36 +854,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
           | Some j, _ when out_float -> Kcopy j
           | _, Some j when not out_float -> Kcopy j
           | _ -> Kexpr)
-        | Ast.Binop (Ast.Add, Ast.Binop (Ast.Mul, Ast.Float_lit a, x), y)
-          when out_float -> (
-          match fleaf x, fleaf y with
-          | Some jx, Some jy -> Kaxpy (0, a, jx, jy)
-          | _ -> Kexpr)
-        | Ast.Binop (Ast.Add, Ast.Binop (Ast.Mul, x, Ast.Float_lit a), y)
-          when out_float -> (
-          match fleaf x, fleaf y with
-          | Some jx, Some jy -> Kaxpy (1, a, jx, jy)
-          | _ -> Kexpr)
-        | Ast.Binop (Ast.Add, y, Ast.Binop (Ast.Mul, Ast.Float_lit a, x))
-          when out_float -> (
-          match fleaf x, fleaf y with
-          | Some jx, Some jy -> Kaxpy (2, a, jx, jy)
-          | _ -> Kexpr)
-        | Ast.Binop (Ast.Add, y, Ast.Binop (Ast.Mul, x, Ast.Float_lit a))
-          when out_float -> (
-          match fleaf x, fleaf y with
-          | Some jx, Some jy -> Kaxpy (3, a, jx, jy)
-          | _ -> Kexpr)
-        (* other float operators run on the rows, which apply them in
-           place; a closure here would box every element *)
-        | Ast.Binop ((Ast.Add | Ast.Mul) as op, x, y)
-          when out_float
-               && fleaf x <> None && fleaf y <> None ->
-          Kebinop (op, Option.get (fleaf x), Option.get (fleaf y))
-        | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Min | Ast.Max) as op, x, y)
-          when (not out_float)
-               && ileaf x <> None && ileaf y <> None ->
-          Kebinop_i (op, Option.get (ileaf x), Option.get (ileaf y))
         | _ -> Kexpr)
   in
   (* ---- detection above never rejects; build the launch entry ----------- *)
@@ -1055,6 +1027,26 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
   (* aliasing only reaches [Kexpr]; [bsize] is set per launch *)
   let alias_ix = List.filter shares (List.init nin Fun.id) in
   let bsize = ref block in
+  (* A pass owns no row when each store is a plain float store of a
+     float operand or of a fused [+ - * /] of two: every row it reads is
+     a leaf slice.  Only a leaf copied at an innermost stride other than
+     1 then has a [block]-sized row, so with every leaf read in place a
+     launch may run the whole innermost row as one block. *)
+  let rowless =
+    kind = Kexpr
+    && List.for_all2
+         (fun ((t : Tensor.t), w) (_, e) ->
+           match t.Tensor.buf, w, e with
+           | Tensor.Fbuf _, None, Ast.Var _ -> fleaf e <> None
+           | Tensor.Fbuf _, None, Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div), a, b)
+             -> fleaf a <> None && fleaf b <> None
+           | _ -> false)
+         (List.combine out_ts wcrs) stores
+  in
+  let leaf_ix =
+    Array.of_list (List.filter_map (function _, Lten j -> Some j | _ -> None) leaves)
+  in
+  let in_place j = es.(j).(last) = 1 in
   let blocks pass () =
     let total = trips.(last) in
     let k0 = ref 0 in
@@ -1241,85 +1233,6 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
               s := !s + ei
             done
           end)
-    | Kaxpy (shape, a, jx, jy) ->
-      let ob = fbuf nin and xb = fbuf jx and yb = fbuf jy in
-      fun () ->
-        let eo = es.(nin).(last)
-        and ex = es.(jx).(last)
-        and ey = es.(jy).(last) in
-        let o = ref offs.(nin) and x = ref offs.(jx) and y = ref offs.(jy) in
-        (match shape with
-        | 0 ->
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o
-              ((a *. Array.unsafe_get xb !x) +. Array.unsafe_get yb !y);
-            o := !o + eo; x := !x + ex; y := !y + ey
-          done
-        | 1 ->
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o
-              ((Array.unsafe_get xb !x *. a) +. Array.unsafe_get yb !y);
-            o := !o + eo; x := !x + ex; y := !y + ey
-          done
-        | 2 ->
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o
-              (Array.unsafe_get yb !y +. (a *. Array.unsafe_get xb !x));
-            o := !o + eo; x := !x + ex; y := !y + ey
-          done
-        | _ ->
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o
-              (Array.unsafe_get yb !y +. (Array.unsafe_get xb !x *. a));
-            o := !o + eo; x := !x + ex; y := !y + ey
-          done)
-    | Kebinop (op, jx, jy) -> (
-      let ob = fbuf nin and xb = fbuf jx and yb = fbuf jy in
-      match op with
-      | Ast.Add ->
-        fun () ->
-          let eo = es.(nin).(last)
-          and ex = es.(jx).(last)
-          and ey = es.(jy).(last) in
-          let o = ref offs.(nin) and x = ref offs.(jx) and y = ref offs.(jy) in
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o
-              (Array.unsafe_get xb !x +. Array.unsafe_get yb !y);
-            o := !o + eo; x := !x + ex; y := !y + ey
-          done
-      | Ast.Mul ->
-        fun () ->
-          let eo = es.(nin).(last)
-          and ex = es.(jx).(last)
-          and ey = es.(jy).(last) in
-          let o = ref offs.(nin) and x = ref offs.(jx) and y = ref offs.(jy) in
-          for _ = 1 to trips.(last) do
-            Array.unsafe_set ob !o
-              (Array.unsafe_get xb !x *. Array.unsafe_get yb !y);
-            o := !o + eo; x := !x + ex; y := !y + ey
-          done
-      | _ -> assert false)
-    | Kebinop_i (op, jx, jy) ->
-      let ob = ibuf nin and xb = ibuf jx and yb = ibuf jy in
-      let f =
-        match op with
-        | Ast.Add -> ( + )
-        | Ast.Sub -> ( - )
-        | Ast.Mul -> ( * )
-        | Ast.Min -> min
-        | Ast.Max -> max
-        | _ -> assert false
-      in
-      fun () ->
-        let eo = es.(nin).(last)
-        and ex = es.(jx).(last)
-        and ey = es.(jy).(last) in
-        let o = ref offs.(nin) and x = ref offs.(jx) and y = ref offs.(jy) in
-        for _ = 1 to trips.(last) do
-          Array.unsafe_set ob !o
-            (f (Array.unsafe_get xb !x) (Array.unsafe_get yb !y));
-          o := !o + eo; x := !x + ex; y := !y + ey
-        done
     | Kcontract _ -> one
     | Kexpr | Kgather | Kscatter -> blocks pass
   in
@@ -1421,16 +1334,21 @@ let lower ~env ~tk ~params ~comp ~ins ~outs (body : Tasklang.Bodyclass.t) : t
            no other iteration of the block touches when the output moves
            along the row: reading the block first changes nothing.  Any
            other alias runs one iteration per block, keeping the closure
-           nest's read-write interleaving. *)
+           nest's read-write interleaving.  A rowless pass with every
+           leaf in place fills nothing ahead of its stores, so each
+           element's reads still precede its write alone: its block is
+           the whole row (several outputs never share an input's buffer). *)
         bsize :=
           if
-            alias_ix = []
-            || es.(nin).(last) <> 0
-               && List.for_all
-                    (fun j -> offs.(j) = offs.(nin) && es.(j) = es.(nin))
-                    alias_ix
-          then block
-          else 1;
+            not
+              (alias_ix = []
+              || es.(nin).(last) <> 0
+                 && List.for_all
+                      (fun j -> offs.(j) = offs.(nin) && es.(j) = es.(nin))
+                      alias_ix)
+          then 1
+          else if rowless && Array.for_all in_place leaf_ix then trips.(last)
+          else block;
         (* windows: evaluated and checked once, as [View.refresh] checks
            them per iteration; then each subscript count against the
            window's rank *)

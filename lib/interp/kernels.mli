@@ -25,11 +25,10 @@
       element per scalar input, one or — for a non-dynamic memlet — the
       window's volume per windowed input, one per output, one WCR write
       per output under WCR);
-    - dispatches a shape-specialized loop (fill / copy / axpy / float
-      [+] and [*] or integer elementwise binop / WCR-sum contraction
-      [x * y] or [(c * x) * y] for a float literal [c], four output
-      cells per reduction sweep when the reduction is innermost, the
-      output moves along the next dimension out, one factor does not
+    - dispatches a shape-specialized loop (fill / copy / WCR-sum
+      contraction [x * y] or [(c * x) * y] for a float literal [c], four
+      output cells per reduction sweep when the reduction is innermost,
+      the output moves along the next dimension out, one factor does not
       and no input shares the output's buffer) or the row evaluator: the
       body compiled once into unboxed rows of up to {!block} innermost
       iterations, one call per computed node, each block's value rows
@@ -48,8 +47,7 @@
 type t = {
   k_name : string;
     (** kernel kind, tallied in plan coverage: ["fill"], ["copy"],
-        ["axpy"], ["ebinop"], ["contract"], ["expr"], ["gather"],
-        ["scatter"] *)
+        ["contract"], ["expr"], ["gather"], ["scatter"] *)
   k_run :
     frame:int array ->
     bounds:int array ->
@@ -75,7 +73,11 @@ val block : int
     only the element it writes, which no other iteration of the block
     touches.  Any other shared buffer runs with blocks of one iteration,
     keeping the closure nest's read-write interleaving.  A body with
-    several outputs does not lower when any buffer is shared. *)
+    several outputs does not lower when any buffer is shared.  A pass
+    that owns no row — each store a plain float store of a float
+    operand, or of a [+ - * /] of two — runs the whole innermost row as
+    one block when every operand is read in place (innermost element
+    stride 1). *)
 
 val recognize :
   env:Reference.env ->

@@ -138,61 +138,6 @@ let fill t v =
       if is_dense t then Array.fill a t.offset n x
       else iter_offsets t (fun li -> a.(li) <- x)
 
-(* In-place [t := alpha * t]. *)
-let scale t ~alpha =
-  let n = num_elements t in
-  if n > 0 then
-    match t.buf with
-    | Fbuf a ->
-      let c = to_float alpha in
-      if is_dense t then
-        for i = t.offset to t.offset + n - 1 do
-          a.(i) <- c *. a.(i)
-        done
-      else iter_offsets t (fun li -> a.(li) <- c *. a.(li))
-    | Ibuf a ->
-      let c = to_int alpha in
-      if is_dense t then
-        for i = t.offset to t.offset + n - 1 do
-          a.(i) <- c * a.(i)
-        done
-      else iter_offsets t (fun li -> a.(li) <- c * a.(li))
-
-(* In-place [y := alpha * x + y], elementwise over same-shaped views of
-   matching representation.  Overlapping views get loop-order semantics
-   (each element of [y] is updated once, in logical order). *)
-let axpy ~alpha ~x ~y =
-  if x.shape <> y.shape then
-    bounds_error "axpy: shape mismatch ([%s] vs [%s])"
-      (String.concat "x" (Array.to_list (Array.map string_of_int x.shape)))
-      (String.concat "x" (Array.to_list (Array.map string_of_int y.shape)));
-  let n = num_elements x in
-  if n > 0 then
-    match x.buf, y.buf with
-    | Fbuf xb, Fbuf yb ->
-      let a = to_float alpha in
-      if is_dense x && is_dense y then begin
-        let xo = x.offset and yo = y.offset in
-        for i = 0 to n - 1 do
-          yb.(yo + i) <- yb.(yo + i) +. (a *. xb.(xo + i))
-        done
-      end
-      else
-        iter2_offsets x y (fun lx ly ->
-            yb.(ly) <- yb.(ly) +. (a *. xb.(lx)))
-    | Ibuf xb, Ibuf yb ->
-      let a = to_int alpha in
-      if is_dense x && is_dense y then begin
-        let xo = x.offset and yo = y.offset in
-        for i = 0 to n - 1 do
-          yb.(yo + i) <- yb.(yo + i) + (a * xb.(xo + i))
-        done
-      end
-      else
-        iter2_offsets x y (fun lx ly ->
-            yb.(ly) <- yb.(ly) + (a * xb.(lx)))
-    | _ -> bounds_error "axpy: dtype mismatch"
-
 (* A strided sub-view: [starts], [counts], [steps] per dimension. *)
 let view t ~starts ~counts ~steps : t =
   let n = rank t in
@@ -244,13 +189,13 @@ let squeeze t =
     shape = Array.of_list (List.map snd keep);
     strides = Array.of_list (List.map (fun (d, _) -> t.strides.(d)) keep) }
 
-(* Copy [src] into [dst]; shapes must contain the same number of elements
-   (reshape-on-copy is allowed, as generated memcpys are linear). *)
-(* Whether two tensors view the same physical allocation. *)
+(* Whether two tensors view the same physical allocation.  OCaml's empty
+   arrays of one representation are a single shared atom, so an empty
+   buffer shares with nothing. *)
 let shares_buffer a b =
   match a.buf, b.buf with
-  | Fbuf x, Fbuf y -> x == y
-  | Ibuf x, Ibuf y -> x == y
+  | Fbuf x, Fbuf y -> x == y && Array.length x > 0
+  | Ibuf x, Ibuf y -> x == y && Array.length x > 0
   | _ -> false
 
 (* Inclusive range of buffer offsets a tensor's elements occupy.  View
@@ -270,6 +215,8 @@ let overlapping a b =
   let alo, ahi = touched_range a and blo, bhi = touched_range b in
   alo <= bhi && blo <= ahi
 
+(* Copy [src] into [dst]; shapes must contain the same number of elements
+   (reshape-on-copy is allowed, as generated memcpys are linear). *)
 let rec copy_into ~src ~dst =
   let n = num_elements src in
   if num_elements dst <> n then

@@ -56,17 +56,10 @@ val fill : t -> Tasklang.Types.value -> unit
     representation).  Dense views take one [Array.fill]; strided views
     walk {!iter_offsets}. *)
 
-val scale : t -> alpha:Tasklang.Types.value -> unit
-(** In-place [t := alpha * t], elementwise; dense fast path,
-    {!iter_offsets} otherwise. *)
-
-val axpy : alpha:Tasklang.Types.value -> x:t -> y:t -> unit
-(** In-place [y := alpha * x + y] over same-shaped views of matching
-    representation; dense fast path when both views are dense.
-    @raise Bounds on shape or representation mismatch. *)
-
 val shares_buffer : t -> t -> bool
-(** Whether two tensors view the same physical allocation. *)
+(** Whether two tensors view the same physical, non-empty allocation
+    (OCaml's empty arrays are one shared atom, so two empty tensors never
+    share). *)
 
 val overlapping : t -> t -> bool
 (** Whether two tensors touch intersecting offset ranges of one buffer

@@ -1002,7 +1002,7 @@ module Parallel = struct
       cal_chunk_s = 0.4e-6;
       cal_merge_s_per_elem = 6e-9;
       cal_kernel_iter_ns =
-        [ ("fill", 0.8); ("copy", 1.0); ("axpy", 1.5); ("ebinop", 1.6);
+        [ ("fill", 0.8); ("copy", 1.0);
           (* the calibrate experiment's contraction case: run-only wall
              over the map iterations of matmul 128^3 (its fill
              included), four output cells per reduction sweep,

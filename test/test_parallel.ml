@@ -213,10 +213,12 @@ let test_report_snapshot () =
   let doubled =
     List.map
       (fun (n, t) ->
-        let t' = Tensor.create (Tensor.dtype t) (Array.copy (Tensor.shape t)) in
-        Tensor.copy_into ~src:t ~dst:t';
-        Tensor.scale t' ~alpha:(T.F 2.);
-        (n, t'))
+        ( n,
+          Tensor.init (Tensor.dtype t) (Array.copy (Tensor.shape t)) (fun ix ->
+              match Tensor.get t ix with
+              | T.F x -> T.F (2. *. x)
+              | T.I x -> T.I (2 * x)
+              | v -> v) ))
       args
   in
   ignore (Exec.Instance.run inst ~args:doubled);
