@@ -6,75 +6,80 @@
 
 open Defs
 
+(* The argument itself when nothing in it needs escaping, which is the
+   common case. *)
 let escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | '\n' -> "\\n"
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+  if not (String.exists (function '"' | '\\' | '\n' -> true | _ -> false) s)
+  then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (function
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
-let node_attrs st nid =
-  let lbl = escape (State.node_label st nid) in
-  match State.node st nid with
-  | Access _ -> Fmt.str "label=\"%s\", shape=ellipse" lbl
-  | Tasklet _ -> Fmt.str "label=\"%s\", shape=octagon" lbl
-  | Map_entry _ -> Fmt.str "label=\"%s\", shape=trapezium" lbl
-  | Map_exit -> "label=\"\", shape=invtrapezium"
-  | Consume_entry _ -> Fmt.str "label=\"%s\", shape=trapezium, style=dotted" lbl
-  | Consume_exit -> "label=\"\", shape=invtrapezium, style=dotted"
-  | Reduce _ -> Fmt.str "label=\"%s\", shape=invtriangle" lbl
-  | Nested_sdfg _ -> Fmt.str "label=\"%s\", shape=doubleoctagon" lbl
+let add_node buf prefix st (nid, n) =
+  let labelled shape =
+    Printf.bprintf buf "label=\"%s\", shape=%s"
+      (escape (State.node_label st nid)) shape
+  in
+  Printf.bprintf buf "    %s_n%d [" prefix nid;
+  (match n with
+  | Access _ -> labelled "ellipse"
+  | Tasklet _ -> labelled "octagon"
+  | Map_entry _ -> labelled "trapezium"
+  | Map_exit -> Buffer.add_string buf "label=\"\", shape=invtrapezium"
+  | Consume_entry _ -> labelled "trapezium, style=dotted"
+  | Consume_exit ->
+    Buffer.add_string buf "label=\"\", shape=invtrapezium, style=dotted"
+  | Reduce _ -> labelled "invtriangle"
+  | Nested_sdfg _ -> labelled "doubleoctagon");
+  Buffer.add_string buf "];\n"
 
-let edge_attrs (e : edge) =
-  match e.e_memlet with
-  | None -> "style=dotted, label=\"\""
+let add_edge buf prefix (e : edge) =
+  Printf.bprintf buf "    %s_n%d -> %s_n%d [" prefix e.e_src prefix e.e_dst;
+  (match e.e_memlet with
+  | None -> Buffer.add_string buf "style=dotted, label=\"\""
   | Some m ->
-    let style = if m.m_wcr <> None then ", style=dashed" else "" in
-    Fmt.str "label=\"%s\"%s" (escape (Memlet.to_string m)) style
+    Printf.bprintf buf "label=\"%s\"%s"
+      (escape (Memlet.to_string m))
+      (if m.m_wcr <> None then ", style=dashed" else ""));
+  Buffer.add_string buf "];\n"
 
 let state_body buf prefix st =
-  List.iter
-    (fun (nid, _) ->
-      Buffer.add_string buf
-        (Fmt.str "    %s_n%d [%s];\n" prefix nid (node_attrs st nid)))
-    (State.nodes st);
-  List.iter
-    (fun (e : edge) ->
-      Buffer.add_string buf
-        (Fmt.str "    %s_n%d -> %s_n%d [%s];\n" prefix e.e_src prefix e.e_dst
-           (edge_attrs e)))
-    (State.edges st)
+  List.iter (add_node buf prefix st) (State.nodes st);
+  List.iter (add_edge buf prefix) (State.edges st)
 
 let of_state (st : state) : string =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Fmt.str "digraph %S {\n" st.st_label);
+  Printf.bprintf buf "digraph %S {\n" st.st_label;
   state_body buf "s" st;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let of_sdfg (g : sdfg) : string =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Fmt.str "digraph %S {\n  compound=true;\n" g.g_name);
+  Printf.bprintf buf "digraph %S {\n  compound=true;\n" g.g_name;
   List.iter
     (fun st ->
-      Buffer.add_string buf
-        (Fmt.str "  subgraph cluster_s%d {\n    label=\"%s\";\n" st.st_id
-           (escape st.st_label));
-      state_body buf (Fmt.str "s%d" st.st_id) st;
+      Printf.bprintf buf "  subgraph cluster_s%d {\n    label=\"%s\";\n"
+        st.st_id (escape st.st_label);
+      state_body buf ("s" ^ string_of_int st.st_id) st;
       (* Anchor node for inter-state edges on empty states. *)
       if State.num_nodes st = 0 then
-        Buffer.add_string buf
-          (Fmt.str "    s%d_anchor [label=\"\", shape=point];\n" st.st_id);
+        Printf.bprintf buf "    s%d_anchor [label=\"\", shape=point];\n"
+          st.st_id;
       Buffer.add_string buf "  }\n")
     (Sdfg.states g);
   let anchor st =
     match State.nodes st with
-    | (nid, _) :: _ -> Fmt.str "s%d_n%d" st.st_id nid
-    | [] -> Fmt.str "s%d_anchor" st.st_id
+    | (nid, _) :: _ -> Printf.sprintf "s%d_n%d" st.st_id nid
+    | [] -> Printf.sprintf "s%d_anchor" st.st_id
   in
   List.iter
     (fun (e : istate_edge) ->
@@ -86,8 +91,7 @@ let of_sdfg (g : sdfg) : string =
         let asn =
           String.concat "; "
             (List.map
-               (fun (s, ex) ->
-                 Fmt.str "%s=%s" s (Symbolic.Expr.to_string ex))
+               (fun (s, ex) -> s ^ "=" ^ Symbolic.Expr.to_string ex)
                e.is_assign)
         in
         match cond, asn with
@@ -96,11 +100,10 @@ let of_sdfg (g : sdfg) : string =
         | "", a -> a
         | c, a -> c ^ "; " ^ a
       in
-      Buffer.add_string buf
-        (Fmt.str
-           "  %s -> %s [ltail=cluster_s%d, lhead=cluster_s%d, label=\"%s\", \
-            color=blue];\n"
-           (anchor src) (anchor dst) e.is_src e.is_dst (escape lbl)))
+      Printf.bprintf buf
+        "  %s -> %s [ltail=cluster_s%d, lhead=cluster_s%d, label=\"%s\", \
+         color=blue];\n"
+        (anchor src) (anchor dst) e.is_src e.is_dst (escape lbl))
     (Sdfg.transitions g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -1,8 +1,10 @@
 (* Cost-guided transformation search (paper §4.1/§4.2 workflow, automated):
-   enumerate candidates from the Xform registry, score successors with the
-   analytic performance model, prune dominated states, and — optionally —
-   confirm the surviving beam with measured interpreter medians before
-   committing a step.
+   enumerate candidates from the Xform registry, build each successor as a
+   clone of the committed graph with one candidate applied, score
+   successors with the analytic performance model, prune dominated states,
+   and — optionally — confirm the surviving beam with measured interpreter
+   medians before committing a step.  The program is built once per
+   search; only [crossval] replays chains on fresh builds.
 
    The search is a greedy hill-climb with a configurable beam width and
    bounded patience for lateral moves.  Every decision is made over sorted
@@ -73,8 +75,8 @@ let config ?(spec = Machine.Spec.paper_testbed) ?(opts = Cost.default_options)
 type step_log = {
   l_step : int;
   l_tried : int;      (* chain extensions attempted *)
-  l_applied : int;    (* of which applied to a valid, scoreable graph *)
-  l_pruned : int;     (* dominated: already-visited or beyond the beam *)
+  l_applied : int;    (* of which new to the search, valid and scored *)
+  l_pruned : int;     (* dominated: already seen, or beyond the beam *)
   l_measured : int;   (* profiler confirmations run this step *)
   l_committed : Xform.chain_step option;
   l_note : string;
@@ -100,22 +102,26 @@ type result = {
   r_report : Obs.Report.t;
 }
 
-(* Structural signature for dominance pruning: two chains that produce the
-   same graph are the same search state, and the model is a function of
-   the graph, so the later arrival is dominated. *)
+(* Signature for dominance pruning: two chains that produce the same
+   graph are the same search state, and the model is a function of the
+   graph, so the later arrival is dominated.  The signature is the
+   Graphviz rendering, which shows labels, shapes, memlets and
+   transitions but omits map schedules, storage, tasklet code,
+   descriptors and nested bodies.  Two graphs that differ only there
+   collide, and the later one is pruned unscored: MPITransform's
+   schedule-only rewrite renders as its parent does, so it is never
+   scored, even where the model would price it differently. *)
 let signature g = Sdfg_ir.Dot.of_sdfg g
 
-(* Rebuild-and-replay: the IR is mutated in place, so a search node's
-   graph is realized by replaying its chain on a fresh build.  Any
-   failure — no match, failed precondition, validation error — rejects
-   the node rather than aborting the search. *)
-let realize build chain =
-  match
-    let g = build () in
-    Result.map (fun () -> g) (Xform.apply_chain g chain)
-  with
-  | r -> r
-  | exception e -> Error (Printexc.to_string e)
+(* A successor is a clone of the committed graph with one candidate
+   applied.  The clone keeps node, edge and state ids, and node payloads
+   are immutable, so a match found on the committed graph applies to the
+   clone as is, and the committed graph stays untouched.  Any failure —
+   failed precondition, validation error — rejects the successor rather
+   than aborting the search. *)
+let successor g x c =
+  let g' = Sdfg_ir.Sdfg.clone g in
+  match Xform.apply g' x c with () -> Some g' | exception _ -> None
 
 let score cfg g =
   match
@@ -182,29 +188,31 @@ let optimize ?(name = "sdfg") (cfg : config) (build : unit -> Sdfg_ir.Sdfg.t)
       incr step_no;
       let sp = Collect.enter col Collect.State (Fmt.str "step %d" !step_no) in
       let esp = Collect.enter col Collect.Map "enumerate" in
-      (* candidate chain extensions, in (name, index) order *)
+      (* candidate chain extensions, in (name, index) order, each with
+         the match it names on the committed graph *)
       let extensions =
         List.concat_map
           (fun xn ->
             match Xform.lookup xn with
             | exception _ -> []
             | x ->
-              let n =
+              let cs =
                 match x.Xform.x_find !cur_graph with
-                | cs -> List.length cs
-                | exception _ -> 0
+                | cs -> take cfg.c_max_candidates cs
+                | exception _ -> []
               in
-              List.init (min n cfg.c_max_candidates) (fun i ->
-                  { Xform.cs_xform = xn; cs_index = i }))
+              List.mapi
+                (fun i c -> ({ Xform.cs_xform = xn; cs_index = i }, x, c))
+                cs)
           xnames
       in
       let pruned = ref 0 in
       let scored =
         List.filter_map
-          (fun st ->
-            match realize build (!cur_chain @ [ st ]) with
-            | Error _ -> None
-            | Ok g -> (
+          (fun (st, x, c) ->
+            match successor !cur_graph x c with
+            | None -> None
+            | Some g -> (
               let sg = signature g in
               if Hashtbl.mem visited sg then (incr pruned; None)
               else begin
@@ -379,7 +387,17 @@ let crossval ?(symbols = []) (build : unit -> Sdfg_ir.Sdfg.t)
     ignore (Interp.Exec.run g ~config ~symbols ~args : Obs.Report.t);
     args
   in
-  match realize build chain with
+  (* replayed on a fresh build, independently of how the search built
+     its graphs *)
+  let replayed =
+    match
+      let g = build () in
+      Result.map (fun () -> g) (Xform.apply_chain g chain)
+    with
+    | r -> r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  match replayed with
   | Error msg -> Error (Fmt.str "chain replay failed: %s" msg)
   | Ok transformed -> (
     match

@@ -3,15 +3,25 @@
 
     The driver is a greedy hill-climb with a configurable beam width:
     each step enumerates candidate applications from the {!Transform.Xform}
-    registry over sorted names and candidate indices, realizes successors
-    by rebuild-and-replay, scores them with {!Machine.Cost} under the
-    chosen target, prunes dominated states (structurally identical graphs
-    and everything beyond the beam), and — in {!Measured} mode — confirms
-    the surviving beam with {!Interp.Profile} medians before committing.
-    Non-improving lateral moves are taken up to a bounded patience; the
-    returned chain is the best state ever visited, so laterals can only
-    help.  Model-only searches never invoke the profiler and are fully
-    deterministic. *)
+    registry over sorted names and candidate indices, builds each
+    successor as a clone of the committed graph with the enumerated match
+    applied, scores successors with {!Machine.Cost} under the chosen
+    target, prunes dominated states (graphs already seen, and everything
+    beyond the beam), and — in {!Measured} mode — confirms the surviving
+    beam with {!Interp.Profile} medians before committing.  Non-improving
+    lateral moves are taken up to a bounded patience; the returned chain
+    is the best state ever visited, so laterals can only help.
+    Model-only searches never invoke the profiler and are fully
+    deterministic.
+
+    "Already seen" compares the {!Sdfg_ir.Dot} rendering, which omits
+    map schedules, storage, tasklet code, descriptors and nested bodies.
+    Graphs that differ only there count as one state, and the later one
+    is pruned unscored.  MPITransform changes only schedules, so its
+    successors are never scored.  Where the model prices them at their
+    parent's time (gemm, atax, mvt, 2mm and jacobi-2d on
+    {!Machine.Cost.Tcpu}) that costs nothing; on cfd-batched it hides
+    successors the model prices at about half their parent's time. *)
 
 type objective =
   | Model_only  (** score by {!Machine.Cost} alone; deterministic *)
@@ -70,8 +80,11 @@ val config :
 type step_log = {
   l_step : int;
   l_tried : int;      (** chain extensions attempted *)
-  l_applied : int;    (** of which applied to a valid, scoreable graph *)
-  l_pruned : int;     (** dominated: already-visited or beyond the beam *)
+  l_applied : int;
+      (** of which new to the search, valid and scored; an already-seen
+          graph counts in [l_pruned] instead *)
+  l_pruned : int;
+      (** dominated: already seen, or scored but beyond the beam *)
   l_measured : int;   (** profiler confirmations run this step *)
   l_committed : Transform.Xform.chain_step option;
   l_note : string;
@@ -103,10 +116,12 @@ type result = {
 
 val optimize :
   ?name:string -> config -> (unit -> Sdfg_ir.Sdfg.t) -> result
-(** Search from a fresh build.  [build] must be replayable: graphs are
-    realized by rebuilding and re-applying chains, never by mutating a
-    shared instance.  @raise Machine.Cost.Cost_error when even the
-    untransformed graph cannot be scored. *)
+(** Search from one [build ()]: [build] runs once per search.  Each
+    successor is a clone of the committed graph with one step applied, so
+    no graph the search has committed is mutated.  {!crossval} still
+    replays the chain on fresh builds, as the independent check.
+    @raise Machine.Cost.Cost_error when even the untransformed graph
+    cannot be scored. *)
 
 val crossval :
   ?symbols:(string * int) list ->

@@ -15,16 +15,21 @@ type entry = {
   e_metric : float option;      (* caller-supplied figure of merit *)
 }
 
+(* Snapshots ([s_base] and the graph kept with each step) are never
+   mutated, only cloned, so sessions branched from one another share
+   them. *)
 type t = {
-  s_build : unit -> Sdfg.t;     (* rebuilds the pristine base SDFG *)
+  s_base : Sdfg.t;              (* the pristine base SDFG *)
   mutable s_current : Sdfg.t;
-  mutable s_history : entry list;  (* newest first *)
+  mutable s_history : (entry * Sdfg.t) list;
+    (* newest first, each with a snapshot of the graph after its step *)
   s_measure : (Sdfg.t -> float) option;
 }
 
 let create ?measure build =
-  { s_build = build;
-    s_current = build ();
+  let base = build () in
+  { s_base = base;
+    s_current = Sdfg.clone base;
     s_history = [];
     s_measure = measure }
 
@@ -41,7 +46,7 @@ let create_profiled ?(exec = Interp.Exec.Config.default) ?(warmup = 1)
 
 let current s = s.s_current
 
-let history s = List.rev s.s_history
+let history s = List.rev_map fst s.s_history
 
 (* Apply transformation [name] to candidate [index], recording the step
    and (if a measure was supplied) the post-step figure of merit. *)
@@ -56,9 +61,10 @@ let apply_exn ?(index = 0) s name =
     Xform.apply s.s_current x c;
     let metric = Option.map (fun f -> f s.s_current) s.s_measure in
     s.s_history <-
-      { e_step = { Xform.cs_xform = name; cs_index = index };
-        e_note = c.Xform.c_note;
-        e_metric = metric }
+      ( { e_step = { Xform.cs_xform = name; cs_index = index };
+          e_note = c.Xform.c_note;
+          e_metric = metric },
+        Sdfg.clone s.s_current )
       :: s.s_history
 
 let apply ?index s name =
@@ -70,38 +76,29 @@ let apply ?index s name =
 let candidates s name =
   (Xform.lookup name).Xform.x_find s.s_current
 
-(* Undo the last [n] steps by replaying the chain prefix on a fresh base
-   (transformations mutate in place, so history is replayed, not
-   reverted). *)
-let undo ?(n = 1) s =
-  let keep = max 0 (List.length s.s_history - n) in
-  let prefix =
-    List.rev s.s_history
-    |> List.filteri (fun i _ -> i < keep)
-    |> List.map (fun e -> e.e_step)
-  in
-  s.s_current <- s.s_build ();
-  s.s_history <- [];
-  List.iter
-    (fun (st : Xform.chain_step) -> apply_exn ~index:st.cs_index s st.cs_xform)
-    prefix
+(* The newest-first history without its newest [n] steps, and a working
+   copy of the graph after the last step it keeps. *)
+let rewind s n =
+  let kept = List.filteri (fun i _ -> i >= n) s.s_history in
+  let snapshot = match kept with (_, g) :: _ -> g | [] -> s.s_base in
+  (kept, Sdfg.clone snapshot)
 
-(* Diverge from a mid-point: a new session replaying only the first
-   [steps] entries — "diverging from a mid-point in the chain" (§4.2). *)
+(* Undo the last [n] steps by restoring the snapshot of the last kept
+   one: nothing is re-applied or re-measured, so the kept steps keep
+   their recorded metrics. *)
+let undo ?(n = 1) s =
+  let kept, g = rewind s n in
+  s.s_history <- kept;
+  s.s_current <- g
+
+(* Diverge from a mid-point: a new session holding the first [steps]
+   entries — "diverging from a mid-point in the chain" (§4.2). *)
 let branch_at s ~steps =
-  let prefix =
-    List.rev s.s_history
-    |> List.filteri (fun i _ -> i < steps)
-    |> List.map (fun e -> e.e_step)
-  in
-  let s' = create ?measure:s.s_measure s.s_build in
-  List.iter
-    (fun (st : Xform.chain_step) -> apply_exn ~index:st.cs_index s' st.cs_xform)
-    prefix;
-  s'
+  let kept, g = rewind s (List.length s.s_history - steps) in
+  { s with s_current = g; s_history = kept }
 
 (* Chain file format (§4.2 "save transformation chains to files"). *)
-let to_chain s = List.rev_map (fun e -> e.e_step) s.s_history
+let to_chain s = List.rev_map (fun (e, _) -> e.e_step) s.s_history
 
 let save_chain s path =
   let oc = open_out path in

@@ -55,13 +55,18 @@ val apply_exn : ?index:int -> t -> string -> unit
 (** As {!apply} but raises {!Xform.Not_applicable}. *)
 
 val undo : ?n:int -> t -> unit
-(** Drop the last [n] steps by replaying the remaining prefix on a fresh
-    base (transformations mutate in place, so history is replayed, not
-    reverted). *)
+(** Drop the last [n] steps.  The session keeps a snapshot of the graph
+    after each step, and the current graph becomes a clone of the last
+    kept step's snapshot (of the base when none is kept).  Nothing is
+    re-applied and the measure is not run, so the kept entries keep their
+    recorded metrics. *)
 
 val branch_at : t -> steps:int -> t
-(** A new session replaying only the first [steps] entries — diverging
-    from a mid-point in the chain (§4.2). *)
+(** A new session holding the first [steps] entries, with their recorded
+    metrics, on a clone of the snapshot after the last of them —
+    diverging from a mid-point in the chain (§4.2).  Runs no measure;
+    the two sessions share no working graph, so either can go on without
+    touching the other. *)
 
 val to_chain : t -> Xform.chain_step list
 val save_chain : t -> string -> unit

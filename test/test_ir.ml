@@ -164,6 +164,30 @@ let test_dot_export () =
   Alcotest.(check bool) "WCR dashed" true
     (contains (Dot.of_sdfg g3) "style=dashed")
 
+(* The Graphviz text of every CLI program and corpus graph, pinned by
+   digest. *)
+let test_dot_golden () =
+  Test_report.check_golden "dot.digests.golden"
+    (String.concat ""
+       (List.map
+          (fun (name, build) ->
+            Fmt.str "%s %s\n" name
+              (Digest.to_hex (Digest.string (Dot.of_sdfg (build ())))))
+          (Test_polybench.programs ())))
+
+(* A graph whose labels need every escape, alone and together, pinned
+   whole. *)
+let test_dot_escape () =
+  let g = Sdfg.create "say \"dot\"" in
+  let st = Sdfg.add_state g ~label:"a \"quoted\" \\ label\nsecond line" () in
+  List.iter
+    (fun name -> ignore (State.add_node st (Defs.Access name)))
+    [ "A\\\"\n"; "only \"quotes\""; "only \\ backslash"; "only\nnewline" ];
+  let empty = Sdfg.add_state g ~label:"empty" () in
+  ignore
+    (Sdfg.add_transition g ~src:(State.id st) ~dst:(State.id empty) ());
+  Test_report.check_golden "dot.escape.golden" (Dot.of_sdfg g)
+
 let test_clone_independence () =
   let g = Fixtures.vector_add () in
   let g' = Sdfg.clone g in
@@ -207,6 +231,8 @@ let suite =
     ("memlet propagation on the IR", `Quick, test_propagation);
     ("free symbol inference", `Quick, test_free_symbols);
     ("Graphviz export", `Quick, test_dot_export);
+    ("Graphviz text is pinned", `Quick, test_dot_golden);
+    ("Graphviz labels are escaped", `Quick, test_dot_escape);
     ("clone independence", `Quick, test_clone_independence);
     ("WCR semantics", `Quick, test_wcr_semantics) ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_wcr_commutes ]

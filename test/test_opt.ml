@@ -169,6 +169,89 @@ let t_crossval name () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "crossval failed on %s: %s" name msg
 
+(* --- pinned trajectories -------------------------------------------------- *)
+
+(* The eight programs of the perfbench optimize workload at their model
+   sizes, under its bounds: beam 2, 3 steps, 4 candidates, model-only. *)
+let bounded_programs () =
+  List.map
+    (fun name ->
+      let k = kernel name in
+      (name, k.k_build, k.k_large, k.k_hints k.k_large))
+    [ "gemm"; "atax"; "bicg"; "mvt"; "2mm"; "jacobi-2d" ]
+  @ Workloads.
+      [ ("cfd-batched", Cfd.batched, Cfd.paper, Cfd.hints);
+        ("attention", Attention.base, Attention.attention_paper,
+          Attention.hints) ]
+
+let bounded_config symbols hints =
+  Search.config ~target:Cost.Tcpu ~symbols
+    ~opts:{ Cost.default_options with hints }
+    ~beam:2 ~max_steps:3 ~max_candidates:4 ()
+
+(* One search per program, with [build] counted and its first graph kept. *)
+let bounded_runs =
+  lazy
+    (List.map
+       (fun (name, build, symbols, hints) ->
+         let builds = ref 0 and first = ref None in
+         let counted () =
+           incr builds;
+           let g = build () in
+           if !first = None then first := Some g;
+           g
+         in
+         let cfg = bounded_config symbols hints in
+         let res = Search.optimize ~name cfg counted in
+         (name, build, cfg, res, !builds, Option.get !first))
+       (bounded_programs ()))
+
+let step_string (st : X.chain_step) =
+  Printf.sprintf "%s %d" st.cs_xform st.cs_index
+
+let trajectory name (r : Search.result) =
+  Printf.sprintf "%s: chain %s; best %h; stop %s\n%s" name
+    (String.concat " / " (List.map step_string r.r_chain))
+    r.r_best_model_s r.r_stop
+    (String.concat ""
+       (List.map
+          (fun (l : Search.step_log) ->
+            Printf.sprintf
+              "  step %d: tried %d, applied %d, pruned %d, committed %s\n"
+              l.l_step l.l_tried l.l_applied l.l_pruned
+              (Option.fold ~none:"-" ~some:step_string l.l_committed))
+          r.r_steps))
+
+let t_trajectories () =
+  Test_report.check_golden "search.trajectories.golden"
+    (String.concat ""
+       (List.map
+          (fun (name, _, _, res, _, _) -> trajectory name res)
+          (Lazy.force bounded_runs)))
+
+let t_successors_from_clones () =
+  List.iter
+    (fun (name, build, (cfg : Search.config), (res : Search.result), builds,
+          base) ->
+      Alcotest.(check int) (name ^ ": build runs once") 1 builds;
+      (* every step-1 successor was built from the base; none touched it *)
+      Alcotest.(check string)
+        (name ^ ": base graph intact")
+        (Sdfg_ir.Serialize.to_string (build ()))
+        (Sdfg_ir.Serialize.to_string base);
+      let replayed = build () in
+      X.apply_chain_exn replayed res.r_chain;
+      let priced =
+        (Cost.estimate ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
+           ~symbols:cfg.c_symbols replayed)
+          .Cost.r_time_s
+      in
+      Alcotest.(check int64)
+        (name ^ ": replayed chain prices as the search's best")
+        (Int64.bits_of_float res.r_best_model_s)
+        (Int64.bits_of_float priced))
+    (Lazy.force bounded_runs)
+
 let suite =
   [ ("result-based Xform API", `Quick, t_result_api);
     ("registry enumeration is sorted", `Quick, t_registry_sorted);
@@ -182,4 +265,8 @@ let suite =
     ("search log is consistent and serializes", `Quick, t_search_log);
     ("auto-optimized gemm crossvalidates", `Quick, t_crossval "gemm");
     ("auto-optimized atax crossvalidates", `Quick, t_crossval "atax");
-    ("auto-optimized mvt crossvalidates", `Quick, t_crossval "mvt") ]
+    ("auto-optimized mvt crossvalidates", `Quick, t_crossval "mvt");
+    ("bounded searches follow their pinned trajectories", `Quick,
+      t_trajectories);
+    ("search builds once and prices its chain on replay", `Quick,
+      t_successors_from_clones) ]

@@ -241,30 +241,31 @@ let unreachable g =
     (fun st -> if Hashtbl.mem seen (State.id st) then None else Some (State.label st))
     (Sdfg.states g)
 
+(* Every CLI program, the engine kernels and the fuzz corpus. *)
+let programs () =
+  List.map
+    (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_build))
+    Workloads.Polybench.all
+  @ Workloads.
+      [ ("mm", Kernels.matmul); ("mm-mapreduce", Kernels.matmul_mapreduce);
+        ("histogram", Kernels.histogram); ("query", Kernels.query);
+        ("spmv", Kernels.spmv); ("copy", Kernels.copy); ("eadd", Kernels.eadd);
+        ("axpy", Kernels.axpy); ("bfs", Graphs.bfs);
+        ("sse-batched", Sse.batched); ("sse-naive", Sse.naive);
+        ("cfd-batched", Cfd.batched); ("cfd-naive", Cfd.naive);
+        ("attention", Attention.base); ("attention-tiled", Attention.tiled);
+        ("conv-im2col", Attention.conv_im2col);
+        ("conv-direct", Attention.conv_direct) ]
+  @ List.map
+      (fun path -> (path, fun () -> Serialize.load path))
+      (Test_fuzz.corpus_files ())
+
 let test_states_reachable () =
-  let programs =
-    List.map
-      (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_build))
-      Workloads.Polybench.all
-    @ Workloads.
-        [ ("mm", Kernels.matmul); ("mm-mapreduce", Kernels.matmul_mapreduce);
-          ("histogram", Kernels.histogram); ("query", Kernels.query);
-          ("spmv", Kernels.spmv); ("copy", Kernels.copy); ("eadd", Kernels.eadd);
-          ("axpy", Kernels.axpy); ("bfs", Graphs.bfs);
-          ("sse-batched", Sse.batched); ("sse-naive", Sse.naive);
-          ("cfd-batched", Cfd.batched); ("cfd-naive", Cfd.naive);
-          ("attention", Attention.base); ("attention-tiled", Attention.tiled);
-          ("conv-im2col", Attention.conv_im2col);
-          ("conv-direct", Attention.conv_direct) ]
-    @ List.map
-        (fun path -> (path, fun () -> Serialize.load path))
-        (Test_fuzz.corpus_files ())
-  in
   List.iter
     (fun (name, build) ->
       Alcotest.(check (list string))
         (name ^ ": unreachable states") [] (unreachable (build ())))
-    programs
+    (programs ())
 
 let suite =
   List.map

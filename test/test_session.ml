@@ -125,8 +125,54 @@ let t_profiled_measure () =
     | None -> Alcotest.fail "profiled session recorded no metric")
   | h -> Alcotest.failf "expected 1 history entry, got %d" (List.length h)
 
+(* Undo and branching restore snapshots: neither re-runs [measure], so the
+   kept steps keep the metrics recorded when they were applied. *)
+let t_undo_keeps_metrics () =
+  Std.register_all ();
+  let build = Workloads.Kernels.matmul_mapreduce in
+  let calls = ref 0 in
+  let measure _ = incr calls; float_of_int !calls in
+  let s = Session.create ~measure build in
+  apply_ok s "MapReduceFusion";
+  apply_ok s "MapTiling";
+  apply_ok s "MapTiling";
+  let metrics t = List.map (fun e -> e.Session.e_metric) (Session.history t) in
+  let serialized t = Sdfg_ir.Serialize.to_string (Session.current t) in
+  let kept = List.filteri (fun i _ -> i < 2) (metrics s) in
+  let original = serialized s in
+  let branch = Session.branch_at s ~steps:1 in
+  Alcotest.(check int) "branch_at measures nothing" 3 !calls;
+  Alcotest.(check (list (option (float 0.))))
+    "branch keeps the recorded metric" [ Some 1. ] (metrics branch);
+  Alcotest.(check string) "branch restores the one-step graph"
+    (serialized (Session.replay_chain build (Session.to_chain branch)))
+    (serialized branch);
+  apply_ok branch "GPUTransform";
+  Alcotest.(check string) "original untouched by the branch" original
+    (serialized s);
+  Session.undo s;
+  Alcotest.(check int) "undo measures nothing" 4 !calls;
+  Alcotest.(check (list (option (float 0.))))
+    "undo keeps the recorded metrics" kept (metrics s);
+  Alcotest.(check string) "undo restores the replayed prefix"
+    (serialized (Session.replay_chain build (Session.to_chain s)))
+    (serialized s);
+  (* the restored graph is a working copy: a step applied to it leaves
+     the snapshot it came from intact for the next undo *)
+  apply_ok s "MapTiling";
+  Alcotest.(check int) "three steps after undo and reapply" 3
+    (List.length (Session.history s));
+  check_c "restored session preserves semantics"
+    (run_c (build ())) (run_c (Session.current s));
+  Session.undo s;
+  Alcotest.(check string) "snapshot intact after reapply"
+    (serialized (Session.replay_chain build (Session.to_chain s)))
+    (serialized s)
+
 let suite =
   [ ("apply returns result", `Quick, t_apply_result);
     ("chain save/load/replay round-trip", `Quick, t_chain_roundtrip);
     ("branch_at diverges from a mid-point", `Quick, t_branch_at);
-    ("create_profiled records wall-clock metrics", `Quick, t_profiled_measure) ]
+    ("create_profiled records wall-clock metrics", `Quick, t_profiled_measure);
+    ("undo and branch_at keep recorded metrics", `Quick,
+      t_undo_keeps_metrics) ]
