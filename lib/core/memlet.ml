@@ -86,11 +86,17 @@ let equal (a : t) (b : t) =
      | _ -> false)
   && Bool.equal a.Defs.m_dynamic b.Defs.m_dynamic
 
-let pp ppf (m : t) =
-  Fmt.pf ppf "%s%a" m.Defs.m_data Subset.pp m.Defs.m_subset;
+let to_string (m : t) =
+  let b = Buffer.create 32 in
+  Buffer.add_string b m.Defs.m_data;
+  Subset.to_buffer b m.Defs.m_subset;
   (match m.Defs.m_wcr with
-  | Some w -> Fmt.pf ppf " (CR: %a)" Wcr.pp w
+  | Some w ->
+    Buffer.add_string b " (CR: ";
+    Buffer.add_string b (Wcr.name w);
+    Buffer.add_char b ')'
   | None -> ());
-  if m.Defs.m_dynamic then Fmt.pf ppf " (dyn)"
+  if m.Defs.m_dynamic then Buffer.add_string b " (dyn)";
+  Buffer.contents b
 
-let to_string m = Fmt.str "%a" pp m
+let pp ppf m = Format.pp_print_string ppf (to_string m)

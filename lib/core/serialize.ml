@@ -19,83 +19,212 @@ let parse_error fmt = Fmt.kstr (fun s -> raise (Parse_error s)) fmt
 
 type sexp = Atom of string | Str of string | List of sexp list
 
-let rec pp_sexp ppf = function
-  | Atom a -> Fmt.string ppf a
-  | Str s -> Fmt.pf ppf "%S" s
-  | List xs -> Fmt.pf ppf "(@[<hov 1>%a@])" Fmt.(list ~sep:sp pp_sexp) xs
+(* Printing.  The layout is the one Format gives every list as
+   "(@[<hov 1>...@])" with space breaks, at margin 78 and maximum indent
+   68, byte for byte: [Sdfg.hash] and persisted .sdfg files are this
+   text.  Three rules make it:
+   - a list is flat when its inner width is less than the space left
+     after its "(";
+   - otherwise each later child starts a new line when 1 + its flat width
+     is at least the space left, indented one column past the "(" (at
+     most to column 68);
+   - a list whose "(" leaves the column past 68, inside a list that is
+     not flat and past that list's indentation, first breaks the line to
+     that list's indentation, leaving the "(" at the end of a line.
+   A first pass records every node's flat width in pre-order, one byte
+   each and saturated at 255, since a decision only ever compares a
+   width with at most the margin; the second pass lays the text out in
+   the same order. *)
 
-let sexp_to_string s = Fmt.str "%a" pp_sexp s
+let margin = 78
+let max_indent = 68
+let blanks = String.make max_indent ' '
 
+(* the width of [s] as [%S] prints it: quotes plus String.escaped's text *)
+let str_width s =
+  let w = ref 2 in
+  for i = 0 to String.length s - 1 do
+    w :=
+      !w
+      + (match String.unsafe_get s i with
+        | '"' | '\\' | '\n' | '\t' | '\r' | '\b' -> 2
+        | ' ' .. '~' -> 1
+        | _ -> 4)
+  done;
+  !w
+
+let set_width widths i w =
+  Bytes.unsafe_set widths i (Char.unsafe_chr (min w 255))
+
+let width_at widths i = Char.code (Bytes.unsafe_get widths i)
+
+(* records the widths of [x] and the nodes below it from index [i] on;
+   returns the index after them *)
+let rec measure widths i x =
+  if i >= Bytes.length !widths then
+    widths := Bytes.extend !widths 0 (Bytes.length !widths);
+  match x with
+  | Atom a ->
+    set_width !widths i (String.length a);
+    i + 1
+  | Str s ->
+    set_width !widths i (str_width s);
+    i + 1
+  | List [] ->
+    set_width !widths i 2;
+    i + 1
+  | List (x :: xs) ->
+    let next = measure widths (i + 1) x in
+    measure_rest widths i next (1 + width_at !widths (i + 1)) xs
+
+(* [w] is the width so far of the list at [i], from its "(" *)
+and measure_rest widths i next w = function
+  | [] ->
+    set_width !widths i (w + 1);
+    next
+  | x :: xs ->
+    let next' = measure widths next x in
+    measure_rest widths i next' (w + 1 + width_at !widths next) xs
+
+let sexp_to_string (s : sexp) =
+  let widths = ref (Bytes.create 1024) in
+  let nodes = measure widths 0 s in
+  let widths = !widths in
+  let b = Buffer.create ((4 * nodes) + 64) in
+  let col = ref 0 and node = ref 0 in
+  let newline indent =
+    Buffer.add_char b '\n';
+    Buffer.add_substring b blanks 0 indent;
+    col := indent
+  in
+  let rec flat = function
+    | Atom a ->
+      incr node;
+      Buffer.add_string b a
+    | Str s ->
+      incr node;
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+    | List xs ->
+      incr node;
+      Buffer.add_char b '(';
+      flat_items xs;
+      Buffer.add_char b ')'
+  and flat_items = function
+    | [] -> ()
+    | x :: xs ->
+      flat x;
+      List.iter
+        (fun x ->
+          Buffer.add_char b ' ';
+          flat x)
+        xs
+  in
+  (* [encl] is the width of the enclosing list's box (the margin less
+     its indentation); that list is never flat here *)
+  let rec emit encl x =
+    match x with
+    | List xs ->
+      let width = width_at widths !node in
+      incr node;
+      Buffer.add_char b '(';
+      incr col;
+      if !col > max_indent && encl > margin - !col then
+        newline (min max_indent (margin - encl));
+      let space = margin - !col in
+      if width - 2 < space then begin
+        flat_items xs;
+        col := !col + width - 1
+      end
+      else begin
+        let box = space - 1 in
+        let indent = min max_indent (margin - box) in
+        (match xs with
+        | [] -> ()
+        | x :: xs ->
+          emit box x;
+          List.iter
+            (fun x ->
+              if 1 + width_at widths !node >= margin - !col then newline indent
+              else begin
+                Buffer.add_char b ' ';
+                incr col
+              end;
+              emit box x)
+            xs);
+        incr col
+      end;
+      Buffer.add_char b ')'
+    | Atom _ | Str _ ->
+      let start = Buffer.length b in
+      flat x;
+      col := !col + Buffer.length b - start
+  in
+  emit margin s;
+  Buffer.contents b
+
+(* Reading: one scan over the text.  Atoms and quoted strings are sliced
+   out whole; a string holding a backslash is unescaped by OCaml's own
+   lexical rules, the inverse of the [String.escaped] the printer uses. *)
 let parse_sexp (src : string) : sexp =
   let n = String.length src in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (src.[!pos] = ' ' || src.[!pos] = '\n' || src.[!pos] = '\t'
-         || src.[!pos] = '\r')
-    do
-      incr pos
-    done
+  let rec skip_ws () =
+    if !pos < n then
+      match String.unsafe_get src !pos with
+      | ' ' | '\n' | '\t' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | _ -> ()
+  in
+  let rec atom_end i =
+    if i = n then i
+    else
+      match String.unsafe_get src i with
+      | ' ' | '\n' | '\t' | '\r' | '(' | ')' | '"' -> i
+      | _ -> atom_end (i + 1)
+  in
+  (* index of the closing quote, and whether a backslash came before it *)
+  let rec string_end i escaped =
+    if i >= n then parse_error "unterminated string"
+    else
+      match String.unsafe_get src i with
+      | '"' -> (i, escaped)
+      | '\\' -> string_end (i + 2) true
+      | _ -> string_end (i + 1) escaped
   in
   let rec parse () =
     skip_ws ();
-    match peek () with
-    | None -> parse_error "unexpected end of input"
-    | Some '(' ->
+    if !pos >= n then parse_error "unexpected end of input";
+    match String.unsafe_get src !pos with
+    | '(' ->
       incr pos;
-      let items = ref [] in
-      let rec loop () =
-        skip_ws ();
-        match peek () with
-        | Some ')' ->
-          incr pos;
-          List (List.rev !items)
-        | None -> parse_error "unclosed parenthesis"
-        | Some _ ->
-          items := parse () :: !items;
-          loop ()
-      in
-      loop ()
-    | Some '"' ->
-      (* OCaml-style quoted string *)
-      let buf = Buffer.create 16 in
-      incr pos;
-      let rec scan () =
-        if !pos >= n then parse_error "unterminated string"
-        else
-          match src.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            if !pos + 1 >= n then parse_error "bad escape";
-            (match src.[!pos + 1] with
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '"' -> Buffer.add_char buf '"'
-            | 'r' -> Buffer.add_char buf '\r'
-            | c -> Buffer.add_char buf c);
-            pos := !pos + 2;
-            scan ()
-          | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            scan ()
-      in
-      scan ();
-      Str (Buffer.contents buf)
-    | Some ')' -> parse_error "unexpected ')'"
-    | Some _ ->
+      List (items [])
+    | ')' -> parse_error "unexpected ')'"
+    | '"' ->
+      let start = !pos + 1 in
+      let stop, escaped = string_end start false in
+      pos := stop + 1;
+      let raw = String.sub src start (stop - start) in
+      if not escaped then Str raw
+      else (
+        match Scanf.unescaped raw with
+        | s -> Str s
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+          parse_error "bad escape in string \"%s\"" raw)
+    | _ ->
       let start = !pos in
-      while
-        !pos < n
-        && not
-             (List.mem src.[!pos] [ ' '; '\n'; '\t'; '\r'; '('; ')'; '"' ])
-      do
-        incr pos
-      done;
+      pos := atom_end start;
       Atom (String.sub src start (!pos - start))
+  and items acc =
+    skip_ws ();
+    if !pos >= n then parse_error "unclosed parenthesis"
+    else if String.unsafe_get src !pos = ')' then begin
+      incr pos;
+      List.rev acc
+    end
+    else items (parse () :: acc)
   in
   let result = parse () in
   skip_ws ();
@@ -201,7 +330,7 @@ let wcr_of_sexp = function
 
 let value_to_sexp (v : Tasklang.Types.value) =
   match v with
-  | Tasklang.Types.F x -> List [ Atom "f"; Atom (Fmt.str "%h" x) ]
+  | Tasklang.Types.F x -> List [ Atom "f"; Atom (Printf.sprintf "%h" x) ]
   | Tasklang.Types.I n -> List [ Atom "i"; Atom (string_of_int n) ]
   | Tasklang.Types.B b -> List [ Atom "b"; Atom (string_of_bool b) ]
 

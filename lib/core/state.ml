@@ -399,13 +399,15 @@ let node_label (s : t) nid =
   | Access d -> d
   | Tasklet t -> t.t_name
   | Map_entry m ->
-    Fmt.str "[%s]"
-      (String.concat ", "
-         (List.map2
-            (fun p r -> Fmt.str "%s=%s" p (Fmt.str "%a" Subset.pp_range r))
-            m.mp_params m.mp_ranges))
+    "["
+    ^ String.concat ", "
+        (List.map2
+           (fun p r -> p ^ "=" ^ Subset.range_to_string r)
+           m.mp_params m.mp_ranges)
+    ^ "]"
   | Map_exit -> "map_exit"
-  | Consume_entry c -> Fmt.str "[%s=0:%a]" c.cs_pe_param Expr.pp c.cs_num_pes
+  | Consume_entry c ->
+    "[" ^ c.cs_pe_param ^ "=0:" ^ Expr.to_string c.cs_num_pes ^ "]"
   | Consume_exit -> "consume_exit"
-  | Reduce r -> Fmt.str "reduce(%s)" (Wcr.name r.r_wcr)
-  | Nested_sdfg n -> Fmt.str "invoke(%s)" n.n_sdfg.g_name
+  | Reduce r -> "reduce(" ^ Wcr.name r.r_wcr ^ ")"
+  | Nested_sdfg n -> "invoke(" ^ n.n_sdfg.g_name ^ ")"

@@ -307,11 +307,13 @@ let rec exec_loop srv =
 (* --- connections --------------------------------------------------------- *)
 
 (* Resolve the request's program to (cache key, canonical text).  Runs
-   on the connection thread: parsing and re-serialization are cheap next
-   to planning and keep malformed programs out of the executor.  Keying
-   on the canonical form means cosmetic differences in the submitted
-   text (whitespace, ordering the serializer normalizes) cannot split
-   the cache. *)
+   on the connection thread, which keeps malformed programs out of the
+   executor.  Reading and reprinting a never-seen fuzz graph's 3 KB
+   .sdfg text takes 0.12-0.16 ms, and printing a registered Polybench
+   program about 0.05 ms (2-core x86-64 host), against about 0.12 ms to
+   plan a small fuzz graph.  Keying on the canonical form means cosmetic
+   differences in the submitted text (whitespace, ordering the
+   serializer normalizes) cannot split the cache. *)
 let program_key srv ~(program : Protocol.program) ~symbols ~config =
   let key_of text =
     (Protocol.cache_key ~sdfg_text:text ~symbols ~config, Some text)

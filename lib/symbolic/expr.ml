@@ -314,24 +314,62 @@ let rename_syms renaming e =
 
 (* --- printing -------------------------------------------------------- *)
 
-let rec pp ppf e =
-  let atom ppf e =
+(* Written straight into a buffer: the text has no break hints, so a
+   formatter would only add cost. *)
+let rec to_buffer b e =
+  let atom e =
     match e with
-    | Int n when n < 0 -> Fmt.pf ppf "(%d)" n
-    | Int _ | Sym _ -> pp ppf e
-    | _ -> Fmt.pf ppf "(%a)" pp e
+    | Int n when n < 0 ->
+      Buffer.add_char b '(';
+      Buffer.add_string b (string_of_int n);
+      Buffer.add_char b ')'
+    | Int _ | Sym _ -> to_buffer b e
+    | _ ->
+      Buffer.add_char b '(';
+      to_buffer b e;
+      Buffer.add_char b ')'
+  in
+  let sep_list sep = function
+    | [] -> ()
+    | x :: xs ->
+      atom x;
+      List.iter
+        (fun x ->
+          Buffer.add_string b sep;
+          atom x)
+        xs
+  in
+  let binary op x y =
+    atom x;
+    Buffer.add_string b op;
+    atom y
+  in
+  let call f x y =
+    Buffer.add_string b f;
+    to_buffer b x;
+    Buffer.add_string b ", ";
+    to_buffer b y;
+    Buffer.add_char b ')'
   in
   match e with
-  | Int n -> Fmt.int ppf n
-  | Sym s -> Fmt.string ppf s
-  | Add ts -> Fmt.(list ~sep:(any " + ") atom) ppf ts
-  | Mul fs -> Fmt.(list ~sep:(any "*") atom) ppf fs
-  | Div (a, b) -> Fmt.pf ppf "%a/%a" atom a atom b
-  | Mod (a, b) -> Fmt.pf ppf "%a%%%a" atom a atom b
-  | Min (a, b) -> Fmt.pf ppf "min(%a, %a)" pp a pp b
-  | Max (a, b) -> Fmt.pf ppf "max(%a, %a)" pp a pp b
+  | Int n -> Buffer.add_string b (string_of_int n)
+  | Sym s -> Buffer.add_string b s
+  | Add ts -> sep_list " + " ts
+  | Mul fs -> sep_list "*" fs
+  | Div (x, y) -> binary "/" x y
+  | Mod (x, y) -> binary "%" x y
+  | Min (x, y) -> call "min(" x y
+  | Max (x, y) -> call "max(" x y
 
-let to_string e = Fmt.str "%a" pp e
+let to_string = function
+  | Int n -> string_of_int n
+  | Sym s -> s
+  | e ->
+    let b = Buffer.create 32 in
+    to_buffer b e;
+    Buffer.contents b
+
+let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 (* --- interval arithmetic --------------------------------------------- *)
 

@@ -92,6 +92,9 @@ val floormod : int -> int -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s text. *)
+
 (** {1 Interval arithmetic}
 
     Symbolic intervals are the engine behind memlet propagation

@@ -220,19 +220,40 @@ let concrete_points (c : concrete_range list) =
 
 (* --- printing --------------------------------------------------------- *)
 
-let pp_range ppf r =
-  if is_unit_range r then Expr.pp ppf r.start
-  else begin
-    Fmt.pf ppf "%a:%a" Expr.pp r.start Expr.pp (Expr.add r.stop Expr.one);
+let range_to_buffer b r =
+  Expr.to_buffer b r.start;
+  if not (is_unit_range r) then begin
+    Buffer.add_char b ':';
+    Expr.to_buffer b (Expr.add r.stop Expr.one);
     (match Expr.as_int r.stride with
     | Some 1 -> ()
-    | _ -> Fmt.pf ppf ":%a" Expr.pp r.stride);
+    | _ ->
+      Buffer.add_char b ':';
+      Expr.to_buffer b r.stride);
     match Expr.as_int r.tile with
     | Some 1 -> ()
-    | _ -> Fmt.pf ppf "::%a" Expr.pp r.tile
+    | _ ->
+      Buffer.add_string b "::";
+      Expr.to_buffer b r.tile
   end
 
-let pp ppf (s : t) =
-  Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ", ") pp_range) s
+let to_buffer b (s : t) =
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_string b ", ";
+      range_to_buffer b r)
+    s;
+  Buffer.add_char b ']'
 
-let to_string s = Fmt.str "%a" pp s
+let range_to_string r =
+  let b = Buffer.create 16 in
+  range_to_buffer b r;
+  Buffer.contents b
+
+let to_string s =
+  let b = Buffer.create 32 in
+  to_buffer b s;
+  Buffer.contents b
+
+let pp ppf s = Format.pp_print_string ppf (to_string s)

@@ -82,6 +82,11 @@ val concrete_size : concrete_range list -> int
 val concrete_points : concrete_range list -> int list list
 (** All points in row-major order; intended for small subsets (tests). *)
 
-val pp_range : Format.formatter -> range -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val range_to_string : range -> string
+(** One range in the paper's notation: [i], [0:N], [0:N:2]. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s text. *)
