@@ -155,6 +155,10 @@ and state = {
      with the version they were computed at *)
   mutable st_version : int;
   mutable st_cache : state_cache option;
+  (* adjacency of the current structural version, built on first query
+     and dropped with the cache; never shared between states, because it
+     holds this state's own edge records *)
+  mutable st_index : state_index option;
   (* time this state at instrumentation level Marked *)
   mutable st_instrument : bool;
 }
@@ -164,6 +168,13 @@ and state_cache = {
   c_topo : int list;
   c_parents : (int, int option) Hashtbl.t;
   c_scope_nodes : (int, int list) Hashtbl.t;  (* entry -> strict members *)
+}
+
+and state_index = {
+  x_nodes : (int * node) list;   (* ascending node id *)
+  x_edges : edge list;           (* ascending edge id *)
+  x_in : edge list array;        (* by node id, ascending edge id *)
+  x_out : edge list array;
 }
 
 (* --- inter-state edges (state machine, §3.4) -------------------------- *)

@@ -21,12 +21,15 @@ let create ?(label = "state") id : t =
     st_scope_exit = Hashtbl.create 4;
     st_version = 0;
     st_cache = None;
+    st_index = None;
     st_instrument = false }
 
-(* Any structural mutation invalidates the derived-structure cache. *)
+(* Any structural mutation invalidates the derived-structure cache and
+   the adjacency index. *)
 let touch (s : t) =
   s.st_version <- s.st_version + 1;
-  s.st_cache <- None
+  s.st_cache <- None;
+  s.st_index <- None
 
 let id (s : t) = s.st_id
 let label (s : t) = s.st_label
@@ -90,24 +93,51 @@ let remove_node (s : t) nid =
   in
   List.iter (remove_edge s) stale
 
-let nodes (s : t) =
-  Hashtbl.fold (fun nid n acc -> (nid, n) :: acc) s.st_nodes []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* The adjacency index: ids are dense and below the next-id counters, so
+   walking them downwards yields every list already in ascending order. *)
+let build_index (s : t) : state_index =
+  let nodes = ref [] in
+  for nid = s.st_next_node - 1 downto 0 do
+    match Hashtbl.find_opt s.st_nodes nid with
+    | Some n -> nodes := (nid, n) :: !nodes
+    | None -> ()
+  done;
+  let x_in = Array.make s.st_next_node [] in
+  let x_out = Array.make s.st_next_node [] in
+  let edges = ref [] in
+  for eid = s.st_next_edge - 1 downto 0 do
+    match Hashtbl.find_opt s.st_edges eid with
+    | Some e ->
+      edges := e :: !edges;
+      x_in.(e.e_dst) <- e :: x_in.(e.e_dst);
+      x_out.(e.e_src) <- e :: x_out.(e.e_src)
+    | None -> ()
+  done;
+  { x_nodes = !nodes; x_edges = !edges; x_in; x_out }
+
+let index (s : t) : state_index =
+  match s.st_index with
+  | Some x -> x
+  | None ->
+    let x = build_index s in
+    s.st_index <- Some x;
+    x
+
+let nodes (s : t) = (index s).x_nodes
 
 let node_ids (s : t) = List.map fst (nodes s)
 
-let edges (s : t) =
-  Hashtbl.fold (fun _ e acc -> e :: acc) s.st_edges []
-  |> List.sort (fun a b -> Int.compare a.e_id b.e_id)
+let edges (s : t) = (index s).x_edges
 
 let num_nodes (s : t) = Hashtbl.length s.st_nodes
 let num_edges (s : t) = Hashtbl.length s.st_edges
 
-let in_edges (s : t) nid =
-  List.filter (fun e -> e.e_dst = nid) (edges s)
+let adjacent table nid =
+  if nid >= 0 && nid < Array.length table then table.(nid) else []
 
-let out_edges (s : t) nid =
-  List.filter (fun e -> e.e_src = nid) (edges s)
+let in_edges (s : t) nid = adjacent (index s).x_in nid
+
+let out_edges (s : t) nid = adjacent (index s).x_out nid
 
 let in_degree s nid = List.length (in_edges s nid)
 let out_degree s nid = List.length (out_edges s nid)
@@ -153,11 +183,15 @@ let is_scope_exit (s : t) nid =
 
 (* Deterministic topological order: prefer lower node ids. *)
 let compute_topo (s : t) : int list =
-  let indeg = Hashtbl.create 16 in
-  List.iter (fun (nid, _) -> Hashtbl.replace indeg nid (in_degree s nid)) (nodes s);
+  let x = index s in
+  let indeg = Array.map List.length x.x_in in
   let module IS = Set.Make (Int) in
-  let ready = ref IS.empty in
-  Hashtbl.iter (fun nid d -> if d = 0 then ready := IS.add nid !ready) indeg;
+  let ready =
+    ref
+      (List.fold_left
+         (fun acc (nid, _) -> if indeg.(nid) = 0 then IS.add nid acc else acc)
+         IS.empty x.x_nodes)
+  in
   let out = ref [] in
   while not (IS.is_empty !ready) do
     let nid = IS.min_elt !ready in
@@ -165,10 +199,10 @@ let compute_topo (s : t) : int list =
     out := nid :: !out;
     List.iter
       (fun e ->
-        let d = Hashtbl.find indeg e.e_dst - 1 in
-        Hashtbl.replace indeg e.e_dst d;
+        let d = indeg.(e.e_dst) - 1 in
+        indeg.(e.e_dst) <- d;
         if d = 0 then ready := IS.add e.e_dst !ready)
-      (out_edges s nid)
+      x.x_out.(nid)
   done;
   let order = List.rev !out in
   if List.length order <> num_nodes s then

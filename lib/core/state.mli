@@ -4,7 +4,13 @@
 
     States are mutable: transformations are "find and replace" operations
     that edit them in place (§4.1).  Node and edge identifiers are dense
-    integers that are never reused. *)
+    integers that are never reused.
+
+    Node and edge queries answer from an adjacency index built on first
+    use: the id-sorted node and edge lists and, per node, its in- and
+    out-edges in ascending edge id.  Every structural mutation drops it,
+    and a clone builds its own, since the index holds the state's own
+    edge records. *)
 
 type t = Defs.state
 

@@ -333,6 +333,45 @@ let is_parallel_schedule = function
     true
   | Sequential | Fpga_device -> false
 
+(* Does pricing [st] read any of [syms] from the symbol environment?  A
+   state reads its map ranges and consume PE counts, its memlets'
+   subsets, reindex subsets and access counts, the shapes of the
+   containers it touches and every identifier in its tasklet code; a
+   nested SDFG is priced under the whole environment, so a state holding
+   one reads every symbol. *)
+let reads_any g (st : state) syms =
+  let hit name = List.mem name syms in
+  let expr e = List.exists hit (Expr.free_syms e) in
+  let subset sub = List.exists hit (Subset.free_syms sub) in
+  let shape d =
+    match List.assoc_opt d g.g_descs with
+    | Some desc -> List.exists expr (ddesc_shape desc)
+    | None -> false
+  in
+  syms <> []
+  && (List.exists
+        (fun (_, n) ->
+          match n with
+          | Access d -> shape d
+          | Tasklet { t_code = Code code; _ } ->
+            List.exists hit (Tasklang.Ast.reads code)
+            || List.exists hit (Tasklang.Ast.writes code)
+          | Tasklet { t_code = External _; _ } -> false
+          | Map_entry m -> subset m.mp_ranges
+          | Consume_entry c -> expr c.cs_num_pes
+          | Map_exit | Consume_exit | Reduce _ -> false
+          | Nested_sdfg _ -> true)
+        (State.nodes st)
+     || List.exists
+          (fun (e : edge) ->
+            match e.e_memlet with
+            | None -> false
+            | Some m ->
+              subset m.m_subset
+              || Option.fold ~none:false ~some:subset m.m_other
+              || expr m.m_accesses || shape m.m_data)
+          (State.edges st))
+
 (* Analyze one execution of a node at its scope level; returns the acct
    for the node including everything nested below it.  [par_params] are
    the map parameters whose iterations actually run concurrently: for
@@ -690,7 +729,12 @@ and state_visits ctx : (int * (string * int) list list) list =
       (env :: Option.value ~default:[] (Hashtbl.find_opt visits sid))
   in
   let sym_table = Hashtbl.create 8 in
-  List.iter (fun (s, v) -> Hashtbl.replace sym_table s v) ctx.symbols;
+  (* the first binding wins, as in [eval_env]: a nested SDFG's mapped
+     symbols come before the outer ones they shadow *)
+  List.iter
+    (fun (s, v) ->
+      if not (Hashtbl.mem sym_table s) then Hashtbl.replace sym_table s v)
+    ctx.symbols;
   let lookup name = Hashtbl.find_opt sym_table name in
   let snapshot () =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) sym_table []
@@ -739,6 +783,12 @@ and state_visits ctx : (int * (string * int) list list) list =
 
 and sdfg_acct ctx : acct =
   let visits = state_visits ctx in
+  (* sampled environments differ only in what inter-state edges assign *)
+  let loop_syms =
+    List.concat_map
+      (fun (t : istate_edge) -> List.map fst t.is_assign)
+      (Sdfg.transitions ctx.g)
+  in
   List.fold_left
     (fun acc (sid, envs) ->
       let st = Sdfg.state ctx.g sid in
@@ -753,9 +803,16 @@ and sdfg_acct ctx : acct =
         end
       in
       let per =
-        List.fold_left
-          (fun a env -> a ++ state_acct { ctx with symbols = env } st)
-          zero_acct samples
+        match samples with
+        | first :: _ when not (reads_any ctx.g st loop_syms) ->
+          (* every sample prices it the same: price it once and add that
+             value once per sample, the sum the per-sample fold gives *)
+          let a = state_acct { ctx with symbols = first } st in
+          List.fold_left (fun sum _ -> sum ++ a) zero_acct samples
+        | _ ->
+          List.fold_left
+            (fun a env -> a ++ state_acct { ctx with symbols = env } st)
+            zero_acct samples
       in
       acc ++ scale (float_of_int n /. float_of_int (List.length samples)) per)
     zero_acct visits

@@ -19,9 +19,19 @@
       privatizing transformations (AccumulateTransient, ReducePeeling)
       therefore remove them;
     - state-machine visits are counted by walking the transition system
-      on the inter-state symbols, evaluating each state under sampled
-      symbol environments (exact for affine, accurate for triangular
-      loop nests); data-dependent conditions fall back to visit hints.
+      on the inter-state symbols, evaluating each state under up to 32
+      sampled symbol environments (exact for affine, accurate for
+      triangular loop nests); data-dependent conditions fall back to
+      visit hints.  The samples differ only in the symbols inter-state
+      edges assign.  A state reads its map ranges and consume PE
+      counts, its memlets' subsets, reindex subsets and access counts,
+      the shapes of the containers it touches and every identifier in
+      its tasklet code; one holding a nested SDFG reads every symbol.
+      A state that reads none of the assigned symbols prices the same
+      under every sample, so it is priced once and that value is added
+      once per sample: the sum is bit-identical to pricing each
+      sample.  A nested SDFG's symbol map shadows outer symbols of the
+      same name, as it does in the interpreter.
 
     Time is a roofline over the target's peak compute and bandwidth plus
     explicit overheads: OpenMP forks, kernel launches, PCIe copies, FPGA

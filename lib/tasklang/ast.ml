@@ -78,6 +78,10 @@ let writes (code : t) =
 
 (* --- printing (round-trips through the parser) ----------------------- *)
 
+(* The text is part of every serialized graph and so of every hash of
+   one: it is written straight into a buffer, and its bytes must not
+   change. *)
+
 let unop_name = function
   | Neg -> "-" | Not -> "not " | Sqrt -> "sqrt" | Exp -> "exp"
   | Log -> "log" | Abs -> "abs" | Sin -> "sin" | Cos -> "cos"
@@ -89,47 +93,96 @@ let binop_name = function
   | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
   | And -> "and" | Or -> "or"
 
-let rec pp_expr ppf = function
+let add_list b add sep = function
+  | [] -> ()
+  | x :: rest ->
+    add b x;
+    List.iter
+      (fun x ->
+        Buffer.add_string b sep;
+        add b x)
+      rest
+
+let rec add_expr b = function
   | Float_lit x ->
-    if Float.is_integer x && Float.abs x < 1e15 then Fmt.pf ppf "%.1f" x
-    else Fmt.pf ppf "%.17g" x
-  | Int_lit n -> Fmt.int ppf n
-  | Bool_lit b -> Fmt.string ppf (if b then "true" else "false")
-  | Var x -> Fmt.string ppf x
-  | Index (x, es) ->
-    Fmt.pf ppf "%s[%a]" x Fmt.(list ~sep:(any ", ") pp_expr) es
-  | Unop (Neg, Float_lit x) -> pp_expr ppf (Float_lit (-.x))
-  | Unop (Neg, Int_lit n) -> pp_expr ppf (Int_lit (-n))
-  | Unop (Neg, Unop (Neg, e)) -> pp_expr ppf e
-  | Unop (op, e) -> (
-    match op with
-    | Neg -> Fmt.pf ppf "(-%a)" pp_expr e
-    | Not -> Fmt.pf ppf "(not %a)" pp_expr e
-    | _ -> Fmt.pf ppf "%s(%a)" (unop_name op) pp_expr e)
-  | Binop ((Min | Max) as op, a, b) ->
-    Fmt.pf ppf "%s(%a, %a)" (binop_name op) pp_expr a pp_expr b
-  | Binop (op, a, b) ->
-    Fmt.pf ppf "(%a %s %a)" pp_expr a (binop_name op) pp_expr b
+    Buffer.add_string b
+      (if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+       else Printf.sprintf "%.17g" x)
+  | Int_lit n -> Buffer.add_string b (string_of_int n)
+  | Bool_lit v -> Buffer.add_string b (if v then "true" else "false")
+  | Var x -> Buffer.add_string b x
+  | Index (x, es) -> add_index b x es
+  | Unop (Neg, Float_lit x) -> add_expr b (Float_lit (-.x))
+  | Unop (Neg, Int_lit n) -> add_expr b (Int_lit (-n))
+  | Unop (Neg, Unop (Neg, e)) -> add_expr b e
+  | Unop (op, e) ->
+    Buffer.add_string b
+      (match op with Neg -> "(-" | Not -> "(not " | _ -> unop_name op ^ "(");
+    add_expr b e;
+    Buffer.add_char b ')'
+  | Binop ((Min | Max) as op, x, y) ->
+    Buffer.add_string b (binop_name op);
+    Buffer.add_char b '(';
+    add_expr b x;
+    Buffer.add_string b ", ";
+    add_expr b y;
+    Buffer.add_char b ')'
+  | Binop (op, x, y) ->
+    Buffer.add_char b '(';
+    add_expr b x;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (binop_name op);
+    Buffer.add_char b ' ';
+    add_expr b y;
+    Buffer.add_char b ')'
   | Cond (c, t, f) ->
-    Fmt.pf ppf "(%a if %a else %a)" pp_expr t pp_expr c pp_expr f
+    Buffer.add_char b '(';
+    add_expr b t;
+    Buffer.add_string b " if ";
+    add_expr b c;
+    Buffer.add_string b " else ";
+    add_expr b f;
+    Buffer.add_char b ')'
 
-let pp_lhs ppf = function
-  | Lvar x -> Fmt.string ppf x
-  | Lindex (x, es) ->
-    Fmt.pf ppf "%s[%a]" x Fmt.(list ~sep:(any ", ") pp_expr) es
+and add_index b x es =
+  Buffer.add_string b x;
+  Buffer.add_char b '[';
+  add_list b add_expr ", " es;
+  Buffer.add_char b ']'
 
-let rec pp_stmt ppf = function
-  | Assign (lhs, e) -> Fmt.pf ppf "%a = %a" pp_lhs lhs pp_expr e
-  | If (c, t, []) ->
-    Fmt.pf ppf "if %a { %a }" pp_expr c
-      Fmt.(list ~sep:(any "; ") pp_stmt) t
+let rec add_stmt b = function
+  | Assign (lhs, e) ->
+    (match lhs with
+    | Lvar x -> Buffer.add_string b x
+    | Lindex (x, es) -> add_index b x es);
+    Buffer.add_string b " = ";
+    add_expr b e
   | If (c, t, f) ->
-    Fmt.pf ppf "if %a { %a } else { %a }" pp_expr c
-      Fmt.(list ~sep:(any "; ") pp_stmt) t
-      Fmt.(list ~sep:(any "; ") pp_stmt) f
+    Buffer.add_string b "if ";
+    add_expr b c;
+    add_block b t;
+    (match f with
+    | [] -> ()
+    | _ ->
+      Buffer.add_string b " else";
+      add_block b f)
   | For (v, lo, hi, body) ->
-    Fmt.pf ppf "for %s in %a:%a { %a }" v pp_expr lo pp_expr hi
-      Fmt.(list ~sep:(any "; ") pp_stmt) body
+    Buffer.add_string b "for ";
+    Buffer.add_string b v;
+    Buffer.add_string b " in ";
+    add_expr b lo;
+    Buffer.add_char b ':';
+    add_expr b hi;
+    add_block b body
 
-let pp ppf (code : t) = Fmt.(list ~sep:(any "; ") pp_stmt) ppf code
-let to_string code = Fmt.str "%a" pp code
+and add_block b stmts =
+  Buffer.add_string b " { ";
+  add_list b add_stmt "; " stmts;
+  Buffer.add_string b " }"
+
+let to_string (code : t) =
+  let b = Buffer.create 64 in
+  add_list b add_stmt "; " code;
+  Buffer.contents b
+
+let pp ppf (code : t) = Format.pp_print_string ppf (to_string code)

@@ -198,6 +198,138 @@ let test_clone_independence () =
   Alcotest.(check int) "original intact" n
     (State.num_nodes (Sdfg.start_state g))
 
+(* --- the adjacency index answers as a fold over the tables does --------- *)
+
+(* Reference answers, recomputed from the node and edge tables on every
+   call. *)
+let ref_nodes (s : Defs.state) =
+  Hashtbl.fold (fun nid n acc -> (nid, n) :: acc) s.st_nodes []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let ref_edges (s : Defs.state) =
+  Hashtbl.fold (fun _ e acc -> e :: acc) s.st_edges []
+  |> List.sort (fun (a : Defs.edge) b -> Int.compare a.e_id b.e_id)
+
+let ref_in s nid = List.filter (fun (e : Defs.edge) -> e.e_dst = nid) (ref_edges s)
+let ref_out s nid = List.filter (fun (e : Defs.edge) -> e.e_src = nid) (ref_edges s)
+
+(* lowest ready id first: a node is ready once all its sources are out *)
+let ref_topo s =
+  let rec go out left =
+    let ready =
+      List.filter
+        (fun n ->
+          List.for_all (fun (e : Defs.edge) -> List.mem e.e_src out) (ref_in s n))
+        left
+    in
+    match ready with
+    | [] -> List.rev out
+    | r :: rs ->
+      let n = List.fold_left min r rs in
+      go (n :: out) (List.filter (fun m -> m <> n) left)
+  in
+  go [] (List.map fst (ref_nodes s))
+
+(* Same records, in the same order: the index must hand out this state's
+   own edges and the current node payloads. *)
+let same_records what a b =
+  if not (List.length a = List.length b && List.for_all2 ( == ) a b) then
+    Alcotest.failf "%s: the index disagrees with the tables" what
+
+let check_queries what (s : Defs.state) =
+  let nodes = State.nodes s and want = ref_nodes s in
+  Alcotest.(check (list int)) (what ^ ": node ids") (List.map fst want)
+    (List.map fst nodes);
+  same_records (what ^ ": node payloads") (List.map snd want)
+    (List.map snd nodes);
+  same_records (what ^ ": edges") (ref_edges s) (State.edges s);
+  for nid = -1 to s.st_next_node do
+    let at q = Printf.sprintf "%s: %s %d" what q nid in
+    same_records (at "in_edges") (ref_in s nid) (State.in_edges s nid);
+    same_records (at "out_edges") (ref_out s nid) (State.out_edges s nid);
+    Alcotest.(check int) (at "in_degree") (List.length (ref_in s nid))
+      (State.in_degree s nid);
+    Alcotest.(check int) (at "out_degree") (List.length (ref_out s nid))
+      (State.out_degree s nid);
+    Alcotest.(check (list int)) (at "predecessors")
+      (List.sort_uniq compare
+         (List.map (fun (e : Defs.edge) -> e.e_src) (ref_in s nid)))
+      (State.predecessors s nid);
+    Alcotest.(check (list int)) (at "successors")
+      (List.sort_uniq compare
+         (List.map (fun (e : Defs.edge) -> e.e_dst) (ref_out s nid)))
+      (State.successors s nid)
+  done;
+  Alcotest.(check (list int)) (what ^ ": topological order") (ref_topo s)
+    (State.topological_order s)
+
+(* One seeded random edit: edges run from lower to higher ids, so the
+   graph stays acyclic; node payloads are fresh on every replacement. *)
+let random_edit rng (s : Defs.state) fresh =
+  let module R = Fuzz.Rand in
+  let node_ids = List.map fst (ref_nodes s) in
+  let edge_ids = List.map (fun (e : Defs.edge) -> e.e_id) (ref_edges s) in
+  let access () = incr fresh; Defs.Access (Printf.sprintf "A%d" !fresh) in
+  let pair () =
+    let a = R.choose rng node_ids and b = R.choose rng node_ids in
+    (min a b, max a b)
+  in
+  match R.int rng 10 with
+  | 0 | 1 | 2 -> ignore (State.add_node s (access ()))
+  | 3 | 4 | 5 when List.length node_ids >= 2 ->
+    let src, dst = pair () in
+    if src <> dst then ignore (State.add_edge s ~src ~dst ())
+  | 6 when edge_ids <> [] -> State.remove_edge s (R.choose rng edge_ids)
+  | 7 when node_ids <> [] -> State.remove_node s (R.choose rng node_ids)
+  | 8 when node_ids <> [] ->
+    State.replace_node s (R.choose rng node_ids) (access ())
+  | 9 when List.length node_ids >= 2 ->
+    let entry, exit_ = pair () in
+    if entry <> exit_ then State.set_scope s ~entry ~exit_
+  | _ -> ()
+
+let test_index_matches_tables () =
+  for seed = 0 to 99 do
+    let rng = Fuzz.Rand.create seed and fresh = ref 0 in
+    let s = State.create seed in
+    for step = 1 to 40 do
+      random_edit rng s fresh;
+      check_queries (Printf.sprintf "seed %d step %d" seed step) s
+    done
+  done
+
+let test_index_clone_independence () =
+  let memlet = Memlet.element "A" [ E.zero ] in
+  for seed = 0 to 19 do
+    let rng = Fuzz.Rand.create seed and fresh = ref 0 in
+    let s = State.create seed in
+    for _ = 1 to 30 do random_edit rng s fresh done;
+    (* both indexes are built before either side is edited *)
+    check_queries "original" s;
+    let c = State.clone s () in
+    check_queries "clone" c;
+    let memlets (st : Defs.state) =
+      List.map (fun (e : Defs.edge) -> e.e_memlet) (ref_edges st)
+    in
+    (* edit [a]; [b] must answer and hold memlets as before *)
+    let edit_leaves_alone what (a : Defs.state) (b : Defs.state) =
+      match State.edges a, List.rev (State.edges a) with
+      | first :: _, last :: _ ->
+        let before = memlets b and edges_before = ref_edges b in
+        first.e_memlet <- Some memlet;
+        State.remove_edge a last.e_id;
+        check_queries (what ^ " edited") a;
+        check_queries (what ^ "'s twin") b;
+        same_records (what ^ ": twin's edges") edges_before (ref_edges b);
+        if not (List.for_all2 ( == ) before (memlets b)) then
+          Alcotest.failf "seed %d: editing the %s moved its twin's memlets"
+            seed what
+      | _ -> ()
+    in
+    edit_leaves_alone "clone" c s;
+    edit_leaves_alone "original" s c
+  done
+
 let test_wcr_semantics () =
   let check_id wcr dt expect =
     match Wcr.identity wcr dt with
@@ -234,5 +366,7 @@ let suite =
     ("Graphviz text is pinned", `Quick, test_dot_golden);
     ("Graphviz labels are escaped", `Quick, test_dot_escape);
     ("clone independence", `Quick, test_clone_independence);
+    ("edge queries answer from the index", `Quick, test_index_matches_tables);
+    ("a clone's index is its own", `Quick, test_index_clone_independence);
     ("WCR semantics", `Quick, test_wcr_semantics) ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_wcr_commutes ]

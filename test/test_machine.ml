@@ -3,8 +3,11 @@
    reduces time, offloading adds copies, peeling removes atomics. *)
 
 module E = Symbolic.Expr
+module S = Symbolic.Subset
 module Cost = Machine.Cost
 module Spec = Machine.Spec
+open Sdfg_ir
+open Builder
 
 let spec = Spec.paper_testbed
 let mm_sizes = [ ("M", 1024); ("N", 1024); ("K", 1024) ]
@@ -147,6 +150,149 @@ let test_report_consistency () =
     (r.Cost.r_time_s >= Float.max r.Cost.r_compute_s r.Cost.r_memory_s);
   Alcotest.(check bool) "positive flops" true (r.Cost.r_flops > 0.)
 
+(* --- symbols a state reads --------------------------------------------- *)
+
+(* An inner SDFG whose one map runs [0 : sym - 1] at one flop per
+   iteration, writing its array [x]. *)
+let counting_sdfg sym =
+  let g = Sdfg.create ~symbols:[ sym ] "count" in
+  let m = E.sym sym in
+  Sdfg.add_array g "x" ~shape:[ m ] ~dtype:Tasklang.Types.F64;
+  let st = Sdfg.add_state g () in
+  ignore
+    (Build.mapped_tasklet g st ~name:"tick" ~params:[ "i" ]
+       ~ranges:[ S.range E.zero (E.sub m E.one) ]
+       ~ins:[] ~outs:[ Build.out_elem "o" "x" [ E.sym "i" ] ]
+       ~code:(`Src "o = 1.0 + 1.0") ());
+  g
+
+(* A state that holds [counting_sdfg sym] with [sym := e] and writes
+   [Y]. *)
+let invoke_counting st sym e =
+  let nest =
+    Build.nested st ~sdfg:(counting_sdfg sym) ~inputs:[] ~outputs:[ "x" ]
+      ~symbol_map:[ (sym, e) ] ()
+  in
+  Build.edge st ~src_conn:"x"
+    ~memlet:(Memlet.full "Y" [ E.sym "N" ])
+    ~src:nest ~dst:(Build.access st "Y") ()
+
+let test_nested_symbol_map_wins () =
+  (* the mapped N := N / 2 shadows the outer N, as in the interpreter *)
+  let g, st = Build.single_state ~symbols:[ "N" ] "outer" in
+  Sdfg.add_array g "Y" ~shape:[ E.sym "N" ] ~dtype:Tasklang.Types.F64;
+  invoke_counting st "N" (E.div (E.sym "N") (E.int 2));
+  let flops = (est ~symbols:[ ("N", 1000) ] g).Cost.r_flops in
+  let alone = (est ~symbols:[ ("N", 500) ] (counting_sdfg "N")).Cost.r_flops in
+  Alcotest.(check (float 0.)) "inner priced at N = 500" 500. flops;
+  Alcotest.(check (float 0.)) "as the inner SDFG alone" alone flops
+
+(* A loop [t = 0 .. T - 1] around a body state built by [body].  The
+   loop symbol [t] appears in the body only where [body] puts it. *)
+let loop_over_t body =
+  let g = Sdfg.create ~symbols:[ "N"; "T" ] "loop" in
+  Sdfg.add_array g "Y" ~shape:[ E.sym "N" ] ~dtype:Tasklang.Types.F64;
+  let init = Sdfg.add_state g ~label:"init" () in
+  let st = Sdfg.add_state g ~label:"body" () in
+  body g st;
+  let t = E.sym "t" in
+  ignore
+    (Sdfg.add_transition g ~src:(State.id init) ~dst:(State.id st)
+       ~assign:[ ("t", E.zero) ] ());
+  ignore
+    (Sdfg.add_transition g ~src:(State.id st) ~dst:(State.id st)
+       ~cond:(Bexp.lt (E.add t E.one) (E.sym "T"))
+       ~assign:[ ("t", E.add t E.one) ] ());
+  g
+
+let loop_report t_trips body =
+  est ~symbols:[ ("N", 64); ("T", t_trips) ] (loop_over_t body)
+
+(* What each body below costs depends on [t].  Priced at one sample
+   only, every visit would cost what the last visit does: the samples
+   start from it. *)
+
+let test_reads_tasklet_for_bound () =
+  let r =
+    loop_report 20 (fun g st ->
+        ignore
+          (Build.simple_tasklet g st ~name:"count_to_t" ~ins:[]
+             ~outs:[ Build.out_elem "o" "Y" [ E.zero ] ]
+             ~code:(`Src "o = 0.0\nfor k in 0:t { o = o + 1.0 }") ()))
+  in
+  (* 0 + 1 + ... + 19 *)
+  Alcotest.(check (float 0.)) "flops summed over t" 190. r.Cost.r_flops
+
+let test_reads_transient_shape () =
+  let r =
+    loop_report 1024 (fun g st ->
+        (* 8 (t + 1) bytes: cache-resident up to t = 511 *)
+        Sdfg.add_array g "tmp" ~transient:true
+          ~shape:[ E.add (E.sym "t") E.one ] ~dtype:Tasklang.Types.F64;
+        ignore
+          (Build.simple_tasklet g st ~name:"touch_tmp" ~ins:[]
+             ~outs:[ Build.out_elem "o" "tmp" [ E.zero ] ]
+             ~code:(`Src "o = 1.0") ()))
+  in
+  (* 32 samples of the 1,024 visits, 16 of them past t = 511, each 8
+     bytes, scaled by 32 *)
+  Alcotest.(check (float 0.)) "bytes once the transient spills" 4096.
+    r.Cost.r_bytes
+
+let test_reads_nested_symbol_map () =
+  let r =
+    loop_report 20 (fun _ st -> invoke_counting st "M" (E.sym "t"))
+  in
+  Alcotest.(check (float 0.)) "inner flops summed over t" 190. r.Cost.r_flops
+
+(* --- the model's numbers, pinned ---------------------------------------- *)
+
+(* One line per program, size and target: [%h] of the time, flops and
+   bytes, so any change to what the model computes shows as a diff. *)
+let estimate_line name ~opts ~symbols g =
+  List.map
+    (fun (tname, target) ->
+      match Cost.estimate ~opts ~spec ~target ~symbols g with
+      | r ->
+        Printf.sprintf "%s %s: time %h flops %h bytes %h\n" name tname
+          r.Cost.r_time_s r.Cost.r_flops r.Cost.r_bytes
+      | exception Cost.Cost_error msg ->
+        Printf.sprintf "%s %s: error %s\n" name tname msg)
+    [ ("cpu", Cost.Tcpu); ("gpu", Cost.Tgpu); ("fpga", Cost.Tfpga) ]
+  |> String.concat ""
+
+let test_estimates_golden () =
+  let polybench =
+    List.concat_map
+      (fun (k : Workloads.Polybench.kernel) ->
+        List.map
+          (fun (size, symbols) ->
+            estimate_line
+              (k.k_name ^ " " ^ size)
+              ~opts:{ Cost.default_options with hints = k.k_hints symbols }
+              ~symbols (k.k_build ()))
+          [ ("large", k.k_large); ("mini", k.k_mini) ])
+      Workloads.Polybench.all
+  in
+  let scenarios =
+    [ estimate_line "cfd-batched"
+        ~opts:{ Cost.default_options with hints = Workloads.Cfd.hints }
+        ~symbols:Workloads.Cfd.paper (Workloads.Cfd.batched ());
+      estimate_line "attention"
+        ~opts:{ Cost.default_options with hints = Workloads.Attention.hints }
+        ~symbols:Workloads.Attention.attention_paper
+        (Workloads.Attention.base ()) ]
+  in
+  let fuzz =
+    List.init 500 (fun seed ->
+        let g = Fuzz.Gen.generate seed in
+        estimate_line
+          (Printf.sprintf "fuzz %d" seed)
+          ~opts:Cost.default_options ~symbols:(Fuzz.Gen.symbols_for g) g)
+  in
+  Test_report.check_golden "cost.estimates.golden"
+    (String.concat "" (polybench @ scenarios @ fuzz))
+
 let suite =
   [ ("parallel < sequential", `Quick, test_parallel_faster_than_sequential);
     ("tiling cuts DRAM traffic", `Quick, test_tiling_reduces_traffic);
@@ -159,4 +305,12 @@ let suite =
       test_indirection_classified_random);
     ("FPGA pipelining vs naive HLS", `Quick, test_fpga_pipelining);
     ("baseline compiler ordering", `Quick, test_baseline_ordering);
-    ("report consistency", `Quick, test_report_consistency) ]
+    ("report consistency", `Quick, test_report_consistency);
+    ("nested symbol map shadows the outer symbol", `Quick,
+      test_nested_symbol_map_wins);
+    ("loop symbol in a tasklet for bound", `Quick,
+      test_reads_tasklet_for_bound);
+    ("loop symbol in a transient shape", `Quick, test_reads_transient_shape);
+    ("loop symbol in a nested symbol map", `Quick,
+      test_reads_nested_symbol_map);
+    ("estimates are pinned", `Quick, test_estimates_golden) ]

@@ -141,6 +141,98 @@ let test_roundtrip () =
       Alcotest.(check (float 1e-12)) "roundtrip value" v1 v2)
     [ -3.; 0.; 2.5 ]
 
+(* The oracle: the Format printer [Ast.to_string] replaced, whose bytes
+   the serialized text and every hash of it are taken of. *)
+let rec oracle_expr ppf (e : Ast.expr) =
+  match e with
+  | Float_lit x ->
+    if Float.is_integer x && Float.abs x < 1e15 then Fmt.pf ppf "%.1f" x
+    else Fmt.pf ppf "%.17g" x
+  | Int_lit n -> Fmt.int ppf n
+  | Bool_lit b -> Fmt.string ppf (if b then "true" else "false")
+  | Var x -> Fmt.string ppf x
+  | Index (x, es) ->
+    Fmt.pf ppf "%s[%a]" x Fmt.(list ~sep:(any ", ") oracle_expr) es
+  | Unop (Neg, Float_lit x) -> oracle_expr ppf (Float_lit (-.x))
+  | Unop (Neg, Int_lit n) -> oracle_expr ppf (Int_lit (-n))
+  | Unop (Neg, Unop (Neg, e)) -> oracle_expr ppf e
+  | Unop (Neg, e) -> Fmt.pf ppf "(-%a)" oracle_expr e
+  | Unop (Not, e) -> Fmt.pf ppf "(not %a)" oracle_expr e
+  | Unop (op, e) -> Fmt.pf ppf "%s(%a)" (Ast.unop_name op) oracle_expr e
+  | Binop ((Min | Max) as op, a, b) ->
+    Fmt.pf ppf "%s(%a, %a)" (Ast.binop_name op) oracle_expr a oracle_expr b
+  | Binop (op, a, b) ->
+    Fmt.pf ppf "(%a %s %a)" oracle_expr a (Ast.binop_name op) oracle_expr b
+  | Cond (c, t, f) ->
+    Fmt.pf ppf "(%a if %a else %a)" oracle_expr t oracle_expr c oracle_expr f
+
+let rec oracle_stmt ppf (s : Ast.stmt) =
+  let block = Fmt.(list ~sep:(any "; ") oracle_stmt) in
+  match s with
+  | Assign (Lvar x, e) -> Fmt.pf ppf "%s = %a" x oracle_expr e
+  | Assign (Lindex (x, es), e) ->
+    Fmt.pf ppf "%s[%a] = %a" x Fmt.(list ~sep:(any ", ") oracle_expr) es
+      oracle_expr e
+  | If (c, t, []) -> Fmt.pf ppf "if %a { %a }" oracle_expr c block t
+  | If (c, t, f) ->
+    Fmt.pf ppf "if %a { %a } else { %a }" oracle_expr c block t block f
+  | For (v, lo, hi, body) ->
+    Fmt.pf ppf "for %s in %a:%a { %a }" v oracle_expr lo oracle_expr hi block
+      body
+
+let oracle code = Fmt.str "%a" Fmt.(list ~sep:(any "; ") oracle_stmt) code
+
+(* Random programs over every constructor, with literals at the edges of
+   the two float formats. *)
+let random_code rng =
+  let int n = Random.State.int rng n in
+  let pick l = List.nth l (int (List.length l)) in
+  let float () =
+    pick [ 0.; -0.; 1.; -2.5; 0.1; 1e15; -1e15; 1e-300; 123456789.125;
+           Float.of_int (int 1000) /. 7.; Float.infinity; Float.nan ]
+  in
+  let rec expr d : Ast.expr =
+    match if d = 0 then int 4 else int 9 with
+    | 0 -> Float_lit (float ())
+    | 1 -> Int_lit (int 200 - 100)
+    | 2 -> Bool_lit (int 2 = 0)
+    | 3 -> Var (pick [ "a"; "b"; "t" ])
+    | 4 -> Index ("x", List.init (int 3) (fun _ -> expr (d - 1)))
+    | 5 ->
+      Unop (pick Ast.[ Neg; Not; Sqrt; Exp; Log; Abs; Sin; Cos; Floor ], expr (d - 1))
+    | 6 ->
+      Unop
+        ( Neg,
+          pick
+            Ast.[ Float_lit (float ()); Int_lit (int 9); Unop (Neg, expr (d - 1)) ]
+        )
+    | 7 ->
+      Binop
+        ( pick Ast.[ Add; Sub; Mul; Div; Mod; Pow; Min; Max; Lt; Le; Gt; Ge; Eq;
+                 Ne; And; Or ],
+          expr (d - 1), expr (d - 1) )
+    | _ -> Cond (expr (d - 1), expr (d - 1), expr (d - 1))
+  in
+  let rec stmt d : Ast.stmt =
+    let block () = List.init (int 3) (fun _ -> stmt (d - 1)) in
+    match if d = 0 then int 2 else int 4 with
+    | 0 -> Assign (Lvar "o", expr 3)
+    | 1 -> Assign (Lindex ("y", List.init (1 + int 2) (fun _ -> expr 1)), expr 3)
+    | 2 -> If (expr 2, block (), if int 2 = 0 then [] else block ())
+    | _ -> For ("k", expr 1, expr 1, block ())
+  in
+  List.init (int 4) (fun _ -> stmt 2)
+
+let test_printer_matches_format () =
+  let rng = Random.State.make [| 26 |] in
+  for i = 1 to 2000 do
+    let code = random_code rng in
+    let want = oracle code and got = Ast.to_string code in
+    if not (String.equal want got) then
+      Alcotest.failf "program %d: Format printed@.%s@.and the printer@.%s" i
+        want got
+  done
+
 let suite =
   [ ("arithmetic", `Quick, test_arith);
     ("intrinsics", `Quick, test_intrinsics);
@@ -151,4 +243,5 @@ let suite =
     ("reads/writes analysis", `Quick, test_reads_writes);
     ("type inference", `Quick, test_typecheck);
     ("C emission", `Quick, test_emit_c);
-    ("print/parse roundtrip", `Quick, test_roundtrip) ]
+    ("print/parse roundtrip", `Quick, test_roundtrip);
+    ("printer matches Format", `Quick, test_printer_matches_format) ]
