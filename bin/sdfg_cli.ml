@@ -14,50 +14,83 @@
 open Cmdliner
 module Cost = Machine.Cost
 
-let builders : (string * (unit -> Sdfg_ir.Sdfg.t)) list =
+(* Every program the CLI knows, one row each: its builder, the sizes
+   [run], [profile] and [analyze-races --predict] execute it at ([None]
+   for a program that is only modeled) and the sizes [estimate] prices
+   it at.  Polybench kernels run at mini and are priced at large sizes;
+   the engine workloads run at small bench sizes. *)
+type program = {
+  p_name : string;
+  p_build : unit -> Sdfg_ir.Sdfg.t;
+  p_run : (string * int) list option;
+  p_model : (string * int) list;
+}
+
+let programs =
+  let row ?run p_name p_build p_model =
+    { p_name; p_build; p_run = run; p_model }
+  in
+  let mm = [ ("M", 1024); ("N", 1024); ("K", 1024) ] in
+  let n4m = [ ("N", 1 lsl 22) ] in
+  let cfd_run = [ ("NEL", 64); ("NP", 8); ("NDOF", 448) ] in
+  let attention_run = [ ("M", 64); ("N", 64); ("D", 32) ] in
+  (* index-carrying extents stay >= 11 so Profile.make_args' synthetic
+     mod-11 index values are in bounds *)
+  let conv_run = [ ("P", 128); ("Q", 8); ("F", 16); ("PAD", 135) ] in
   List.map
-    (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_build))
+    (fun (k : Workloads.Polybench.kernel) ->
+      row k.k_name k.k_build ~run:k.k_mini k.k_large)
     Workloads.Polybench.all
-  @ [ ("mm", Workloads.Kernels.matmul);
-      ("mm-mapreduce", Workloads.Kernels.matmul_mapreduce);
-      ("histogram", Workloads.Kernels.histogram);
-      ("query", Workloads.Kernels.query);
-      ("spmv", Workloads.Kernels.spmv);
-      ("bfs", Workloads.Graphs.bfs);
-      ("sse-batched", Workloads.Sse.batched);
-      ("sse-naive", Workloads.Sse.naive);
-      ("cfd-batched", Workloads.Cfd.batched);
-      ("cfd-naive", Workloads.Cfd.naive);
-      ("attention", Workloads.Attention.base);
-      ("attention-tiled", Workloads.Attention.tiled);
-      ("conv-im2col", Workloads.Attention.conv_im2col);
-      ("conv-direct", Workloads.Attention.conv_direct) ]
+  @ [ row "mm" Workloads.Kernels.matmul mm;
+      row "mm-mapreduce" Workloads.Kernels.matmul_mapreduce mm;
+      row "matmul" Workloads.Kernels.matmul
+        ~run:[ ("M", 64); ("N", 64); ("K", 64) ] mm;
+      row "jacobi" Workloads.Kernels.jacobi ~run:[ ("N", 64); ("T", 10) ]
+        (Workloads.Polybench.find "jacobi-2d").k_large;
+      row "histogram" Workloads.Kernels.histogram
+        ~run:[ ("H", 256); ("W", 256) ] [ ("H", 8192); ("W", 8192) ];
+      row "copy" Workloads.Kernels.copy ~run:[ ("N", 65536) ] n4m;
+      row "eadd" Workloads.Kernels.eadd ~run:[ ("N", 65536) ] n4m;
+      row "axpy" Workloads.Kernels.axpy ~run:[ ("N", 65536) ] n4m;
+      row "query" Workloads.Kernels.query [ ("N", 1 lsl 26) ];
+      row "spmv" Workloads.Kernels.spmv
+        [ ("H", 8192); ("W", 8192); ("nnz", 1 lsl 25) ];
+      row "bfs" Workloads.Graphs.bfs
+        [ ("V", 1 lsl 20); ("Efull", 1 lsl 22); ("fsz", 4096) ];
+      row "sse-batched" Workloads.Sse.batched Workloads.Sse.paper;
+      row "sse-naive" Workloads.Sse.naive Workloads.Sse.paper;
+      row "cfd-batched" Workloads.Cfd.batched ~run:cfd_run Workloads.Cfd.paper;
+      row "cfd-naive" Workloads.Cfd.naive ~run:cfd_run Workloads.Cfd.paper;
+      row "attention" Workloads.Attention.base ~run:attention_run
+        Workloads.Attention.attention_paper;
+      row "attention-tiled" Workloads.Attention.tiled ~run:attention_run
+        Workloads.Attention.attention_paper;
+      row "conv-im2col" Workloads.Attention.conv_im2col ~run:conv_run
+        Workloads.Attention.conv_paper;
+      row "conv-direct" Workloads.Attention.conv_direct ~run:conv_run
+        Workloads.Attention.conv_paper ]
 
-let sizes_for name =
-  match
-    List.find_opt
-      (fun (k : Workloads.Polybench.kernel) -> String.equal k.k_name name)
-      Workloads.Polybench.all
-  with
-  | Some k -> k.k_large
-  | None -> (
-    match name with
-    | "mm" | "mm-mapreduce" -> [ ("M", 1024); ("N", 1024); ("K", 1024) ]
-    | "histogram" -> [ ("H", 8192); ("W", 8192) ]
-    | "query" -> [ ("N", 1 lsl 26) ]
-    | "spmv" -> [ ("H", 8192); ("W", 8192); ("nnz", 1 lsl 25) ]
-    | "bfs" -> [ ("V", 1 lsl 20); ("Efull", 1 lsl 22); ("fsz", 4096) ]
-    | "sse-batched" | "sse-naive" -> Workloads.Sse.paper
-    | "cfd-batched" | "cfd-naive" -> Workloads.Cfd.paper
-    | "attention" | "attention-tiled" -> Workloads.Attention.attention_paper
-    | "conv-im2col" | "conv-direct" -> Workloads.Attention.conv_paper
-    | _ -> [])
-
-let build name =
-  match List.assoc_opt name builders with
-  | Some b -> b ()
+let find name =
+  match List.find_opt (fun p -> String.equal p.p_name name) programs with
+  | Some p -> p
   | None ->
     Fmt.epr "unknown program %S; try 'sdfg list'@." name;
+    exit 1
+
+let build name = (find name).p_build ()
+
+(* [name]'s graph and run sizes, or exit naming the programs that have
+   run sizes. *)
+let runnable cmd name =
+  let p = find name in
+  match p.p_run with
+  | Some symbols -> (p.p_build (), symbols)
+  | None ->
+    Fmt.epr "%s: %S is only modeled; programs with run sizes: %s@." cmd name
+      (String.concat ", "
+         (List.filter_map
+            (fun p -> Option.map (fun _ -> p.p_name) p.p_run)
+            programs));
     exit 1
 
 let or_die = function
@@ -82,7 +115,11 @@ let target_arg =
 let list_cmd =
   let run () =
     Fmt.pr "programs:@.";
-    List.iter (fun (n, _) -> Fmt.pr "  %s@." n) builders;
+    List.iter
+      (fun p ->
+        Fmt.pr "  %s%s@." p.p_name
+          (if p.p_run = None then "  (model only)" else ""))
+      programs;
     Fmt.pr "@.transformations (Appendix B):@.";
     Transform.Std.register_all ();
     List.iter
@@ -193,7 +230,7 @@ let estimate_cmd =
              Transform.Device_xforms.fpga_transform);
         (Cost.Tfpga, "FPGA (XCVU9P)")
     in
-    let symbols = sizes_for name in
+    let symbols = (find name).p_model in
     Fmt.pr "sizes: %s@."
       (String.concat ", "
          (List.map (fun (s, v) -> Fmt.str "%s=%d" s v) symbols));
@@ -251,43 +288,6 @@ let exec_config ?instrument ~engine ~domains ~no_kernels () =
     Fmt.epr "error: %s@." (error_message e);
     exit 1
 
-(* Programs runnable/profilable by name: every Polybench kernel at mini
-   size, plus the §6.1 engine workloads and the engine-v2 micro-workloads
-   (copy / eadd / axpy) at small bench sizes. *)
-let kernel_programs =
-  [ ("matmul", Workloads.Kernels.matmul,
-     [ ("M", 64); ("N", 64); ("K", 64) ]);
-    ("jacobi", Workloads.Kernels.jacobi, [ ("N", 64); ("T", 10) ]);
-    ("histogram", Workloads.Kernels.histogram, [ ("H", 256); ("W", 256) ]);
-    ("copy", Workloads.Kernels.copy, [ ("N", 65536) ]);
-    ("eadd", Workloads.Kernels.eadd, [ ("N", 65536) ]);
-    ("axpy", Workloads.Kernels.axpy, [ ("N", 65536) ]);
-    (* scenario workloads; index-carrying extents stay >= 11 so
-       Profile.make_args' synthetic mod-11 index values are in bounds *)
-    ("cfd-batched", Workloads.Cfd.batched,
-     [ ("NEL", 64); ("NP", 8); ("NDOF", 448) ]);
-    ("cfd-naive", Workloads.Cfd.naive,
-     [ ("NEL", 64); ("NP", 8); ("NDOF", 448) ]);
-    ("attention", Workloads.Attention.base,
-     [ ("M", 64); ("N", 64); ("D", 32) ]);
-    ("attention-tiled", Workloads.Attention.tiled,
-     [ ("M", 64); ("N", 64); ("D", 32) ]);
-    ("conv-im2col", Workloads.Attention.conv_im2col,
-     [ ("P", 128); ("Q", 8); ("F", 16); ("PAD", 135) ]);
-    ("conv-direct", Workloads.Attention.conv_direct,
-     [ ("P", 128); ("Q", 8); ("F", 16); ("PAD", 135) ]) ]
-
-let find_program name =
-  match
-    List.find_opt
-      (fun (k : Workloads.Polybench.kernel) -> String.equal k.k_name name)
-      Workloads.Polybench.all
-  with
-  | Some k -> Some (k.Workloads.Polybench.k_build, k.k_mini)
-  | None ->
-    List.find_opt (fun (n, _, _) -> String.equal n name) kernel_programs
-    |> Option.map (fun (_, build, symbols) -> (build, symbols))
-
 let analyze_races_cmd =
   let predict_arg =
     Arg.(value & flag
@@ -309,41 +309,33 @@ let analyze_races_cmd =
     let reports = Analysis.Races.analyze g in
     Fmt.pr "%a@." Analysis.Races.pp_table reports;
     if predict then begin
-      match find_program name with
-      | None ->
-        Fmt.epr
-          "--predict needs a runnable program (Polybench mini sizes or an \
-           engine workload); %S is analyze-only@."
-          name;
-        exit 1
-      | Some (build, symbols) ->
-        let g = build () in
-        let args = Interp.Profile.make_args ~symbols g in
-        let config =
-          Interp.Exec.Config.(
-            default
-            |> with_engine Interp.Plan.compiled
-            |> with_auto_domains ?cap)
-        in
-        let report = Interp.Exec.run g ~config ~symbols ~args in
-        let cap_shown = Interp.Exec.Config.resolved_domains config in
-        Fmt.pr "predictive policy (cap=%d, sizes: %s)@." cap_shown
-          (String.concat ", "
-             (List.map (fun (s, v) -> Fmt.str "%s=%d" s v) symbols));
-        (match report.Obs.Report.r_parallel with
-        | None | Some { Obs.Report.par_decisions = []; _ } ->
-          Fmt.pr "no Cpu_multicore maps to decide about@."
-        | Some p ->
-          List.iter
-            (fun (d : Obs.Report.map_decision) ->
-              Fmt.pr
-                "%-12s %-10s kind=%-8s verdict=%-20s \
-                 predicted_domains=%d reason=%s trips=%d@."
-                d.Obs.Report.pm_map d.Obs.Report.pm_state
-                d.Obs.Report.pm_kind d.Obs.Report.pm_verdict
-                d.Obs.Report.pm_domains d.Obs.Report.pm_reason
-                d.Obs.Report.pm_trips)
-            p.Obs.Report.par_decisions)
+      let g, symbols = runnable "--predict" name in
+      let args = Interp.Profile.make_args ~symbols g in
+      let config =
+        Interp.Exec.Config.(
+          default
+          |> with_engine Interp.Plan.compiled
+          |> with_auto_domains ?cap)
+      in
+      let report = Interp.Exec.run g ~config ~symbols ~args in
+      let cap_shown = Interp.Exec.Config.resolved_domains config in
+      Fmt.pr "predictive policy (cap=%d, sizes: %s)@." cap_shown
+        (String.concat ", "
+           (List.map (fun (s, v) -> Fmt.str "%s=%d" s v) symbols));
+      (match report.Obs.Report.r_parallel with
+      | None | Some { Obs.Report.par_decisions = []; _ } ->
+        Fmt.pr "no Cpu_multicore maps to decide about@."
+      | Some p ->
+        List.iter
+          (fun (d : Obs.Report.map_decision) ->
+            Fmt.pr
+              "%-12s %-10s kind=%-8s verdict=%-20s \
+               predicted_domains=%d reason=%s trips=%d@."
+              d.Obs.Report.pm_map d.Obs.Report.pm_state
+              d.Obs.Report.pm_kind d.Obs.Report.pm_verdict
+              d.Obs.Report.pm_domains d.Obs.Report.pm_reason
+              d.Obs.Report.pm_trips)
+          p.Obs.Report.par_decisions)
     end
   in
   Cmd.v
@@ -357,20 +349,12 @@ let analyze_races_cmd =
 
 let run_cmd =
   let run name engine domains no_kernels =
-    match find_program name with
-    | None ->
-      Fmt.epr
-        "'run' supports the Polybench programs (mini sizes) and the \
-         engine workloads (%s)@."
-        (String.concat ", " (List.map (fun (n, _, _) -> n) kernel_programs));
-      exit 1
-    | Some (build, symbols) ->
-      let g = build () in
-      let args = Interp.Profile.make_args ~symbols g in
-      let config = exec_config ~engine ~domains ~no_kernels () in
-      let report = Interp.Exec.run g ~config ~symbols ~args in
-      Fmt.pr "ran %s: %a@." name Obs.Report.pp_counters
-        report.Obs.Report.r_counters
+    let g, symbols = runnable "run" name in
+    let args = Interp.Profile.make_args ~symbols g in
+    let config = exec_config ~engine ~domains ~no_kernels () in
+    let report = Interp.Exec.run g ~config ~symbols ~args in
+    Fmt.pr "ran %s: %a@." name Obs.Report.pp_counters
+      report.Obs.Report.r_counters
   in
   Cmd.v
     (Cmd.info "run"
@@ -417,30 +401,22 @@ let profile_cmd =
                    to $(docv) (open in about://tracing or Perfetto).")
   in
   let run name engine domains no_kernels repeat warmup instrument json trace =
-    match find_program name with
-    | None ->
-      Fmt.epr
-        "'profile' supports the Polybench programs (mini sizes) and the \
-         engine workloads (%s)@."
-        (String.concat ", " (List.map (fun (n, _, _) -> n) kernel_programs));
-      exit 1
-    | Some (build, symbols) ->
-      let g = build () in
-      let config =
-        exec_config ~instrument ~engine ~domains ~no_kernels ()
-      in
-      let res = Interp.Profile.run ~config ~warmup ~repeat ~symbols g in
-      Fmt.pr "%a" Interp.Profile.pp res;
-      Option.iter
-        (fun path ->
-          Obs.Json.save (Interp.Profile.to_json res) path;
-          Fmt.pr "wrote profile JSON to %s@." path)
-        json;
-      Option.iter
-        (fun path ->
-          Obs.Report.save_trace res.Interp.Profile.p_report path;
-          Fmt.pr "wrote Chrome trace to %s@." path)
-        trace
+    let g, symbols = runnable "profile" name in
+    let config =
+      exec_config ~instrument ~engine ~domains ~no_kernels ()
+    in
+    let res = Interp.Profile.run ~config ~warmup ~repeat ~symbols g in
+    Fmt.pr "%a" Interp.Profile.pp res;
+    Option.iter
+      (fun path ->
+        Obs.Json.save (Interp.Profile.to_json res) path;
+        Fmt.pr "wrote profile JSON to %s@." path)
+      json;
+    Option.iter
+      (fun path ->
+        Obs.Report.save_trace res.Interp.Profile.p_report path;
+        Fmt.pr "wrote Chrome trace to %s@." path)
+      trace
   in
   Cmd.v
     (Cmd.info "profile"
@@ -664,7 +640,7 @@ let serve_cmd =
       exit 1
     end;
     let srv =
-      Serve.Server.start ~capacity ?cache_dir ~max_queue ~programs:builders
+      Serve.Server.start ~capacity ?cache_dir ~max_queue ~programs:(List.map (fun p -> (p.p_name, p.p_build)) programs)
         ~log:(fun line -> Fmt.pr "[serve] %s@." line)
         ~socket ()
     in

@@ -580,11 +580,6 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
       (fun acc (_, t, _) -> acc + Tensor.num_elements t)
       0 acc_shared
   in
-  (* Per-worker chunk tallies one cache line (16 words) apart; workers
-     count locally and publish once at join time, so the tally never
-     bounces between domains the way a shared counter bump would. *)
-  let pad = 16 in
-  let chunk_tally = Array.make (max 1 (d * pad)) 0 in
   let par = env.Reference.par in
   let collector = env.Reference.collector in
   (* merge one worker's counters into the run's; totals stay bit-equal
@@ -673,21 +668,21 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         end
         else begin
           (* disjoint closure bodies: chunk assignment cannot affect the
-             result, so deal chunks dynamically for load balance; each
-             worker publishes its tally once, into its own padded slot *)
+             result, so deal chunks dynamically for load balance; the
+             cursor deals each chunk exactly once, so the tally is known
+             before dispatch *)
           let nchunks =
             if trips < workers * 4 then trips else workers * 4
           in
+          par.Reference.par_chunks <- par.Reference.par_chunks + nchunks;
           let next = Atomic.make 0 in
           Pool.run ~domains:workers (fun w ->
               let r = replicas.(w) in
-              let mine = ref 0 in
               let continue_ = ref true in
               while !continue_ do
                 let c = Atomic.fetch_and_add next 1 in
                 if c >= nchunks then continue_ := false
                 else begin
-                  incr mine;
                   let t0 = c * trips / nchunks
                   and t1 = (c + 1) * trips / nchunks in
                   if t1 > t0 then
@@ -696,13 +691,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
                       (lo + ((t1 - 1) * step))
                       step
                 end
-              done;
-              chunk_tally.(w * pad) <- !mine);
-          for w = 0 to workers - 1 do
-            par.Reference.par_chunks <-
-              par.Reference.par_chunks + chunk_tally.(w * pad);
-            chunk_tally.(w * pad) <- 0
-          done
+              done)
         end;
         (* merge per-domain counters; totals are bit-equal to sequential *)
         for w = 0 to workers - 1 do

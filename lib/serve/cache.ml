@@ -13,14 +13,15 @@
    each entry's symbol valuation and config — and rebuilds the instances
    from it on startup, so a restarted daemon comes up warm (re-planning
    on first run, but skipping parse and validation of request
-   payloads). *)
+   payloads).  Requests and the warm-load insert through one [add],
+   which writes the graph text to its file and keeps only the instance
+   in memory. *)
 
 module Json = Obs.Json
 module Exec = Interp.Exec
 
 type entry = {
   e_instance : Exec.Instance.t;
-  e_text : string;  (* canonical serialized graph, for persistence *)
   mutable e_last_use : int;
 }
 
@@ -123,19 +124,23 @@ let rec evict_over_capacity c =
       evict_over_capacity c
   end
 
-(* Insert without touching hit/miss counters (startup warm-load). *)
-let add_silent c ~key ~text instance =
+(* Register a freshly created instance.  If another thread inserted the
+   same key first, the earlier instance wins (everyone must share one
+   instance so its internal lock serializes runs) and no counters move:
+   the race's loser already paid its miss in [find]. *)
+let add c ~key ~text instance =
   locked c (fun () ->
-      if not (Hashtbl.mem c.tbl key) then begin
+      match Hashtbl.find_opt c.tbl key with
+      | Some e -> e.e_instance
+      | None ->
         c.clock <- c.clock + 1;
-        Hashtbl.replace c.tbl key
-          { e_instance = instance; e_text = text; e_last_use = c.clock };
+        Hashtbl.replace c.tbl key { e_instance = instance; e_last_use = c.clock };
         evict_over_capacity c;
         (match c.dir with
         | Some dir -> write_file (graph_path dir key) text
         | None -> ());
-        persist_index c
-      end)
+        persist_index c;
+        instance)
 
 let load_persisted c dir =
   match Json.parse (read_file (index_path dir)) with
@@ -186,7 +191,7 @@ let load_persisted c dir =
           in
           (text, Exec.Instance.create ~config ~symbols g)
         with
-        | text, instance -> add_silent c ~key ~text instance
+        | text, instance -> ignore (add c ~key ~text instance)
         | exception _ -> ())
       with_age
 
@@ -214,25 +219,6 @@ let find c key =
       | None ->
         c.misses <- c.misses + 1;
         None)
-
-(* Register a freshly created instance.  If another thread inserted the
-   same key first, the earlier instance wins (everyone must share one
-   instance so its internal lock serializes runs) and no counters move:
-   the race's loser already paid its miss in [find]. *)
-let add c ~key ~text instance =
-  locked c (fun () ->
-      match Hashtbl.find_opt c.tbl key with
-      | Some e -> e.e_instance
-      | None ->
-        c.clock <- c.clock + 1;
-        Hashtbl.replace c.tbl key
-          { e_instance = instance; e_text = text; e_last_use = c.clock };
-        evict_over_capacity c;
-        (match c.dir with
-        | Some dir -> write_file (graph_path dir key) text
-        | None -> ());
-        persist_index c;
-        instance)
 
 let to_json (s : stats) : Json.t =
   Json.Obj

@@ -25,20 +25,28 @@ let connect path =
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-let request c req =
+let next_id c =
   let id = c.next_id in
   c.next_id <- id + 1;
-  Protocol.write_frame c.oc (Json.to_string (Protocol.request_to_json ~id req));
+  id
+
+let send c ~id req =
+  Protocol.write_frame c.oc (Json.to_string (Protocol.request_to_json ~id req))
+
+(* One frame in, decoded: the response to whatever was sent. *)
+let read_response c =
   match Protocol.read_frame c.ic with
-  | None -> raise (Protocol.Protocol_error "connection closed by server")
+  | None -> Error "connection closed by server"
   | Some payload -> (
     match Json.parse payload with
-    | exception _ ->
-      raise (Protocol.Protocol_error "malformed response payload")
-    | json -> (
-      match Protocol.response_of_json json with
-      | Ok resp -> resp
-      | Error e -> raise (Protocol.Protocol_error e)))
+    | exception _ -> Error "malformed response payload"
+    | json -> Protocol.response_of_json json)
+
+let request c req =
+  send c ~id:(next_id c) req;
+  match read_response c with
+  | Ok resp -> resp
+  | Error e -> raise (Protocol.Protocol_error e)
 
 let run ?(symbols = []) ?(config = Interp.Exec.Config.default) ?(args = []) c
     program =
@@ -58,24 +66,14 @@ let run ?(symbols = []) ?(config = Interp.Exec.Config.default) ?(args = []) c
    pushes. *)
 let run_stream ?(symbols = []) ?(config = Interp.Exec.Config.default)
     ?(args = []) ~input ?output c program chunks =
-  let id = c.next_id in
-  c.next_id <- id + 1;
-  let frame req =
-    Protocol.write_frame c.oc (Json.to_string (Protocol.request_to_json ~id req))
-  in
+  let frame = send c ~id:(next_id c) in
   frame
     (Protocol.Stream_open
-       { sq_program = program; sq_symbols = symbols; sq_config = config;
-         sq_args = args; sq_input = input; sq_output = output });
-  let read_response () =
-    match Protocol.read_frame c.ic with
-    | None -> Error "connection closed by server"
-    | Some payload -> (
-      match Json.parse payload with
-      | exception _ -> Error "malformed response payload"
-      | json -> Protocol.response_of_json json)
-  in
-  match read_response () with
+       { sq_run =
+           { rq_program = program; rq_symbols = symbols; rq_config = config;
+             rq_args = args };
+         sq_input = input; sq_output = output });
+  match read_response c with
   | Error e -> Error e
   | Ok (Protocol.Resp_error { err; _ }) -> Error err
   | Ok (Protocol.Resp_stream_opened _) ->
@@ -89,7 +87,7 @@ let run_stream ?(symbols = []) ?(config = Interp.Exec.Config.default)
         ()
     in
     let rec collect acc =
-      match read_response () with
+      match read_response c with
       | Error e -> Error e
       | Ok (Protocol.Resp_stream_data vs) -> collect (vs :: acc)
       | Ok (Protocol.Resp_stream_done r) -> Ok (r, List.rev acc)

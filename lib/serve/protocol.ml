@@ -248,10 +248,7 @@ type run_request = {
 }
 
 type stream_request = {
-  sq_program : program;
-  sq_symbols : (string * int) list;
-  sq_config : Interp.Exec.Config.t;
-  sq_args : (string * Tensor.t) list;
+  sq_run : run_request;
   sq_input : string;          (* stream container fed by push frames *)
   sq_output : string option;  (* stream forwarded back as data frames *)
 }
@@ -271,11 +268,13 @@ let program_field = function
   | Prog_name name -> ("name", Json.Str name)
   | Prog_key key -> ("key", Json.Str key)
 
-let exec_fields ~program ~symbols ~config ~args =
-  [ ("program", Json.Obj [ program_field program ]);
-    ("symbols", symbols_to_json symbols);
-    ("config", Interp.Exec.Config.to_json config);
-    ("args", Json.Obj (List.map (fun (n, t) -> (n, tensor_to_json t)) args)) ]
+(* The program/symbols/config/args block shared by run and stream_open. *)
+let exec_fields (rq : run_request) =
+  [ ("program", Json.Obj [ program_field rq.rq_program ]);
+    ("symbols", symbols_to_json rq.rq_symbols);
+    ("config", Interp.Exec.Config.to_json rq.rq_config);
+    ( "args",
+      Json.Obj (List.map (fun (n, t) -> (n, tensor_to_json t)) rq.rq_args) ) ]
 
 let request_to_json ~id (r : request) : Json.t =
   let base ty rest = Json.Obj ((("id", Json.Int id)) :: ("type", Json.Str ty) :: rest) in
@@ -285,14 +284,10 @@ let request_to_json ~id (r : request) : Json.t =
   | Shutdown -> base "shutdown" []
   | Stream_close -> base "stream_close" []
   | Stream_push vs -> base "stream_push" [ ("data", values_to_json vs) ]
-  | Run rq ->
-    base "run"
-      (exec_fields ~program:rq.rq_program ~symbols:rq.rq_symbols
-         ~config:rq.rq_config ~args:rq.rq_args)
+  | Run rq -> base "run" (exec_fields rq)
   | Stream_open sq ->
     base "stream_open"
-      (exec_fields ~program:sq.sq_program ~symbols:sq.sq_symbols
-         ~config:sq.sq_config ~args:sq.sq_args
+      (exec_fields sq.sq_run
       @ [ ("input", Json.Str sq.sq_input) ]
       @ match sq.sq_output with
         | None -> []
@@ -305,12 +300,7 @@ let request_id (j : Json.t) : int =
   | Some id -> id
   | None -> 0
 
-(* The program/symbols/config/args block shared by run and stream_open. *)
-let exec_fields_of_json (j : Json.t) :
-    (program * (string * int) list * Interp.Exec.Config.t
-     * (string * Tensor.t) list,
-     string)
-    result =
+let exec_fields_of_json (j : Json.t) : (run_request, string) result =
   let ( let* ) = Result.bind in
   let* program =
     match Json.member "program" j with
@@ -350,7 +340,8 @@ let exec_fields_of_json (j : Json.t) :
       go [] fields
     | Some _ -> Error "args must be an object"
   in
-  Ok (program, symbols, config, args)
+  Ok { rq_program = program; rq_symbols = symbols; rq_config = config;
+       rq_args = args }
 
 let request_of_json (j : Json.t) : (request, string) result =
   let ( let* ) = Result.bind in
@@ -365,12 +356,9 @@ let request_of_json (j : Json.t) : (request, string) result =
     | Some d ->
       let* vs = values_of_json d in
       Ok (Stream_push vs))
-  | Some "run" ->
-    let* program, symbols, config, args = exec_fields_of_json j in
-    Ok (Run { rq_program = program; rq_symbols = symbols;
-              rq_config = config; rq_args = args })
+  | Some "run" -> Result.map (fun rq -> Run rq) (exec_fields_of_json j)
   | Some "stream_open" ->
-    let* program, symbols, config, args = exec_fields_of_json j in
+    let* rq = exec_fields_of_json j in
     let* input =
       match Option.bind (Json.member "input" j) Json.to_string_opt with
       | Some s -> Ok s
@@ -379,9 +367,7 @@ let request_of_json (j : Json.t) : (request, string) result =
     let output =
       Option.bind (Json.member "output" j) Json.to_string_opt
     in
-    Ok (Stream_open
-          { sq_program = program; sq_symbols = symbols; sq_config = config;
-            sq_args = args; sq_input = input; sq_output = output })
+    Ok (Stream_open { sq_run = rq; sq_input = input; sq_output = output })
   | Some ty -> Error (Fmt.str "unknown request type %S" ty)
   | None -> Error "request: missing type"
 

@@ -4,7 +4,11 @@
     Payloads are {!Obs.Json} values.  Tensor data crosses bit-exactly:
     float buffers as 16-hex-digit IEEE-754 bit patterns, integer buffers
     as JSON integers — never through {!Obs.Json}'s (deliberately lossy)
-    float emission. *)
+    float emission.
+
+    One request record, {!run_request}, names a program with its
+    symbols, config and arguments; [stream_open] carries it too, plus
+    the names of the streams it feeds and forwards. *)
 
 exception Protocol_error of string
 
@@ -59,8 +63,10 @@ type run_request = {
   rq_args : (string * Interp.Tensor.t) list;
 }
 
-(** A continuous query: [stream_open] resolves the program and holds the
-    connection's channel open; subsequent [stream_push] frames feed
+(** A continuous query: [sq_run] names the program, its symbols, config
+    and arguments exactly as a [run] does, and its fields go on the wire
+    the same way.  [stream_open] resolves the program and holds the
+    connection's session open; subsequent [stream_push] frames feed
     [sq_input] chunk by chunk (backpressured end to end — a full
     in-graph channel blocks the server's reader, which stops draining
     the socket); [stream_close] ends the input, and the final
@@ -68,10 +74,7 @@ type run_request = {
     elements flow back as [Resp_stream_data] frames while the query
     runs. *)
 type stream_request = {
-  sq_program : program;
-  sq_symbols : (string * int) list;
-  sq_config : Interp.Exec.Config.t;
-  sq_args : (string * Interp.Tensor.t) list;
+  sq_run : run_request;
   sq_input : string;
   sq_output : string option;
 }

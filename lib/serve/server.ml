@@ -16,7 +16,16 @@
    unbounded latency.  The executor pops the oldest job plus every
    queued job with the same cache key (a batch): the instance is
    resolved once and the whole batch runs against it back-to-back,
-   so a burst of identical-shape requests pays one cache probe. *)
+   so a burst of identical-shape requests pays one cache probe.
+
+   A streaming session is a job with a stream part: the connection's
+   reader pushes chunks into the session's bounded {!Interp.Stream}
+   channel, and while the executor serves the session its source pops
+   them.  Closing the channel ends the query's input; the client's
+   [stream_close], a vanished client, the end of the job and [stop] all
+   close it.  So at shutdown the session being served completes over
+   the chunks it has received, and queued sessions are refused like
+   queued runs. *)
 
 module Json = Obs.Json
 module Exec = Interp.Exec
@@ -25,37 +34,24 @@ module Defs = Sdfg_ir.Defs
 module Serialize = Sdfg_ir.Serialize
 module Expr = Symbolic.Expr
 
-(* A streaming session's connection-side state: the reader thread queues
-   pushed chunks here (bounded — when the executor falls behind, the
-   reader stops draining the socket, which is the wire half of the
-   backpressure chain), the executor's source callback pops them. *)
+(* A streaming session's chunks travel through a bounded channel: when
+   the executor falls behind, the reader blocks on the full channel and
+   stops draining the socket, which is the wire half of the backpressure
+   chain. *)
 type stream_session = {
-  ss_lock : Mutex.t;
-  ss_cond : Condition.t;
-  ss_chunks : Tasklang.Types.value array Queue.t;
-  mutable ss_closed : bool;    (* client sent stream_close *)
-  mutable ss_finished : bool;  (* executor finished (or errored/shed) *)
+  ss_chunks : Tasklang.Types.value array Interp.Stream.t;
+  ss_finished : bool Atomic.t;  (* the job has sent its final response *)
 }
 
 (* Chunks buffered per session before the reader thread blocks. *)
 let max_pending_chunks = 256
 
-type work =
-  | Wrun of (string * Tensor.t) list
-  | Wstream of {
-      sw_args : (string * Tensor.t) list;
-      sw_input : string;
-      sw_output : string option;
-      sw_session : stream_session;
-    }
-
 type job = {
-  jb_id : int;
   jb_key : string;
   jb_text : string option;  (* canonical serialized graph; None = Prog_key *)
-  jb_symbols : (string * int) list;
-  jb_config : Exec.Config.t;
-  jb_work : work;
+  jb_run : Protocol.run_request;
+  jb_stream : (string * string option * stream_session) option;
+      (* a session's input stream, output stream and channel *)
   jb_reply : Protocol.response -> unit;
   jb_enqueued : float;
 }
@@ -71,6 +67,8 @@ type t = {
   cond : Condition.t;
   mutable queue : job list;  (* FIFO, head oldest; bounded by max_queue *)
   mutable stopping : bool;
+  mutable serving : stream_session option;
+      (* the executor's latest session, which [stop] closes *)
   mutable threads : Thread.t list;  (* accept + executor *)
 }
 
@@ -83,6 +81,7 @@ let stop srv =
   if not srv.stopping then begin
     srv.stopping <- true;
     srv.srv_log "stopping";
+    Option.iter (fun s -> Interp.Stream.close s.ss_chunks) srv.serving;
     Condition.broadcast srv.cond
   end;
   Mutex.unlock srv.lock
@@ -124,8 +123,8 @@ let resolve srv job =
                      errs)))
         | Ok () ->
           let inst =
-            Exec.Instance.create ~config:job.jb_config ~symbols:job.jb_symbols
-              g
+            Exec.Instance.create ~config:job.jb_run.rq_config
+              ~symbols:job.jb_run.rq_symbols g
           in
           Ok (Cache.add srv.srv_cache ~key:job.jb_key ~text inst, false)
       with exn -> Error (exn_message exn)))
@@ -154,15 +153,13 @@ let materialize_outputs inst supplied =
 
 (* Whatever ends a streaming job — success, runtime error, drain at
    shutdown — must release a reader thread blocked on the chunk bound,
-   or the connection wedges. *)
+   or the connection wedges: closing the channel wakes it. *)
 let mark_finished job =
-  match job.jb_work with
-  | Wrun _ -> ()
-  | Wstream { sw_session = s; _ } ->
-    Mutex.lock s.ss_lock;
-    s.ss_finished <- true;
-    Condition.broadcast s.ss_cond;
-    Mutex.unlock s.ss_lock
+  Option.iter
+    (fun (_, _, s) ->
+      Atomic.set s.ss_finished true;
+      Interp.Stream.close s.ss_chunks)
+    job.jb_stream
 
 (* [result] already carries the success response kind (plain runs reply
    [Resp_run], streaming sessions [Resp_stream_done]). *)
@@ -192,62 +189,43 @@ let run_args inst args =
   (extra @ outputs, outputs)
 
 let run_job srv job inst ~hit ~batched =
-  match job.jb_work with
-  | Wstream { sw_args; sw_input; sw_output; sw_session = s } ->
-    (* The executor is occupied for the session's whole lifetime: a
-       continuous query is a long-lived tenant, not a request. *)
-    let source () =
-      Mutex.lock s.ss_lock;
-      while Queue.is_empty s.ss_chunks && not s.ss_closed do
-        Condition.wait s.ss_cond s.ss_lock
-      done;
-      let chunk =
-        if Queue.is_empty s.ss_chunks then None
-        else Some (Queue.pop s.ss_chunks)
+  let result =
+    try
+      let args, outputs = run_args inst job.jb_run.rq_args in
+      let report =
+        match job.jb_stream with
+        | None -> Exec.Instance.run ~args inst
+        | Some (input, output, s) ->
+          (* The executor is occupied for the session's whole lifetime:
+             a continuous query is a long-lived tenant, not a request.
+             [stop] closes the channel of the session it serves, so a
+             client holding its session open cannot keep the daemon up. *)
+          Mutex.lock srv.lock;
+          srv.serving <- Some s;
+          if srv.stopping then Interp.Stream.close s.ss_chunks;
+          Mutex.unlock srv.lock;
+          let sink =
+            Option.map
+              (fun _ vs ->
+                if Array.length vs > 0 then
+                  try job.jb_reply (Protocol.Resp_stream_data vs) with _ -> ())
+              output
+          in
+          Exec.Instance.run_streaming ~args ~input ?output ?sink
+            ~source:(fun () -> Interp.Stream.pop s.ss_chunks)
+            inst
       in
-      Condition.broadcast s.ss_cond;
-      Mutex.unlock s.ss_lock;
-      chunk
-    in
-    let sink =
-      match sw_output with
-      | None -> None
-      | Some _ ->
-        Some
-          (fun vs ->
-            if Array.length vs > 0 then
-              try job.jb_reply (Protocol.Resp_stream_data vs) with _ -> ())
-    in
-    let result =
-      try
-        let args, outputs = run_args inst sw_args in
-        let report =
-          Exec.Instance.run_streaming ~args ~input:sw_input ?output:sw_output
-            ?sink ~source inst
-        in
-        Ok
-          (Protocol.Resp_stream_done
-             { Protocol.rs_key = job.jb_key;
-               rs_hit = hit;
-               rs_report = Obs.Report.to_json report;
-               rs_outputs = outputs })
-      with exn -> Error (exn_message exn)
-    in
-    finish srv job ~batched:false result
-  | Wrun jb_args ->
-    let result =
-      try
-        let args, outputs = run_args inst jb_args in
-        let report = Exec.Instance.run ~args inst in
-        Ok
-          (Protocol.Resp_run
-             { Protocol.rs_key = job.jb_key;
-               rs_hit = hit;
-               rs_report = Obs.Report.to_json report;
-               rs_outputs = outputs })
-      with exn -> Error (exn_message exn)
-    in
-    finish srv job ~batched result
+      let r =
+        { Protocol.rs_key = job.jb_key; rs_hit = hit;
+          rs_report = Obs.Report.to_json report; rs_outputs = outputs }
+      in
+      Ok
+        (match job.jb_stream with
+        | None -> Protocol.Resp_run r
+        | Some _ -> Protocol.Resp_stream_done r)
+    with exn -> Error (exn_message exn)
+  in
+  finish srv job ~batched result
 
 let rec exec_loop srv =
   Mutex.lock srv.lock;
@@ -264,7 +242,7 @@ let rec exec_loop srv =
       (* Only plain runs batch: a streaming session occupies the
          executor open-endedly, so same-key runs behind it must wait
          their turn rather than ride along. *)
-      let is_run j = match j.jb_work with Wrun _ -> true | Wstream _ -> false in
+      let is_run j = Option.is_none j.jb_stream in
       let batch, other =
         if is_run leader then
           List.partition
@@ -336,7 +314,6 @@ let program_key srv ~(program : Protocol.program) ~symbols ~config =
       try Ok (key_of (Serialize.to_string (build ())))
       with exn -> Error (exn_message exn)))
 
-(* Admission control shared by run and stream_open. *)
 let enqueue srv job =
   Mutex.lock srv.lock;
   let verdict =
@@ -350,69 +327,46 @@ let enqueue srv job =
     end
   in
   Mutex.unlock srv.lock;
-  (match verdict with
-  | `Queued -> ()
-  | `Stopping | `Full -> mark_finished job);
   verdict
 
-let reject_verdict srv ~send ~id = function
-  | `Queued -> ()
-  | `Stopping ->
-    send id (Protocol.Resp_error { err = "server shutting down"; shed = false })
-  | `Full ->
-    Metrics.record_shed srv.srv_metrics;
-    send id
-      (Protocol.Resp_error
-         { err = "server overloaded: run queue full"; shed = true })
-
-let submit srv (rq : Protocol.run_request) ~id ~send =
+(* Admission control for run and stream_open: key the program on this
+   thread, then queue the job or refuse it.  With [stream] (the input
+   and output stream names) the job is a session: it is acked with its
+   cache key, and the session the connection must feed is returned. *)
+let submit srv ?stream (rq : Protocol.run_request) ~id ~send =
+  let refuse err ~shed =
+    send id (Protocol.Resp_error { err; shed });
+    None
+  in
   match
     program_key srv ~program:rq.rq_program ~symbols:rq.rq_symbols
       ~config:rq.rq_config
   with
-  | Error err -> send id (Protocol.Resp_error { err; shed = false })
-  | Ok (key, text) ->
-    let job =
-      { jb_id = id; jb_key = key; jb_text = text; jb_symbols = rq.rq_symbols;
-        jb_config = rq.rq_config; jb_work = Wrun rq.rq_args;
-        jb_reply = (fun r -> send id r);
-        jb_enqueued = Obs.Collect.now () }
-    in
-    reject_verdict srv ~send ~id (enqueue srv job)
-
-(* Open a streaming session: resolve the program on this thread, queue
-   the long-lived job, ack with the cache key.  Returns the session the
-   connection must feed. *)
-let submit_stream srv (sq : Protocol.stream_request) ~id ~send =
-  match
-    program_key srv ~program:sq.sq_program ~symbols:sq.sq_symbols
-      ~config:sq.sq_config
-  with
-  | Error err ->
-    send id (Protocol.Resp_error { err; shed = false });
-    None
-  | Ok (key, text) ->
-    let session =
-      { ss_lock = Mutex.create (); ss_cond = Condition.create ();
-        ss_chunks = Queue.create (); ss_closed = false; ss_finished = false }
+  | Error err -> refuse err ~shed:false
+  | Ok (key, text) -> (
+    let jb_stream =
+      Option.map
+        (fun (input, output) ->
+          ( input, output,
+            { ss_chunks = Interp.Stream.create ~capacity:max_pending_chunks ();
+              ss_finished = Atomic.make false } ))
+        stream
     in
     let job =
-      { jb_id = id; jb_key = key; jb_text = text; jb_symbols = sq.sq_symbols;
-        jb_config = sq.sq_config;
-        jb_work =
-          Wstream
-            { sw_args = sq.sq_args; sw_input = sq.sq_input;
-              sw_output = sq.sq_output; sw_session = session };
-        jb_reply = (fun r -> send id r);
-        jb_enqueued = Obs.Collect.now () }
+      { jb_key = key; jb_text = text; jb_run = rq; jb_stream;
+        jb_reply = send id; jb_enqueued = Obs.Collect.now () }
     in
-    (match enqueue srv job with
+    match enqueue srv job with
+    | `Stopping -> refuse "server shutting down" ~shed:false
+    | `Full ->
+      Metrics.record_shed srv.srv_metrics;
+      refuse "server overloaded: run queue full" ~shed:true
     | `Queued ->
-      send id (Protocol.Resp_stream_opened { so_key = key });
-      Some session
-    | (`Stopping | `Full) as v ->
-      reject_verdict srv ~send ~id v;
-      None)
+      Option.map
+        (fun (_, _, s) ->
+          send id (Protocol.Resp_stream_opened { so_key = key });
+          s)
+        jb_stream)
 
 let handle_conn srv fd =
   let ic = Unix.in_channel_of_descr fd in
@@ -435,13 +389,10 @@ let handle_conn srv fd =
      replaced by a new [stream_open]. *)
   let active : stream_session option ref = ref None in
   let live_session () =
-    match !active with
-    | None -> None
-    | Some s ->
-      Mutex.lock s.ss_lock;
-      let finished = s.ss_finished in
-      Mutex.unlock s.ss_lock;
-      if finished then begin active := None; None end else Some s
+    (match !active with
+    | Some s when Atomic.get s.ss_finished -> active := None
+    | _ -> ());
+    !active
   in
   let rec loop () =
     match Protocol.read_frame ic with
@@ -465,7 +416,7 @@ let handle_conn srv fd =
         | Ok Protocol.Shutdown ->
           send id Protocol.Resp_shutdown;
           stop srv
-        | Ok (Protocol.Run rq) -> submit srv rq ~id ~send
+        | Ok (Protocol.Run rq) -> ignore (submit srv rq ~id ~send)
         | Ok (Protocol.Stream_open sq) -> (
           match live_session () with
           | Some _ ->
@@ -473,62 +424,41 @@ let handle_conn srv fd =
               (Protocol.Resp_error
                  { err = "stream already open on this connection";
                    shed = false })
-          | None -> active := submit_stream srv sq ~id ~send)
+          | None ->
+            active :=
+              submit srv ~stream:(sq.sq_input, sq.sq_output) sq.sq_run ~id
+                ~send)
         | Ok (Protocol.Stream_push vs) -> (
           match live_session () with
           | None ->
             send id
               (Protocol.Resp_error
                  { err = "no open stream on this connection"; shed = false })
-          | Some s ->
-            Mutex.lock s.ss_lock;
-            (* Bounded buffer: blocking here stops draining the socket,
+          | Some s -> (
+            (* A full channel blocks here and stops draining the socket,
                pushing the backpressure out to the client. *)
-            while
-              Queue.length s.ss_chunks >= max_pending_chunks
-              && (not s.ss_finished) && not s.ss_closed
-            do
-              Condition.wait s.ss_cond s.ss_lock
-            done;
-            if s.ss_closed then begin
-              Mutex.unlock s.ss_lock;
-              send id
-                (Protocol.Resp_error
-                   { err = "stream already closed"; shed = false })
-            end
-            else begin
-              (* A finished (errored) session swallows late pushes: the
-                 client already holds the terminal response. *)
-              if not s.ss_finished then begin
-                Queue.push vs s.ss_chunks;
-                Condition.broadcast s.ss_cond
-              end;
-              Mutex.unlock s.ss_lock
-            end)
+            try Interp.Stream.push s.ss_chunks vs
+            with Interp.Stream.Closed _ ->
+              (* A finished session swallows late pushes: the client
+                 already holds the terminal response. *)
+              if not (Atomic.get s.ss_finished) then
+                send id
+                  (Protocol.Resp_error
+                     { err = "stream already closed"; shed = false })))
         | Ok Protocol.Stream_close -> (
           match live_session () with
           | None ->
             send id
               (Protocol.Resp_error
                  { err = "no open stream on this connection"; shed = false })
-          | Some s ->
-            Mutex.lock s.ss_lock;
-            s.ss_closed <- true;
-            Condition.broadcast s.ss_cond;
-            Mutex.unlock s.ss_lock)));
+          | Some s -> Interp.Stream.close s.ss_chunks)));
       loop ()
   in
   (try loop () with
   | Protocol.Protocol_error _ | Sys_error _ | End_of_file -> ());
   (* A vanished client must not leave the executor blocked in [source]:
      closing the session makes the query drain and finish. *)
-  (match !active with
-  | None -> ()
-  | Some s ->
-    Mutex.lock s.ss_lock;
-    s.ss_closed <- true;
-    Condition.broadcast s.ss_cond;
-    Mutex.unlock s.ss_lock);
+  Option.iter (fun s -> Interp.Stream.close s.ss_chunks) !active;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* --- accept loop --------------------------------------------------------- *)
@@ -580,7 +510,7 @@ let start ?(capacity = 32) ?cache_dir ?(max_queue = 64) ?(programs = [])
     { srv_socket = socket; srv_cache; srv_metrics = Metrics.create ();
       srv_programs = programs; srv_log = log; srv_max_queue = max_queue;
       lock = Mutex.create (); cond = Condition.create (); queue = [];
-      stopping = false; threads = [] }
+      stopping = false; serving = None; threads = [] }
   in
   let acceptor = Thread.create (fun () -> accept_loop srv listen_fd) () in
   let executor = Thread.create (fun () -> exec_loop srv) () in

@@ -13,12 +13,13 @@
     whole batch against it before touching the next key.
 
     Streaming sessions ([stream_open]): one per connection; the reader
-    thread feeds pushed chunks through a bounded buffer into the
-    executor's {!Interp.Exec.Instance.run_streaming} source, output
-    chunks flow back as data frames mid-run, and the session occupies
-    the executor until the client closes the stream or disconnects.
+    thread feeds pushed chunks through a bounded {!Interp.Stream}
+    channel into the executor's {!Interp.Exec.Instance.run_streaming}
+    source, output chunks flow back as data frames mid-run, and the
+    session occupies the executor until the client closes the stream or
+    disconnects, or the daemon stops.
     Backpressure is end to end: full in-graph channel → blocked worker →
-    blocked source buffer → reader stops draining the socket → client's
+    full session channel → reader stops draining the socket → client's
     push blocks. *)
 
 type t
@@ -44,8 +45,10 @@ val metrics : t -> Metrics.t
 val socket_path : t -> string
 
 val stop : t -> unit
-(** Ask the daemon to wind down: stop accepting, fail queued requests
-    with "server shutting down", release the socket.  Idempotent. *)
+(** Ask the daemon to wind down: stop accepting, end the input of the
+    session the executor is serving (the query completes over the
+    chunks it has received), fail queued requests and sessions with
+    "server shutting down", release the socket.  Idempotent. *)
 
 val wait : t -> unit
 (** Block until the accept and executor threads have exited (after

@@ -283,6 +283,38 @@ let test_nonpositive_stride_parallel () =
       (contains "non-positive stride")
   | _ -> Alcotest.fail "expected Runtime_error for stride -1"
 
+(* Chunks dealt to the pool: a disjoint map on the closure path deals
+   min(trips, 4 * workers) chunks from its cursor, a kernel map one
+   block per worker. *)
+let test_chunk_tally () =
+  let dispatch ~kernels ~n ~domains =
+    let g = Workloads.Kernels.copy () in
+    let symbols = [ ("N", n) ] in
+    let r =
+      Exec.run g
+        ~config:Exec.Config.(compiled_at domains |> with_kernels kernels)
+        ~symbols ~args:(Profile.make_args ~symbols g)
+    in
+    match r.R.r_parallel with
+    | Some p -> (p.R.par_maps, p.R.par_chunks)
+    | None -> (0, 0)
+  in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun n ->
+          let workers = min n w in
+          Alcotest.(check (pair int int))
+            (Fmt.str "closure path, N=%d at %d domains" n w)
+            (1, min n (4 * workers))
+            (dispatch ~kernels:false ~n ~domains:w);
+          Alcotest.(check (pair int int))
+            (Fmt.str "kernel map, N=%d at %d domains" n w)
+            (1, workers)
+            (dispatch ~kernels:true ~n ~domains:w))
+        [ 6; 100 ])
+    [ 2; 4 ]
+
 let suite =
   [ ("zero-trip map at 4 domains no-ops", `Quick, test_zero_trip_parallel);
     ("non-positive stride raises at 4 domains", `Quick,
@@ -303,3 +335,4 @@ let suite =
         ( Fmt.str "polybench %s: 1/2/4 domains deterministic" name, `Quick,
           test_kernel_domains name ))
       Workloads.Polybench.names
+  @ [ ("chunk tally of closure and kernel maps", `Quick, test_chunk_tally) ]

@@ -908,10 +908,12 @@ let test_server_batch_key_only_leader () =
           (match
              Serve.Client.request c
                (Protocol.Stream_open
-                  { sq_program =
-                      Protocol.Prog_sdfg (Serialize.to_string (w_mk ()));
-                    sq_symbols = w_syms; sq_config = compiled_1;
-                    sq_args = []; sq_input = w_input; sq_output = None })
+                  { sq_run =
+                      { rq_program =
+                          Protocol.Prog_sdfg (Serialize.to_string (w_mk ()));
+                        rq_symbols = w_syms; rq_config = compiled_1;
+                        rq_args = [] };
+                    sq_input = w_input; sq_output = None })
            with
           | Protocol.Resp_stream_opened _ -> ()
           | _ -> Alcotest.fail "stream_open not acknowledged");
@@ -981,6 +983,378 @@ let test_server_shutdown_request () =
   Serve.Server.wait srv;
   Alcotest.(check bool) "socket file released" false (Sys.file_exists socket)
 
+(* --- the wire, pinned ---------------------------------------------------- *)
+
+(* The one place the tests spell out a [stream_open] request. *)
+let stream_open ?(config = compiled_1) ?(args = []) ?output ~symbols ~input
+    program =
+  Protocol.Stream_open
+    { sq_run =
+        { rq_program = program; rq_symbols = symbols; rq_config = config;
+          rq_args = args };
+      sq_input = input; sq_output = output }
+
+(* One request and one response of each kind, byte for byte, and each
+   line decodes to a value that encodes to the same bytes. *)
+let test_wire_golden () =
+  let args =
+    [ ("A", Tensor.of_float_array T.F64 [| 2 |] [| 1.5; -0. |]);
+      ("B", Tensor.of_int_array T.I32 [| 2 |] [| 3; -4 |]) ]
+  in
+  let symbols = [ ("N", 2) ] in
+  let rq program : Protocol.run_request =
+    { rq_program = program; rq_symbols = symbols; rq_config = compiled_1;
+      rq_args = args }
+  in
+  let key = String.make 32 'a' in
+  let requests =
+    [ ("run sdfg", Protocol.Run (rq (Protocol.Prog_sdfg "(sdfg text)")));
+      ( "run ndlang",
+        Protocol.Run
+          { rq_program = Protocol.Prog_ndlang "let y = x";
+            rq_symbols = []; rq_config = Exec.Config.default; rq_args = [] }
+      );
+      ("run name", Protocol.Run (rq (Protocol.Prog_name "mm")));
+      ("run key", Protocol.Run (rq (Protocol.Prog_key key)));
+      ( "stream_open with output",
+        stream_open ~args ~symbols ~input:"in_q" ~output:"out_q"
+          (Protocol.Prog_name "filter") );
+      ( "stream_open without output",
+        stream_open ~config:Exec.Config.default ~symbols:[] ~input:"in_q"
+          (Protocol.Prog_key key) );
+      ("stream_push", Protocol.Stream_push [| T.F 0.25; T.I 7; T.B true |]);
+      ("stream_close", Protocol.Stream_close);
+      ("stats", Protocol.Stats);
+      ("ping", Protocol.Ping);
+      ("shutdown", Protocol.Shutdown) ]
+  in
+  let result : Protocol.run_result =
+    { rs_key = key; rs_hit = true;
+      rs_report = Json.Obj [ ("wall_s", Json.Float 0.5) ];
+      rs_outputs = args }
+  in
+  let responses =
+    [ ("run hit", Protocol.Resp_run result);
+      ("run miss", Protocol.Resp_run { result with rs_hit = false });
+      ("stream opened", Protocol.Resp_stream_opened { so_key = key });
+      ("stream data", Protocol.Resp_stream_data [| T.F (-1.); T.I 2 |]);
+      ("stream done", Protocol.Resp_stream_done result);
+      ("stats", Protocol.Resp_stats (Json.Obj [ ("requests", Json.Int 3) ]));
+      ("pong", Protocol.Resp_pong);
+      ("shutdown", Protocol.Resp_shutdown);
+      ("error", Protocol.Resp_error { err = "boom"; shed = false });
+      ( "shed",
+        Protocol.Resp_error
+          { err = "server overloaded: run queue full"; shed = true } ) ]
+  in
+  let line enc decode (label, v) =
+    let s = Json.to_string (enc v) in
+    (match decode (Json.parse s) with
+    | Error e -> Alcotest.failf "%s: %s" label e
+    | Ok v' ->
+      Alcotest.(check string) (label ^ ": decodes to itself") s
+        (Json.to_string (enc v')));
+    label ^ "\t" ^ s
+  in
+  let lines =
+    List.mapi
+      (fun i r ->
+        line (Protocol.request_to_json ~id:(i + 1)) Protocol.request_of_json r)
+      requests
+    @ List.mapi
+        (fun i r ->
+          line
+            (Protocol.response_to_json ~id:(i + 1))
+            Protocol.response_of_json r)
+        responses
+  in
+  Test_report.check_golden "serve.wire.golden" (String.concat "\n" lines ^ "\n")
+
+(* --- session edges ------------------------------------------------------- *)
+
+(* A raw connection: frames go out under any id, and a reader thread
+   keeps every response with its id, so a test can see whether an
+   answer has arrived, or wait for one with a deadline. *)
+type raw = {
+  fd : Unix.file_descr;
+  oc : out_channel;
+  lock : Mutex.t;
+  mutable got : (int * Protocol.response) list;  (* newest first *)
+  mutable reader : Thread.t option;
+}
+
+let raw_connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let r =
+    { fd; oc = Unix.out_channel_of_descr fd; lock = Mutex.create ();
+      got = []; reader = None }
+  in
+  let ic = Unix.in_channel_of_descr fd in
+  let rec read () =
+    match Protocol.read_frame ic with
+    | None -> ()
+    | Some payload ->
+      let j = Json.parse payload in
+      (match Protocol.response_of_json j with
+      | Ok resp ->
+        Mutex.lock r.lock;
+        r.got <- (Protocol.request_id j, resp) :: r.got;
+        Mutex.unlock r.lock
+      | Error e -> failwith e);
+      read ()
+    | exception (Sys_error _ | End_of_file | Unix.Unix_error _) -> ()
+  in
+  r.reader <- Some (Thread.create read ());
+  r
+
+let raw_send r ~id req =
+  Protocol.write_frame r.oc (Json.to_string (Protocol.request_to_json ~id req))
+
+(* Answers to [id] so far that are not output chunks, oldest first: for
+   a [stream_open], the ack and then the end. *)
+let raw_answers r ~id =
+  Mutex.lock r.lock;
+  let got = r.got in
+  Mutex.unlock r.lock;
+  List.rev
+    (List.filter_map
+       (fun (i, resp) ->
+         match resp with
+         | Protocol.Resp_stream_data _ -> None
+         | resp -> if i = id then Some resp else None)
+       got)
+
+(* The output chunks answered to [id], in arrival order, concatenated. *)
+let raw_data r ~id =
+  Mutex.lock r.lock;
+  let got = r.got in
+  Mutex.unlock r.lock;
+  Array.concat
+    (List.rev
+       (List.filter_map
+          (fun (i, resp) ->
+            match resp with
+            | Protocol.Resp_stream_data vs when i = id -> Some vs
+            | _ -> None)
+          got))
+
+(* The [n]th answer of {!raw_answers}, waiting up to [within] seconds. *)
+let raw_nth ?(within = 10.) r ~id n =
+  let t0 = Unix.gettimeofday () in
+  let rec poll () =
+    match List.nth_opt (raw_answers r ~id) n with
+    | Some resp -> resp
+    | None ->
+      if Unix.gettimeofday () -. t0 > within then
+        Alcotest.failf "no answer %d to request %d within %.0f s" n id within;
+      Thread.delay 0.002;
+      poll ()
+  in
+  poll ()
+
+(* Drop the connection without a word, the way a vanishing client does. *)
+let raw_close r =
+  (try Unix.shutdown r.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Option.iter Thread.join r.reader;
+  try Unix.close r.fd with Unix.Unix_error _ -> ()
+
+let describe = function
+  | Protocol.Resp_stream_opened _ -> "opened"
+  | Protocol.Resp_stream_done _ -> "done"
+  | Protocol.Resp_pong -> "pong"
+  | Protocol.Resp_error { err; _ } -> "error: " ^ err
+  | _ -> "other"
+
+let check_answer tag want resp =
+  Alcotest.(check string) tag want (describe resp)
+
+let await_depth srv n =
+  let t0 = Unix.gettimeofday () in
+  while
+    (Serve.Metrics.snapshot (Serve.Server.metrics srv)).s_queue_depth <> n
+  do
+    if Unix.gettimeofday () -. t0 > 10. then
+      Alcotest.failf "queue depth never reached %d" n;
+    Thread.delay 0.002
+  done
+
+let window_query () =
+  match Workloads.Streaming.all with
+  | ("window", mk, input, _, symbols) :: _ ->
+    (Protocol.Prog_sdfg (Serialize.to_string (mk ())), input, symbols)
+  | _ -> Alcotest.fail "the first streaming workload is not window"
+
+(* Open a window-query session on [r] under id 1 and wait for the ack. *)
+let open_window r =
+  let program, input, symbols = window_query () in
+  raw_send r ~id:1 (stream_open ~symbols ~input program);
+  check_answer "session opened" "opened" (raw_nth r ~id:1 0)
+
+(* Session A: opened and never closed, so it holds the executor until
+   [release].  Returns once the executor has taken it off the queue. *)
+let hold_executor socket srv =
+  let a = raw_connect socket in
+  open_window a;
+  await_depth srv 0;
+  a
+
+let release a =
+  raw_send a ~id:2 Protocol.Stream_close;
+  check_answer "held session ends" "done" (raw_nth a ~id:1 1)
+
+let with_held_executor f =
+  with_server (fun socket srv ->
+      let a = hold_executor socket srv in
+      Fun.protect ~finally:(fun () -> raw_close a) (fun () -> f socket srv a))
+
+(* A queued session that is closed refuses a later push and still runs
+   to the end; a second open on its connection is refused. *)
+let test_session_closed_push () =
+  with_held_executor (fun socket srv a ->
+      let b = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> raw_close b)
+        (fun () ->
+          open_window b;
+          await_depth srv 1;
+          let chunk = Workloads.Streaming.sample_values 5 3 in
+          raw_send b ~id:2 (Protocol.Stream_push chunk);
+          raw_send b ~id:3 Protocol.Stream_close;
+          raw_send b ~id:4 (Protocol.Stream_push chunk);
+          check_answer "push after close" "error: stream already closed"
+            (raw_nth b ~id:4 0);
+          let program, input, symbols = window_query () in
+          raw_send b ~id:5 (stream_open ~symbols ~input program);
+          check_answer "second open"
+            "error: stream already open on this connection"
+            (raw_nth b ~id:5 0);
+          release a;
+          check_answer "closed session ends" "done" (raw_nth b ~id:1 1)))
+
+(* Backpressure: a queued session's reader stops at the chunk bound, so
+   a ping behind 300 pushes waits until the executor drains them; the
+   streamed output is bit-identical to the batch run. *)
+let test_session_backpressure () =
+  let mk, input, output, symbols =
+    match
+      List.find_opt (fun (n, _, _, _, _) -> n = "filter")
+        Workloads.Streaming.all
+    with
+    | Some (_, mk, input, Some output, symbols) -> (mk, input, output, symbols)
+    | _ -> Alcotest.fail "no filter query"
+  in
+  let g = mk () in
+  let values = Workloads.Streaming.sample_values 300 11 in
+  let inst = Exec.Instance.create ~config:compiled_1 ~symbols g in
+  ignore (Exec.Instance.run ~stream_args:[ (input, values) ] inst);
+  let batch_out = Exec.Instance.stream_contents inst output in
+  with_held_executor (fun socket _srv a ->
+      let d = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> raw_close d)
+        (fun () ->
+          raw_send d ~id:1
+            (stream_open ~symbols ~input ~output
+               (Protocol.Prog_sdfg (Serialize.to_string g)));
+          check_answer "session opened" "opened" (raw_nth d ~id:1 0);
+          Array.iteri
+            (fun i v -> raw_send d ~id:(2 + i) (Protocol.Stream_push [| v |]))
+            values;
+          raw_send d ~id:302 Protocol.Ping;
+          Thread.delay 0.5;
+          Alcotest.(check int) "ping waits behind the chunk bound" 0
+            (List.length (raw_answers d ~id:302));
+          release a;
+          check_answer "ping answered once the session runs" "pong"
+            (raw_nth d ~id:302 0);
+          raw_send d ~id:303 Protocol.Stream_close;
+          check_answer "session ends" "done" (raw_nth d ~id:1 1);
+          let got = raw_data d ~id:1 in
+          Alcotest.(check int) "output element count"
+            (Array.length batch_out) (Array.length got);
+          Alcotest.(check bool) "streamed output bit-identical to batch" true
+            (got = batch_out)))
+
+(* A session whose input names no container ends in an error; later
+   pushes find no open stream, and the connection still answers. *)
+let test_session_unknown_input () =
+  with_held_executor (fun socket _srv a ->
+      let e = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> raw_close e)
+        (fun () ->
+          let program, _, symbols = window_query () in
+          raw_send e ~id:1 (stream_open ~symbols ~input:"nope" program);
+          check_answer "session opened" "opened" (raw_nth e ~id:1 0);
+          release a;
+          check_answer "session fails" "error: no runtime container \"nope\""
+            (raw_nth e ~id:1 1);
+          raw_send e ~id:2
+            (Protocol.Stream_push (Workloads.Streaming.sample_values 2 1));
+          check_answer "push after the end"
+            "error: no open stream on this connection" (raw_nth e ~id:2 0);
+          raw_send e ~id:3 Protocol.Ping;
+          check_answer "still answers" "pong" (raw_nth e ~id:3 0)))
+
+(* The client holding the executor vanishes without [stream_close]:
+   its session ends, and every queued session still completes. *)
+let test_session_client_vanishes () =
+  with_server (fun socket srv ->
+      let a = hold_executor socket srv in
+      let queued =
+        List.init 2 (fun i ->
+            let r = raw_connect socket in
+            open_window r;
+            await_depth srv (i + 1);
+            raw_send r ~id:2
+              (Protocol.Stream_push (Workloads.Streaming.sample_values 9 i));
+            raw_send r ~id:3 Protocol.Stream_close;
+            r)
+      in
+      raw_close a;
+      List.iter
+        (fun r ->
+          check_answer "queued session completes" "done" (raw_nth r ~id:1 1);
+          raw_close r)
+        queued)
+
+(* A shutdown request while another connection holds a session open:
+   the held query ends done over the chunks it was sent, the queued one
+   is refused, and [wait] returns. *)
+let test_shutdown_with_open_session () =
+  let socket = tmp_name "sdfg-serve" ^ ".sock" in
+  let srv = Serve.Server.start ~socket () in
+  let a = hold_executor socket srv in
+  raw_send a ~id:2
+    (Protocol.Stream_push (Workloads.Streaming.sample_values 10 5));
+  let b = raw_connect socket in
+  open_window b;
+  await_depth srv 1;
+  let c = Serve.Client.connect socket in
+  Serve.Client.shutdown c;
+  Serve.Client.close c;
+  let returned = Atomic.make false in
+  let waiter =
+    Thread.create (fun () -> Serve.Server.wait srv; Atomic.set returned true) ()
+  in
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () -. t0 < 5. do
+    Thread.delay 0.01
+  done;
+  let in_time = Atomic.get returned in
+  if in_time then begin
+    check_answer "held session ends" "done" (raw_nth a ~id:1 1);
+    check_answer "queued session refused" "error: server shutting down"
+      (raw_nth b ~id:1 1)
+  end;
+  (* Dropping A lets a daemon that missed the deadline exit too. *)
+  raw_close a;
+  Thread.join waiter;
+  raw_close b;
+  Alcotest.(check bool) "wait returns within 5 s" true in_time;
+  Alcotest.(check bool) "socket file released" false (Sys.file_exists socket)
+
 let suite =
   [ Alcotest.test_case "Sdfg.hash stability" `Quick test_hash;
     Alcotest.test_case "Config validation is typed" `Quick
@@ -1026,4 +1400,15 @@ let suite =
     Alcotest.test_case "cache writes by rename, index mirrors memory" `Quick
       test_cache_atomic_writes;
     Alcotest.test_case "cache ignores partial temporary files" `Quick
-      test_cache_stray_tmp_files ]
+      test_cache_stray_tmp_files;
+    Alcotest.test_case "wire format golden" `Quick test_wire_golden;
+    Alcotest.test_case "session: closed, then push refused" `Quick
+      test_session_closed_push;
+    Alcotest.test_case "session: backpressure at the chunk bound" `Quick
+      test_session_backpressure;
+    Alcotest.test_case "session: input names no container" `Quick
+      test_session_unknown_input;
+    Alcotest.test_case "session: holding client vanishes" `Quick
+      test_session_client_vanishes;
+    Alcotest.test_case "server: shutdown with a session held open" `Quick
+      test_shutdown_with_open_session ]
