@@ -161,6 +161,15 @@ and state = {
   mutable st_index : state_index option;
   (* time this state at instrumentation level Marked *)
   mutable st_instrument : bool;
+  (* content stamp, taken from one global counter whenever anything in
+     the state changes and kept by a same-id clone: two states with equal
+     stamps have equal content.  Memos of per-state results key on it;
+     [st_version] stays the structural version, because a memlet write
+     moves the stamp but leaves the adjacency index valid *)
+  mutable st_stamp : int;
+  (* the stamp at which propagation last rewrote this state's outer
+     memlets; [-1] = never *)
+  mutable st_propagated : int;
 }
 
 and state_cache = {

@@ -93,7 +93,7 @@ let propagate_scope (st : state) entry =
           (fun acc m -> match acc with Some _ -> acc | None -> m.m_wcr)
           None inner_memlets
       in
-      outer_edge.e_memlet <- Some { prop with m_wcr = wcr }
+      State.set_memlet st outer_edge { prop with m_wcr = wcr }
   in
   (* Entry: inner edges leave from OUT_<x>; outer edge arrives at IN_<x>. *)
   let entry_outer = State.in_edges st entry in
@@ -124,20 +124,28 @@ let propagate_scope (st : state) entry =
         update_outer ~inner_edges:inner ~outer_edge:outer)
     exit_outer
 
+(* Propagation reads nothing but the state, so the result holds for as
+   long as the content stamp does. *)
 let propagate_state (st : state) =
-  List.iter (propagate_scope st) (entries_by_depth st)
+  List.iter (propagate_scope st) (entries_by_depth st);
+  st.st_propagated <- st.st_stamp
 
-(* Propagate all memlets in all states (and nested SDFGs) of [g]. *)
+(* Propagate all memlets in all states (and nested SDFGs) of [g].  A
+   state whose stamp has not moved since its last propagation is left
+   alone; one holding a nested SDFG is always redone, because its stamp
+   does not see edits inside the nested graph. *)
 let rec propagate (g : sdfg) =
   List.iter
     (fun st ->
-      List.iter
-        (fun (_, n) ->
-          match n with
-          | Nested_sdfg nest -> propagate nest.n_sdfg
-          | _ -> ())
-        (State.nodes st);
-      propagate_state st)
+      let nested =
+        List.fold_left
+          (fun nested (_, n) ->
+            match n with
+            | Nested_sdfg nest -> propagate nest.n_sdfg; true
+            | _ -> nested)
+          false (State.nodes st)
+      in
+      if nested || st.st_propagated <> st.st_stamp then propagate_state st)
     (Sdfg.states g)
 
 (* Total data movement volume of a state in elements: the sum of memlet

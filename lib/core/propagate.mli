@@ -22,10 +22,15 @@ val propagate_memlet :
     multiplied by the execution count. *)
 
 val propagate_state : Defs.state -> unit
-(** Propagate all scopes of a state, innermost first. *)
+(** Propagate all scopes of a state, innermost first, and record the
+    state's content stamp as propagated. *)
 
 val propagate : Defs.sdfg -> unit
-(** Propagate every state of [g] and of its nested SDFGs. *)
+(** Propagate every state of [g] and of its nested SDFGs.  A state whose
+    content stamp ({!State.stamp}) is the one recorded at its last
+    propagation is skipped, since propagation reads nothing outside the
+    state; a state holding a nested SDFG is always redone.  A freshly
+    built or parsed state has never been propagated. *)
 
 val state_movement_volume : Defs.state -> Symbolic.Expr.t
 (** Total data movement of a state's top-level edges, in elements. *)

@@ -11,6 +11,12 @@ open Defs
 
 type t = state
 
+(* One counter for every state in the process, so a stamp names one
+   content wherever the state lives. *)
+let stamps = Atomic.make 0
+
+let fresh_stamp () = Atomic.fetch_and_add stamps 1
+
 let create ?(label = "state") id : t =
   { st_id = id;
     st_label = label;
@@ -22,18 +28,31 @@ let create ?(label = "state") id : t =
     st_version = 0;
     st_cache = None;
     st_index = None;
-    st_instrument = false }
+    st_instrument = false;
+    st_stamp = fresh_stamp ();
+    st_propagated = -1 }
 
 (* Any structural mutation invalidates the derived-structure cache and
-   the adjacency index. *)
+   the adjacency index, and changes the content. *)
 let touch (s : t) =
   s.st_version <- s.st_version + 1;
   s.st_cache <- None;
-  s.st_index <- None
+  s.st_index <- None;
+  s.st_stamp <- fresh_stamp ()
 
 let id (s : t) = s.st_id
 let label (s : t) = s.st_label
-let set_label (s : t) l = s.st_label <- l
+let stamp (s : t) = s.st_stamp
+
+let set_label (s : t) l =
+  s.st_label <- l;
+  s.st_stamp <- fresh_stamp ()
+
+(* The edge record is the one the index holds, so a memlet write keeps
+   the index and the structural version. *)
+let set_memlet (s : t) (e : edge) m =
+  e.e_memlet <- Some m;
+  s.st_stamp <- fresh_stamp ()
 
 (* --- node and edge CRUD ----------------------------------------------- *)
 
@@ -398,33 +417,41 @@ let rec clone_node (n : node) : node =
   | Consume_exit | Reduce _ -> n
   | Nested_sdfg nest -> Nested_sdfg { nest with n_sdfg = clone_sdfg nest.n_sdfg }
 
+(* The tables are copied rather than refilled, so a clone iterates them
+   in the original's order and serializes (and hashes) as it does.  Edge
+   records are fresh, because their memlets are mutable.  A clone keeps
+   the stamp only where it is the same content: a cluster's text names
+   the state id, and the stamp does not see edits inside a nested SDFG. *)
 and clone (s : t) ?(id = s.st_id) () : t =
-  let s' = create ~label:s.st_label id in
-  Hashtbl.iter (fun nid n -> Hashtbl.replace s'.st_nodes nid (clone_node n)) s.st_nodes;
-  Hashtbl.iter
-    (fun eid e -> Hashtbl.replace s'.st_edges eid { e with e_id = e.e_id })
-    s.st_edges;
-  Hashtbl.iter (fun en ex -> Hashtbl.replace s'.st_scope_exit en ex)
-    s.st_scope_exit;
-  s'.st_next_node <- s.st_next_node;
-  s'.st_next_edge <- s.st_next_edge;
-  s'.st_instrument <- s.st_instrument;
-  s'
+  let nested = ref false in
+  let nodes = Hashtbl.copy s.st_nodes in
+  Hashtbl.filter_map_inplace
+    (fun _ n ->
+      match n with
+      | Nested_sdfg _ -> nested := true; Some (clone_node n)
+      | _ -> Some n)
+    nodes;
+  let edges = Hashtbl.copy s.st_edges in
+  Hashtbl.filter_map_inplace (fun _ e -> Some { e with e_id = e.e_id }) edges;
+  let same = id = s.st_id && not !nested in
+  { st_id = id;
+    st_label = s.st_label;
+    st_nodes = nodes;
+    st_edges = edges;
+    st_next_node = s.st_next_node;
+    st_next_edge = s.st_next_edge;
+    st_scope_exit = Hashtbl.copy s.st_scope_exit;
+    st_version = 0;
+    st_cache = None;
+    st_index = None;
+    st_instrument = s.st_instrument;
+    st_stamp = (if same then s.st_stamp else fresh_stamp ());
+    st_propagated = (if same then s.st_propagated else -1) }
 
 and clone_sdfg (g : sdfg) : sdfg =
-  let g' =
-    { g_name = g.g_name;
-      g_descs = g.g_descs;
-      g_states = Hashtbl.create 8;
-      g_istate_edges = g.g_istate_edges;
-      g_start = g.g_start;
-      g_next_state = g.g_next_state;
-      g_symbols = g.g_symbols }
-  in
-  Hashtbl.iter
-    (fun sid st -> Hashtbl.replace g'.g_states sid (clone st ()))
-    g.g_states;
-  g'
+  let states = Hashtbl.copy g.g_states in
+  Hashtbl.filter_map_inplace (fun _ st -> Some (clone st ())) states;
+  { g with g_states = states }
 
 (* --- node labels for display ------------------------------------------- *)
 

@@ -10,7 +10,20 @@
     use: the id-sorted node and edge lists and, per node, its in- and
     out-edges in ascending edge id.  Every structural mutation drops it,
     and a clone builds its own, since the index holds the state's own
-    edge records. *)
+    edge records.
+
+    Every state carries a content stamp, taken from one process-wide
+    counter.  {!create}, every node, edge and scope mutation,
+    {!set_label} and {!set_memlet} take a fresh one.  Only the
+    instrumentation flag changes without one: it marks a state for
+    timing, and no derived result reads it.  A {!clone} keeps the stamp when it keeps the id and
+    the state holds no nested SDFG, and takes a fresh one otherwise: a
+    clone under another id prints differently, and the stamp does not
+    see edits inside a nested graph.  Two states with equal stamps
+    therefore have equal content, which is what lets propagation, the
+    Graphviz signature and the cost model reuse a per-state result.  The
+    stamp is not the structural version that keys the index and the
+    scope tables: a memlet write moves the stamp and keeps both. *)
 
 type t = Defs.state
 
@@ -18,6 +31,12 @@ val create : ?label:string -> int -> t
 val id : t -> int
 val label : t -> string
 val set_label : t -> string -> unit
+
+val stamp : t -> int
+(** The content stamp. *)
+
+val set_memlet : t -> Defs.edge -> Defs.memlet -> unit
+(** Replace the memlet of one of this state's edges, in place. *)
 
 (** {1 Nodes and edges} *)
 
@@ -118,6 +137,9 @@ val clone_node : Defs.node -> Defs.node
 (** Deep copy (nested SDFGs are copied recursively). *)
 
 val clone : t -> ?id:int -> unit -> t
+(** Copies the tables, so the clone iterates (and serializes) in the
+    original's order; edge records and nested SDFGs are fresh. *)
+
 val clone_sdfg : Defs.sdfg -> Defs.sdfg
 
 val node_label : t -> int -> string

@@ -270,12 +270,39 @@ let memlet_bytes g ~symbols ~params (m : memlet) =
 
 (* --- scope analysis ------------------------------------------------------------ *)
 
+(* What one pricer keeps between the graphs it prices.  A state's
+   accounting reads the state, the descriptors it names, the visit
+   environment and the pricer's fixed options, so it is kept by content
+   stamp and visit environment, and reused while every descriptor the
+   state names is physically the one priced.  Whether the state reads a
+   loop symbol is kept beside it.  A successful transition walk reads
+   the transitions, the start state and the pricer's symbols. *)
+module Env_tbl = Hashtbl.Make (struct
+  type t = (string * int) list
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 128
+end)
+
+type kept = {
+  mutable k_descs : (string * ddesc) list;  (* the descriptors priced with *)
+  mutable k_reads : (string list * bool) list;  (* by loop symbols *)
+  k_accts : acct Env_tbl.t;
+}
+
+type memo = {
+  m_states : (int, kept) Hashtbl.t;  (* by content stamp *)
+  mutable m_walks :
+    (istate_edge list * int * (int * (string * int) list list) list) list;
+      (* (transitions, start, visits), newest first *)
+}
+
 type ctx = {
   g : Sdfg.t;
   opts : options;
   symbols : (string * int) list;
   cache_bytes : float;
   target : target;
+  memo : memo option;  (* only at the top level: see [priced] *)
 }
 
 let hint_for ctx name =
@@ -597,7 +624,9 @@ let rec node_acct ctx st ~params ~par_params nid : acct =
         nest.n_symbol_map
       @ ctx.symbols
     in
-    let inner_ctx = { ctx with g = nest.n_sdfg; symbols = inner_symbols } in
+    let inner_ctx =
+      { ctx with g = nest.n_sdfg; symbols = inner_symbols; memo = None }
+    in
     sdfg_acct inner_ctx
 
 and scope_acct ctx st ~params ~par_params entry (info : map_info) : acct =
@@ -719,9 +748,8 @@ and state_acct ctx (st : state) : acct =
 (* Walk the transition system on symbols alone, recording each state's
    visits together with the inter-state symbol environment at each visit —
    triangular loop nests (cholesky, lu, ...) need the loop symbol bound to
-   evaluate their map extents.  Data-dependent conditions fall back to the
-   caller's visit hints. *)
-and state_visits ctx : (int * (string * int) list list) list =
+   evaluate their map extents.  [None] when a condition is data-dependent. *)
+and walk_transitions ctx : (int * (string * int) list list) list option =
   let g = ctx.g in
   let visits : (int, (string * int) list list) Hashtbl.t = Hashtbl.create 8 in
   let record sid env =
@@ -769,9 +797,39 @@ and state_visits ctx : (int * (string * int) list list) list =
       true
     with Data_dependent | Expr.Unbound_symbol _ -> false
   in
-  if ok then Hashtbl.fold (fun sid envs acc -> (sid, envs) :: acc) visits []
-  else
-    (* hints by state label; default one visit per state *)
+  if ok then
+    Some (Hashtbl.fold (fun sid envs acc -> (sid, envs) :: acc) visits [])
+  else None
+
+(* Each state's visits: the transition walk, kept by the pricer, or the
+   caller's visit hints by state label (default one visit per state)
+   where a condition is data-dependent. *)
+and state_visits ctx : (int * (string * int) list list) list =
+  let g = ctx.g in
+  let walked =
+    match ctx.memo with
+    | None -> walk_transitions ctx
+    | Some memo -> (
+      match
+        List.find_opt
+          (fun (ts, start, _) -> ts == g.g_istate_edges && start = g.g_start)
+          memo.m_walks
+      with
+      | Some (_, _, visits) -> Some visits
+      | None ->
+        let walked = walk_transitions ctx in
+        Option.iter
+          (fun visits ->
+            memo.m_walks <-
+              List.filteri
+                (fun i _ -> i < 4)
+                ((g.g_istate_edges, g.g_start, visits) :: memo.m_walks))
+          walked;
+        walked)
+  in
+  match walked with
+  | Some visits -> visits
+  | None ->
     Sdfg.states g
     |> List.map (fun st ->
            let n =
@@ -780,6 +838,60 @@ and state_visits ctx : (int * (string * int) list list) list =
            in
            ( State.id st,
              List.init (max 1 (int_of_float n)) (fun _ -> ctx.symbols) ))
+
+(* How [sdfg_acct] prices one state under a visit environment, and
+   whether the state reads any of a list of symbols.  With a memo both
+   are kept by content stamp; a state holding a nested SDFG is priced
+   fresh, because its stamp does not see edits inside the nested graph
+   (whose own states the memo never keeps: their walk reads symbols the
+   enclosing state binds). *)
+and priced ctx (st : state) =
+  let price env = state_acct { ctx with symbols = env } st in
+  let holds_nested () =
+    List.exists
+      (fun (_, n) -> match n with Nested_sdfg _ -> true | _ -> false)
+      (State.nodes st)
+  in
+  match ctx.memo with
+  | Some memo when not (holds_nested ()) ->
+    let descs = ctx.g.g_descs in
+    (* every container the state names has the descriptor priced with;
+       then the new list serves as well, and later graphs sharing it
+       skip the check *)
+    let current k =
+      k.k_descs == descs
+      || List.for_all
+           (fun d ->
+             match (List.assoc_opt d k.k_descs, List.assoc_opt d descs) with
+             | Some was, Some now -> was == now
+             | None, None -> true
+             | _ -> false)
+           (State.used_containers st)
+         && (k.k_descs <- descs; true)
+    in
+    let k =
+      match Hashtbl.find_opt memo.m_states st.st_stamp with
+      | Some k when current k -> k
+      | _ ->
+        let k = { k_descs = descs; k_reads = []; k_accts = Env_tbl.create 4 } in
+        Hashtbl.replace memo.m_states st.st_stamp k;
+        k
+    in
+    ( (fun env ->
+        match Env_tbl.find_opt k.k_accts env with
+        | Some a -> a
+        | None ->
+          let a = price env in
+          Env_tbl.replace k.k_accts env a;
+          a),
+      fun syms ->
+        match List.find_opt (fun (s, _) -> s = syms) k.k_reads with
+        | Some (_, r) -> r
+        | None ->
+          let r = reads_any ctx.g st syms in
+          k.k_reads <- (syms, r) :: k.k_reads;
+          r )
+  | _ -> (price, reads_any ctx.g st)
 
 and sdfg_acct ctx : acct =
   let visits = state_visits ctx in
@@ -792,6 +904,7 @@ and sdfg_acct ctx : acct =
   List.fold_left
     (fun acc (sid, envs) ->
       let st = Sdfg.state ctx.g sid in
+      let price, reads = priced ctx st in
       let n = List.length envs in
       (* evaluate the state under up to 32 sampled symbol environments and
          scale — exact for affine extents, accurate for triangular ones *)
@@ -804,15 +917,12 @@ and sdfg_acct ctx : acct =
       in
       let per =
         match samples with
-        | first :: _ when not (reads_any ctx.g st loop_syms) ->
+        | first :: _ when not (reads loop_syms) ->
           (* every sample prices it the same: price it once and add that
              value once per sample, the sum the per-sample fold gives *)
-          let a = state_acct { ctx with symbols = first } st in
+          let a = price first in
           List.fold_left (fun sum _ -> sum ++ a) zero_acct samples
-        | _ ->
-          List.fold_left
-            (fun a env -> a ++ state_acct { ctx with symbols = env } st)
-            zero_acct samples
+        | _ -> List.fold_left (fun a env -> a ++ price env) zero_acct samples
       in
       acc ++ scale (float_of_int n /. float_of_int (List.length samples)) per)
     zero_acct visits
@@ -1001,8 +1111,8 @@ let fpga_time (spec : Spec.fpga) ctx (a : acct) : report =
 
 (* --- entry point -------------------------------------------------------------------- *)
 
-let estimate ?(opts = default_options) ~(spec : Spec.t) ~(target : target)
-    ~symbols (g : Sdfg.t) : report =
+let pricer ?(opts = default_options) ~(spec : Spec.t) ~(target : target)
+    ~symbols () =
   let cache_bytes =
     match target with
     | Tcpu ->
@@ -1012,12 +1122,17 @@ let estimate ?(opts = default_options) ~(spec : Spec.t) ~(target : target)
     | Tgpu -> 131072.0 (* shared memory + L1 + L2 share per SM *)
     | Tfpga -> spec.fpga.f_bram_bytes
   in
-  let ctx = { g; opts; symbols; cache_bytes; target } in
-  let a = sdfg_acct ctx in
-  match target with
-  | Tcpu -> cpu_time spec.cpu ctx a
-  | Tgpu -> gpu_time spec.gpu ctx a
-  | Tfpga -> fpga_time spec.fpga ctx a
+  let memo = { m_states = Hashtbl.create 64; m_walks = [] } in
+  fun (g : Sdfg.t) : report ->
+    let ctx = { g; opts; symbols; cache_bytes; target; memo = Some memo } in
+    let a = sdfg_acct ctx in
+    match target with
+    | Tcpu -> cpu_time spec.cpu ctx a
+    | Tgpu -> gpu_time spec.gpu ctx a
+    | Tfpga -> fpga_time spec.fpga ctx a
+
+let estimate ?opts ~spec ~target ~symbols g =
+  pricer ?opts ~spec ~target ~symbols () g
 
 (* --- per-map predictive parallel policy --------------------------------------------- *)
 

@@ -133,8 +133,35 @@ val estimate :
     target, a top-level [Cpu_multicore] map contributes parallelism only
     when {!Analysis.Races} proves it parallelizable — the model prices
     what the compiled engine's multicore runtime will actually do.
+    [estimate ... g] is [pricer ... () g].
     @raise Cost_error when a map extent cannot be evaluated (missing
     symbol or hint). *)
+
+val pricer :
+  ?opts:options ->
+  spec:Spec.t ->
+  target:target ->
+  symbols:(string * int) list ->
+  unit ->
+  Sdfg_ir.Sdfg.t ->
+  report
+(** A function equal to {!estimate} at these settings, bit for bit, that
+    keeps per-state work across the graphs it prices.  A state's
+    accounting is kept by content stamp ({!Sdfg_ir.State.stamp}) and
+    visit environment, and reused while every descriptor the state names
+    (through its access nodes and memlet containers) is physically the
+    one priced; a state holding a nested SDFG is priced fresh.  The
+    transition walk is kept by the physical transition list and start
+    state, when it succeeded.  Sums fold in the order {!estimate} folds
+    them.
+
+    The race verdicts behind the CPU parallel degree are not kept:
+    {!Analysis.Races} decides whether a transient is private by reading
+    other states and the transitions, so no per-state key holds a
+    verdict.  They are recomputed for every graph.
+
+    The kept work lives as long as the returned function and is not
+    safe to share between domains: make one pricer per search. *)
 
 val calibrate_parallel_efficiency :
   ?default:float -> (int * float) list -> float

@@ -6,6 +6,12 @@
    medians before committing a step.  The program is built once per
    search; only [crossval] replays chains on fresh builds.
 
+   A successor differs from the committed graph in the few states its
+   step rewrote.  Each search makes one signer and one pricer, which
+   keep per-state work by content stamp, and propagation skips states
+   whose stamp has not moved; so a successor re-derives only the states
+   its step changed, and the memos die with the search.
+
    The search is a greedy hill-climb with a configurable beam width and
    bounded patience for lateral moves.  Every decision is made over sorted
    enumerations ([Xform.names], candidate indices, (score, chain) ordered
@@ -102,17 +108,6 @@ type result = {
   r_report : Obs.Report.t;
 }
 
-(* Signature for dominance pruning: two chains that produce the same
-   graph are the same search state, and the model is a function of the
-   graph, so the later arrival is dominated.  The signature is the
-   Graphviz rendering, which shows labels, shapes, memlets and
-   transitions but omits map schedules, storage, tasklet code,
-   descriptors and nested bodies.  Two graphs that differ only there
-   collide, and the later one is pruned unscored: MPITransform's
-   schedule-only rewrite renders as its parent does, so it is never
-   scored, even where the model would price it differently. *)
-let signature g = Sdfg_ir.Dot.of_sdfg g
-
 (* A successor is a clone of the committed graph with one candidate
    applied.  The clone keeps node, edge and state ids, and node payloads
    are immutable, so a match found on the committed graph applies to the
@@ -123,11 +118,8 @@ let successor g x c =
   let g' = Sdfg_ir.Sdfg.clone g in
   match Xform.apply g' x c with () -> Some g' | exception _ -> None
 
-let score cfg g =
-  match
-    Cost.estimate ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
-      ~symbols:cfg.c_symbols g
-  with
+let score price g =
+  match price g with
   | r -> Ok r.Cost.r_time_s
   | exception Cost.Cost_error msg -> Error msg
   | exception e -> Error (Printexc.to_string e)
@@ -157,12 +149,22 @@ let optimize ?(name = "sdfg") (cfg : config) (build : unit -> Sdfg_ir.Sdfg.t)
     in
     res.Interp.Profile.p_run.s_median
   in
-  let base = build () in
-  let base_model =
-    Cost.estimate ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
-      ~symbols:cfg.c_symbols base
-    |> fun r -> r.Cost.r_time_s
+  (* Signature for dominance pruning: two chains that produce the same
+     graph are the same search state, and the model is a function of the
+     graph, so the later arrival is dominated.  The signature is the
+     Graphviz rendering, which shows labels, shapes, memlets and
+     transitions but omits map schedules, storage, tasklet code,
+     descriptors and nested bodies.  Two graphs that differ only there
+     collide, and the later one is pruned unscored: MPITransform's
+     schedule-only rewrite renders as its parent does, so it is never
+     scored, even where the model would price it differently. *)
+  let signature = Sdfg_ir.Dot.signer () in
+  let price =
+    Cost.pricer ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
+      ~symbols:cfg.c_symbols ()
   in
+  let base = build () in
+  let base_model = (price base).Cost.r_time_s in
   let base_wall =
     match cfg.c_objective with
     | Model_only -> None
@@ -217,7 +219,7 @@ let optimize ?(name = "sdfg") (cfg : config) (build : unit -> Sdfg_ir.Sdfg.t)
               if Hashtbl.mem visited sg then (incr pruned; None)
               else begin
                 Hashtbl.replace visited sg ();
-                match score cfg g with
+                match score price g with
                 | Error _ -> None
                 | Ok m -> Some (st, g, m)
               end))

@@ -14,6 +14,15 @@
     Model-only searches never invoke the profiler and are fully
     deterministic.
 
+    A successor differs from the committed graph only in the states its
+    step rewrote.  Each search makes one {!Sdfg_ir.Dot.signer} and one
+    {!Machine.Cost.pricer}, which reuse every state whose content stamp
+    ({!Sdfg_ir.State.stamp}) the step did not move, and
+    {!Sdfg_ir.Propagate.propagate} skips such states; the kept texts
+    and accounts die with the search.  Signatures and scores are those
+    of {!Sdfg_ir.Dot.of_sdfg} and {!Machine.Cost.estimate}, bit for
+    bit.
+
     "Already seen" compares the {!Sdfg_ir.Dot} rendering, which omits
     map schedules, storage, tasklet code, descriptors and nested bodies.
     Graphs that differ only there count as one state, and the later one

@@ -54,7 +54,7 @@ let trivial_map_elimination =
              || List.mem e.e_dst (entry :: exit_ :: members)
           then
             match e.e_memlet with
-            | Some mm -> e.e_memlet <- Some (Memlet.subst_list bindings mm)
+            | Some mm -> State.set_memlet st e (Memlet.subst_list bindings mm)
             | None -> ())
         (State.edges st);
       (* splice: src -> entry(IN_x) + entry(OUT_x) -> X  ==>  src -> X *)

@@ -61,7 +61,7 @@ let local_storage =
         downstream_path_edges st (role c "entry") base
         |> List.filter (fun (d : edge) -> d.e_id <> e.e_id)
       in
-      retarget_memlets ~edges:downstream ~from_:m.m_data ~to_:dname ~origin;
+      retarget_memlets ~st ~edges:downstream ~from_:m.m_data ~to_:dname ~origin;
       (* If the target is itself a scope entry, its connector base must be
          renamed to the new container. *)
       if State.is_scope_entry st e.e_dst then
@@ -273,14 +273,14 @@ let double_buffering_on ~iter_symbol =
               in
               match e.e_memlet with
               | Some m when String.equal m.m_data dname ->
-                e.e_memlet <- Some { m with m_subset = parity :: m.m_subset }
+                State.set_memlet stx e { m with m_subset = parity :: m.m_subset }
               | Some m when is_dname e.e_src || is_dname e.e_dst ->
                 let other =
                   match m.m_other with
                   | Some s -> s
                   | None -> Subset.of_shape old_shape
                 in
-                e.e_memlet <- Some { m with m_other = Some (parity :: other) }
+                State.set_memlet stx e { m with m_other = Some (parity :: other) }
               | Some _ | None -> ())
             (State.edges stx))
         (Sdfg.states g);
@@ -376,7 +376,7 @@ let redundant_array =
             (fun (pe : edge) ->
               match pe.e_memlet with
               | Some m when String.equal m.m_data in_name ->
-                pe.e_memlet <- Some { m with m_data = out_name }
+                State.set_memlet st pe { m with m_data = out_name }
               | _ -> ())
             path;
           ignore

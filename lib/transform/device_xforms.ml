@@ -41,7 +41,7 @@ let retarget_all_states g ~mapping =
           (match e.e_memlet with
           | Some m -> (
             match List.assoc_opt m.m_data mapping with
-            | Some d' -> e.e_memlet <- Some { m with m_data = d' }
+            | Some d' -> State.set_memlet st e { m with m_data = d' }
             | None -> ())
           | None -> ());
           (* scope connectors follow container names *)

@@ -26,7 +26,7 @@ let subst_scope_params st entry (bindings : (string * Expr.t) list) =
     (fun (e : edge) ->
       if List.mem e.e_src members && List.mem e.e_dst members then
         match e.e_memlet with
-        | Some m -> e.e_memlet <- Some (Memlet.subst_list bindings m)
+        | Some m -> State.set_memlet st e (Memlet.subst_list bindings m)
         | None -> ())
     (State.edges st)
 

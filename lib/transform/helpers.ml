@@ -49,14 +49,13 @@ let occurrence_count g data =
    [from_] that [to_] now holds; pass the whole-array subset for a pure
    rename).  Applied along full memlet paths so scope connectors stay
    consistent is the caller's job. *)
-let retarget_memlets ~edges ~from_ ~to_ ~origin =
+let retarget_memlets ~st ~edges ~from_ ~to_ ~origin =
   List.iter
     (fun (e : edge) ->
       match e.e_memlet with
       | Some m when String.equal m.m_data from_ ->
         let subset = Subset.offset_by m.m_subset ~origin in
-        e.e_memlet <-
-          Some { m with m_data = to_; m_subset = subset }
+        State.set_memlet st e { m with m_data = to_; m_subset = subset }
       | _ -> ())
     edges
 

@@ -40,15 +40,16 @@ val occurrence_count : Sdfg_ir.Sdfg.t -> string -> int
 (** Number of access nodes referring to a container across all states. *)
 
 val retarget_memlets :
+  st:Sdfg_ir.Defs.state ->
   edges:Sdfg_ir.Defs.edge list ->
   from_:string ->
   to_:string ->
   origin:Symbolic.Subset.t ->
   unit
-(** Rewrite every memlet on [edges] that references container [from_] so
-    that it references [to_], with subsets rebased by [origin] (the
-    subset of [from_] that [to_] now holds; pass the whole-array subset
-    for a pure rename). *)
+(** Rewrite every memlet on [edges] (edges of [st]) that references
+    container [from_] so that it references [to_], with subsets rebased
+    by [origin] (the subset of [from_] that [to_] now holds; pass the
+    whole-array subset for a pure rename). *)
 
 val rename_scope_connectors :
   Sdfg_ir.Defs.state -> int -> from_:string -> to_:string -> unit

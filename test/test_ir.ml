@@ -316,7 +316,7 @@ let test_index_clone_independence () =
       match State.edges a, List.rev (State.edges a) with
       | first :: _, last :: _ ->
         let before = memlets b and edges_before = ref_edges b in
-        first.e_memlet <- Some memlet;
+        State.set_memlet a first memlet;
         State.remove_edge a last.e_id;
         check_queries (what ^ " edited") a;
         check_queries (what ^ "'s twin") b;
@@ -329,6 +329,74 @@ let test_index_clone_independence () =
     edit_leaves_alone "clone" c s;
     edit_leaves_alone "original" s c
   done
+
+(* --- the content stamp ---------------------------------------------------- *)
+
+(* Every mutator takes a stamp no state has had; a query takes none. *)
+let test_stamp_moves () =
+  let st = State.create 0 in
+  let seen = ref [ State.stamp st ] in
+  let moved what =
+    let s = State.stamp st in
+    if List.mem s !seen then Alcotest.failf "%s kept the content stamp" what;
+    seen := s :: !seen
+  in
+  let a = State.add_node st (Defs.Access "A") in
+  moved "add_node";
+  let b = State.add_node st (Defs.Access "B") in
+  moved "add_node";
+  let e =
+    State.add_edge st ~memlet:(Memlet.element "A" [ E.zero ]) ~src:a ~dst:b ()
+  in
+  moved "add_edge";
+  let before = State.stamp st in
+  ignore (State.nodes st, State.edges st, State.topological_order st);
+  ignore (State.in_edges st b, State.scope_parents st, State.label st);
+  Alcotest.(check int) "queries keep the stamp" before (State.stamp st);
+  State.set_memlet st e (Memlet.element "A" [ E.one ]);
+  moved "set_memlet";
+  State.set_label st "renamed";
+  moved "set_label";
+  State.replace_node st b (Defs.Access "C");
+  moved "replace_node";
+  State.set_scope st ~entry:a ~exit_:b;
+  moved "set_scope";
+  State.remove_edge st e.e_id;
+  moved "remove_edge";
+  State.remove_node st b;
+  moved "remove_node"
+
+(* A clone keeps the stamp, and the propagation mark, only where it is
+   the same content: the same id and no nested SDFG. *)
+let test_stamp_clone () =
+  let g = Fixtures.matmul_mapreduce () in
+  let st = Sdfg.start_state g in
+  Propagate.propagate g;
+  let same = State.clone st () in
+  Alcotest.(check int) "same id keeps the stamp" (State.stamp st)
+    (State.stamp same);
+  Alcotest.(check int) "and the propagation mark" st.st_propagated
+    same.st_propagated;
+  let moved = State.clone st ~id:(State.id st + 1) () in
+  Alcotest.(check bool) "another id takes a fresh stamp" true
+    (State.stamp moved <> State.stamp st);
+  Alcotest.(check bool) "which is not propagated" true
+    (moved.st_propagated <> State.stamp moved);
+  let inner = Sdfg.create "inner" in
+  ignore
+    (State.add_node st
+       (Defs.Nested_sdfg
+          { n_sdfg = inner; n_inputs = []; n_outputs = []; n_symbol_map = [] }));
+  Alcotest.(check bool) "a nested SDFG takes a fresh stamp" true
+    (State.stamp (State.clone st ()) <> State.stamp st);
+  (* a whole-graph clone keeps every stamp of a graph without nesting *)
+  let g = Fixtures.laplace () in
+  List.iter2
+    (fun a b ->
+      Alcotest.(check int) "Sdfg.clone keeps stamps" (State.stamp a)
+        (State.stamp b))
+    (Sdfg.states g)
+    (Sdfg.states (Sdfg.clone g))
 
 let test_wcr_semantics () =
   let check_id wcr dt expect =
@@ -368,5 +436,8 @@ let suite =
     ("clone independence", `Quick, test_clone_independence);
     ("edge queries answer from the index", `Quick, test_index_matches_tables);
     ("a clone's index is its own", `Quick, test_index_clone_independence);
+    ("every State mutator moves the content stamp", `Quick, test_stamp_moves);
+    ("a clone keeps the stamp only for the same content", `Quick,
+      test_stamp_clone);
     ("WCR semantics", `Quick, test_wcr_semantics) ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_wcr_commutes ]

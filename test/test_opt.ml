@@ -252,6 +252,137 @@ let t_successors_from_clones () =
         (Int64.bits_of_float priced))
     (Lazy.force bounded_runs)
 
+(* --- per-state memos over one-step successors ------------------------------ *)
+
+(* Every one-step successor of the 30 Polybench programs, cfd-batched and
+   attention: each candidate of each registered transformation applied to
+   a clone of the built program, as the search builds its successors.
+   Each program comes with its model settings.  The tests below only read
+   these graphs. *)
+let one_step_successors =
+  lazy
+    (List.map
+       (fun (name, build, symbols, hints) ->
+         let base = build () in
+         let successors =
+           List.concat_map
+             (fun xn ->
+               let x = X.lookup xn in
+               (match x.X.x_find base with cs -> cs | exception _ -> [])
+               |> List.filter_map (fun c ->
+                      let g = Sdfg_ir.Sdfg.clone base in
+                      match X.apply g x c with
+                      | () -> Some (xn, g)
+                      | exception _ -> None))
+             (X.names ())
+         in
+         (name, bounded_config symbols hints, base, successors))
+       (List.map
+          (fun (k : Workloads.Polybench.kernel) ->
+            (k.k_name, k.k_build, k.k_large, k.k_hints k.k_large))
+          Workloads.Polybench.all
+       @ Workloads.
+           [ ("cfd-batched", Cfd.batched, Cfd.paper, Cfd.hints);
+             ("attention", Attention.base, Attention.attention_paper,
+               Attention.hints) ]))
+
+(* Propagation skips every state whose stamp has not moved since it was
+   last propagated.  A parse has never been propagated, so propagating it
+   redoes every state: a stale memlet would move.  The parse, not the
+   successor itself, is the baseline because a parse renumbers node and
+   state ids that have gaps. *)
+let t_incremental_propagation () =
+  let n = ref 0 in
+  List.iter
+    (fun (name, _, _, successors) ->
+      List.iter
+        (fun (xn, g) ->
+          incr n;
+          let parsed = Sdfg_ir.Serialize.(of_string (to_string g)) in
+          let before = Sdfg_ir.Serialize.to_string parsed in
+          Sdfg_ir.Propagate.propagate parsed;
+          if Sdfg_ir.Serialize.to_string parsed <> before then
+            Alcotest.failf "%s %s: full propagation moves a memlet" name xn)
+        successors)
+    (Lazy.force one_step_successors);
+  Alcotest.(check bool) "hundreds of successors" true (!n > 300)
+
+(* One pricer and one signer per program, shared by the base and all its
+   successors as in a search, against a fresh whole-graph [Cost.estimate]
+   and [Dot.of_sdfg] of each graph. *)
+let t_shared_memos () =
+  List.iter
+    (fun (name, (cfg : Search.config), base, successors) ->
+      let price =
+        Cost.pricer ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
+          ~symbols:cfg.c_symbols ()
+      in
+      let estimate =
+        Cost.estimate ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
+          ~symbols:cfg.c_symbols
+      in
+      let show f g =
+        match f g with
+        | (r : Cost.report) ->
+          Printf.sprintf "%h %h %h" r.r_time_s r.r_flops r.r_bytes
+        | exception Cost.Cost_error msg -> "Cost_error " ^ msg
+      in
+      let sign = Sdfg_ir.Dot.signer () in
+      List.iter
+        (fun (xn, g) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: shared pricer" name xn)
+            (show estimate g) (show price g);
+          if sign g <> Sdfg_ir.Dot.of_sdfg g then
+            Alcotest.failf "%s %s: the shared signer prints differently" name
+              xn)
+        (("base", base) :: successors))
+    (Lazy.force one_step_successors)
+
+(* A descriptor change moves no state's stamp, so the pricer must notice
+   it through the descriptors themselves. *)
+let t_pricer_sees_descriptors () =
+  let k = kernel "gemm" in
+  let cfg = search_config k in
+  let price =
+    Cost.pricer ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
+      ~symbols:cfg.c_symbols ()
+  in
+  let g = k.k_build () in
+  let before = (price g).Cost.r_bytes in
+  let g' = Sdfg_ir.Sdfg.clone g in
+  List.iter
+    (fun (name, d) ->
+      match d with
+      | Sdfg_ir.Defs.Array a ->
+        Sdfg_ir.Sdfg.replace_desc g' name
+          (Sdfg_ir.Defs.Array { a with a_dtype = Tasklang.Types.F32 })
+      | Sdfg_ir.Defs.Stream _ -> ())
+    (Sdfg_ir.Sdfg.descs g');
+  let fresh =
+    (Cost.estimate ~opts:cfg.c_opts ~spec:cfg.c_spec ~target:cfg.c_target
+       ~symbols:cfg.c_symbols g')
+      .Cost.r_bytes
+  in
+  Alcotest.(check bool) "single precision moves fewer bytes" true
+    (fresh < before);
+  Alcotest.(check (float 0.)) "the pricer re-prices" fresh
+    (price g').Cost.r_bytes
+
+(* Serialization prints scope tables in their iteration order, so a clone
+   that refilled them could print, and hash, differently. *)
+let t_clone_keeps_hash () =
+  let check name g =
+    if Sdfg_ir.Sdfg.(hash (clone g)) <> Sdfg_ir.Sdfg.hash g then
+      Alcotest.failf "%s: a clone hashes differently" name
+  in
+  List.iter (fun (name, build) -> check name (build ()))
+    (Test_polybench.programs ());
+  List.iter
+    (fun (name, _, _, successors) ->
+      List.iter (fun (xn, g) -> check (name ^ " " ^ xn) g) successors)
+    (Lazy.force one_step_successors)
+
 let suite =
   [ ("result-based Xform API", `Quick, t_result_api);
     ("registry enumeration is sorted", `Quick, t_registry_sorted);
@@ -269,4 +400,11 @@ let suite =
     ("bounded searches follow their pinned trajectories", `Quick,
       t_trajectories);
     ("search builds once and prices its chain on replay", `Quick,
-      t_successors_from_clones) ]
+      t_successors_from_clones);
+    ("incremental propagation is a fixpoint of full propagation", `Quick,
+      t_incremental_propagation);
+    ("a shared pricer and signer equal the whole-graph passes", `Quick,
+      t_shared_memos);
+    ("the pricer re-prices a state whose descriptor changed", `Quick,
+      t_pricer_sees_descriptors);
+    ("Sdfg.clone keeps Sdfg.hash", `Quick, t_clone_keeps_hash) ]
